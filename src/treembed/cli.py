@@ -209,8 +209,10 @@ def run_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _budget_from(args: argparse.Namespace, max_nodes: Optional[int] = None) -> Optional[Budget]:
-    nodes = getattr(args, "max_nodes", None) or max_nodes
+def _budget_from(args: argparse.Namespace) -> Optional[Budget]:
+    nodes = args.max_nodes
+    if nodes is not None and nodes < 0:
+        raise GraphError(f"--max-nodes must be nonnegative, got {nodes}")
     if args.timeout_ms is None and nodes is None:
         return None
     return Budget(max_nodes=nodes, time_ms=args.timeout_ms)
@@ -349,11 +351,12 @@ def run_stress(args: argparse.Namespace) -> int:
             verdict = auto_embed(tree, host, budget=budget)
             counterexample = False
             if verdict.kind is Verdict.NOT_EMBEDDED:
-                # fresh solver state, per the soundness invariant
-                recheck = exact_embed(tree, host)
+                # an independent search: no symmetry reductions, same budget
+                recheck = exact_embed(tree, host, budget=budget, symmetry=False)
                 if recheck.kind is Verdict.EMBEDDED:
                     raise RuntimeError(
-                        "solver bug: budgeted run refuted, fresh run embedded"
+                        "solver bug: NotEmbedded, but a search without "
+                        "symmetry reductions embeds the tree"
                     )
                 counterexample = recheck.kind is Verdict.NOT_EMBEDDED
             counterexamples += counterexample

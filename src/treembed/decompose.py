@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .graphs import GraphError, TreeGraph, distance_bfs
+from .graphs import GraphError, TreeGraph, bfs_layout, distance_bfs
 from .rational import RationalLike, as_fraction
 
 
@@ -39,7 +39,9 @@ def find_separator(tree: TreeGraph) -> SeparatorResult:
         raise GraphError("separator needs a tree with at least one edge")
     worst = max_component_orders(tree)
     z = min(range(n), key=lambda v: (worst[v], v))
-    comps = _components_without(g, z)
+    comps = tuple(sorted(
+        tuple(sorted(run)) for run in bfs_layout(g, g.adj[z], blocked=(z,)).trees()
+    ))
     realized = max(len(c) for c in comps)
     if realized != worst[z]:
         raise RuntimeError("separator bug: size pass disagrees with removal")
@@ -57,7 +59,7 @@ def max_component_orders(tree: TreeGraph) -> tuple[int, ...]:
     g = tree.graph
     if g.n < 2:
         raise GraphError("needs a tree with at least one edge")
-    order, parent = _bfs_order(g, 0)
+    order, parent, _ = bfs_layout(g, (0,))
     size = [1] * g.n
     worst = [0] * g.n
     for v in reversed(order):
@@ -207,44 +209,3 @@ def _check_partition_input(sizes: Sequence[int], t: int) -> None:
     if sum(sizes) > t:
         raise GraphError(f"sizes sum to {sum(sizes)}, more than t={t}")
 
-
-def _bfs_order(g, start: int) -> tuple[list[int], list[int]]:
-    from collections import deque
-
-    parent = [-2] * g.n
-    parent[start] = -1
-    order = [start]
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in g.adj[u]:
-            if parent[w] == -2:
-                parent[w] = u
-                order.append(w)
-                queue.append(w)
-    if len(order) != g.n:
-        raise GraphError("tree must be connected")
-    return order, parent
-
-
-def _components_without(g, z: int) -> tuple[tuple[int, ...], ...]:
-    from collections import deque
-
-    seen = {z}
-    comps = []
-    for s in g.adj[z]:
-        if s in seen:
-            continue
-        queue = deque([s])
-        seen.add(s)
-        comp = []
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for w in g.adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        comps.append(tuple(sorted(comp)))
-    comps.sort(key=lambda c: c[0])
-    return tuple(comps)

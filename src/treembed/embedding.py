@@ -6,13 +6,14 @@ and a NotEmbedded from it means the whole (symmetry reduced) space was
 exhausted.  greedy_min_degree_embed, forest_embed_component, and
 strategy_embed are the constructive routines shaped after the
 two-component degree-condition strategy; they may answer Unknown but never
-claim a non-embedding on their own.
+claim a non-embedding on their own.  Every greedy placement goes through
+one walker over a bfs_layout order.  auto_embed runs greedy, then the
+exact search within the budget.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -29,6 +30,7 @@ from .graphs import (
     GraphError,
     SimpleGraph,
     TreeGraph,
+    bfs_layout,
     components,
     degree_stats,
     distance_bfs,
@@ -105,17 +107,7 @@ class RootedForest:
                 )
 
     def color_classes(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        depth = [-1] * self.graph.n
-        queue = deque()
-        for r in self.roots:
-            depth[r] = 0
-            queue.append(r)
-        while queue:
-            u = queue.popleft()
-            for w in self.graph.adj[u]:
-                if depth[w] < 0:
-                    depth[w] = depth[u] + 1
-                    queue.append(w)
+        depth = bfs_layout(self.graph, self.roots).depth
         class0 = tuple(v for v in range(self.graph.n) if depth[v] % 2 == 0)
         class1 = tuple(v for v in range(self.graph.n) if depth[v] % 2 == 1)
         return class0, class1
@@ -208,30 +200,18 @@ class _Backtracker:
         n_t = forest.n
         self.full_mask = (1 << host.n) - 1
 
-        visited = [False] * n_t
-        self.order: list[int] = []
-        self.parent = [-1] * n_t
-        self.children: list[list[int]] = [[] for _ in range(n_t)]
-        comp_sizes: dict[int, int] = {}
-        for r in roots:
-            if visited[r]:
-                raise GraphError(f"root {r} repeated or shared between components")
-            start = len(self.order)
-            visited[r] = True
-            self.order.append(r)
-            queue = deque([r])
-            while queue:
-                u = queue.popleft()
-                for w in forest.adj[u]:
-                    if not visited[w]:
-                        visited[w] = True
-                        self.parent[w] = u
-                        self.children[u].append(w)
-                        self.order.append(w)
-                        queue.append(w)
-            comp_sizes[r] = len(self.order) - start
-        if len(self.order) != n_t:
+        layout = bfs_layout(forest, roots)
+        trees = layout.trees()
+        if len(trees) != len(roots):
+            raise GraphError("roots repeated or shared between components")
+        if len(layout.order) != n_t:
             raise GraphError("roots do not cover every component")
+        self.order = layout.order
+        self.parent = layout.parent
+        self.children: list[list[int]] = [[] for _ in range(n_t)]
+        for v in self.order:
+            if self.parent[v] >= 0:
+                self.children[self.parent[v]].append(v)
 
         self.child_count = [len(c) for c in self.children]
         self.sib_rest = [0] * n_t
@@ -255,15 +235,18 @@ class _Backtracker:
                     mask |= 1 << w
             self.deg_mask[d] = mask
 
-        host_comp = _host_component_sizes(host)
+        host_comp = [0] * host.n
+        for run in bfs_layout(host, range(host.n)).trees():
+            for w in run:
+                host_comp[w] = len(run)
         self.cap_mask: dict[int, int] = {}
-        for r in roots:
-            need = comp_sizes[r]
+        for tree in trees:
+            need = len(tree)
             mask = 0
             for w in range(host.n):
                 if host_comp[w] >= need:
                     mask |= 1 << w
-            self.cap_mask[r] = mask
+            self.cap_mask[tree[0]] = mask
 
         self.chain_prev: list[Optional[int]] = [None] * n_t
         self.class_id = list(range(host.n))
@@ -412,27 +395,6 @@ class _Backtracker:
         return ("found", images, nodes) if found else ("exhausted", None, nodes)
 
 
-def _host_component_sizes(host: SimpleGraph) -> list[int]:
-    size = [0] * host.n
-    seen = [False] * host.n
-    for s in range(host.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        queue = deque([s])
-        comp = [s]
-        while queue:
-            u = queue.popleft()
-            for w in host.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        for v in comp:
-            size[v] = len(comp)
-    return size
-
-
 def _allowed_masks(
     n_tree: int, n_host: int, constraints: Optional[EmbedConstraints]
 ) -> list[int]:
@@ -526,28 +488,14 @@ def greedy_min_degree_embed(tree: TreeGraph, host: SimpleGraph) -> EmbedVerdict:
     if host.n < g.n:
         return EmbedVerdict(Verdict.UNKNOWN, None, 0, _ms(t0), "host too small")
     root = tree.root if tree.root is not None else 0
-    images = {root: 0}
-    used = {0}
-    order = [root]
-    parent = {root: -1}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for w in g.adj[u]:
-            if w not in parent:
-                parent[w] = u
-                order.append(w)
-                queue.append(w)
-    for v in order[1:]:
-        pimg = images[parent[v]]
-        img = next((w for w in host.adj[pimg] if w not in used), None)
-        if img is None:
-            return EmbedVerdict(
-                Verdict.UNKNOWN, None, len(images), _ms(t0),
-                f"greedy stalled at tree vertex {v}",
-            )
-        images[v] = img
-        used.add(img)
+    layout = bfs_layout(g, (root,))
+    images: dict[int, int] = {}
+    stalled = _greedy_walk(host, layout.order, layout.parent, images, set())
+    if stalled is not None:
+        return EmbedVerdict(
+            Verdict.UNKNOWN, None, len(images), _ms(t0),
+            f"greedy stalled at tree vertex {stalled}",
+        )
     _check_witness(tree, host, images)
     return EmbedVerdict(Verdict.EMBEDDED, images, len(images), _ms(t0))
 
@@ -565,10 +513,11 @@ def forest_embed_component(
     Target sets (in original host ids) restrict where individual vertices,
     typically the roots, may land.  A color class larger than its side is
     refused outright with the pigeonhole certificate in the detail.  A
-    greedy level pass runs first; on a stall the exact search takes over
-    with the side restrictions as constraints, so a NotEmbedded here means
-    no embedding with this side assignment exists.  Unknown only appears
-    when the fallback runs out of budget.
+    greedy pass, finishing each root's tree before the next, runs first;
+    on a stall the exact search takes over with the side restrictions as
+    constraints, so a NotEmbedded here means no embedding with this side
+    assignment exists.  Unknown only appears when the fallback runs out of
+    budget.
     """
     t0 = time.perf_counter()
     if comp.bipartition is None:
@@ -610,8 +559,9 @@ def forest_embed_component(
                     f"target set of vertex {v} misses its side of the component",
                 )
 
-    greedy = _greedy_forest_pass(forest, comp.induced, allowed)
-    if greedy is not None:
+    layout = bfs_layout(g, forest.roots)
+    greedy: dict[int, int] = {}
+    if _greedy_walk(comp.induced, layout.order, layout.parent, greedy, set(), allowed) is None:
         mapping = {v: to_old[w] for v, w in greedy.items()}
         return EmbedVerdict(Verdict.EMBEDDED, mapping, len(mapping), _ms(t0))
 
@@ -633,38 +583,31 @@ def forest_embed_component(
     )
 
 
-def _greedy_forest_pass(
-    forest: RootedForest, host: SimpleGraph, allowed: Sequence[int]
-) -> Optional[dict[int, int]]:
-    """Level order greedy into smallest admissible images; None on stall."""
-    g = forest.graph
-    images: dict[int, int] = {}
-    used = 0
-    order = []
-    parent = {}
-    queue = deque()
-    for r in forest.roots:
-        parent[r] = -1
-        order.append(r)
-        queue.append(r)
-    while queue:
-        u = queue.popleft()
-        for w in g.adj[u]:
-            if w not in parent:
-                parent[w] = u
-                order.append(w)
-                queue.append(w)
-    host_masks = host.adjacency_masks
+def _greedy_walk(
+    host: SimpleGraph,
+    order: Sequence[int],
+    parent: Sequence[int],
+    images: dict[int, int],
+    used: set[int],
+    allowed: Optional[Sequence[int]] = None,
+) -> Optional[int]:
+    """Greedy placement along a BFS order.
+
+    Each vertex takes the smallest unused host vertex adjacent to its
+    parent's image (any host vertex when it has no parent) whose bit is set
+    in allowed[v].  images and used grow in place.  Returns the first
+    vertex left without an image, or None once all are placed.
+    """
     for v in order:
-        cand = allowed[v] & ~used
-        if parent[v] >= 0:
-            cand &= host_masks[images[parent[v]]]
-        if not cand:
-            return None
-        w = (cand & -cand).bit_length() - 1
-        images[v] = w
-        used |= 1 << w
-    return images
+        p = parent[v]
+        pool = host.adj[images[p]] if p >= 0 else range(host.n)
+        mask = -1 if allowed is None else allowed[v]
+        img = next((w for w in pool if w not in used and mask >> w & 1), None)
+        if img is None:
+            return v
+        images[v] = img
+        used.add(img)
+    return None
 
 
 def strategy_embed(
@@ -746,8 +689,7 @@ def strategy_embed(
     larger = report.facts[primary].larger_side
     x_nbrs = host.neighbor_sets[x]
     anchor_a = sorted(v for v in larger if v in x_nbrs)
-    anchor_c2 = sorted(v for v in c2.vertices if v in x_nbrs)
-    if not anchor_a or not anchor_c2:
+    if not anchor_a or x_nbrs.isdisjoint(c2.vertices):
         return _greedy_fallback(tree, host, t0, "apex misses an anchor side")
 
     sep = find_separator(tree)
@@ -781,6 +723,17 @@ def strategy_embed(
     used: set[int] = {x}
     nodes = 0
 
+    def grow_into_c2(roots: Sequence[int], hub: int) -> Optional[int]:
+        # the subtrees hanging from the placed hub at these roots, one after
+        # another, each vertex next to its parent's image inside c2
+        order, parent, _ = bfs_layout(g, roots, blocked=(hub,))
+        for r in roots:
+            parent[r] = hub
+        in_c2 = 0
+        for v in c2.vertices:
+            in_c2 |= 1 << v
+        return _greedy_walk(host, order, parent, images, used, [in_c2] * g.n)
+
     if star_piece is None:
         images[z] = x
         forest_vertices = [pieces[i] for i in into_primary]
@@ -794,11 +747,7 @@ def strategy_embed(
         nodes += verdict.nodes_explored
         images.update(verdict.embedding)
         used.update(verdict.embedding.values())
-        stalled = _greedy_pieces_into(
-            g, [pieces[i] for i in into_secondary],
-            [piece_roots[i] for i in into_secondary],
-            host, set(c2.vertices), anchor_c2, used, images,
-        )
+        stalled = grow_into_c2([piece_roots[i] for i in into_secondary], z)
         if stalled is not None:
             return unknown(f"secondary component stalled at tree vertex {stalled}")
     else:
@@ -814,10 +763,7 @@ def strategy_embed(
         used.update(verdict.embedding.values())
         star_root = piece_roots[star_piece]
         images[star_root] = x
-        stalled = _greedy_star_piece(
-            g, pieces[star_piece], star_root, host, set(c2.vertices),
-            anchor_c2, used, images,
-        )
+        stalled = grow_into_c2([v for v in g.adj[star_root] if v != z], star_root)
         if stalled is not None:
             return unknown(f"heavy piece stalled at tree vertex {stalled}")
 
@@ -867,105 +813,19 @@ def _embed_pieces_into(
     return verdict
 
 
-def _greedy_pieces_into(
-    tree_graph: SimpleGraph,
-    piece_vertex_sets: Sequence[tuple[int, ...]],
-    piece_roots: Sequence[int],
-    host: SimpleGraph,
-    region: set[int],
-    root_candidates: Sequence[int],
-    used: set[int],
-    images: dict[int, int],
-) -> Optional[int]:
-    """Greedy level order embedding of pieces into a host region.
-
-    Roots take the smallest unused root candidate; children the smallest
-    unused neighbor of the parent's image inside the region.  Returns the
-    stalled tree vertex or None.
-    """
-    for piece, root in zip(piece_vertex_sets, piece_roots):
-        img = next((w for w in root_candidates if w not in used), None)
-        if img is None:
-            return root
-        images[root] = img
-        used.add(img)
-        stalled = _greedy_grow(tree_graph, set(piece), root, host, region, used, images)
-        if stalled is not None:
-            return stalled
-    return None
-
-
-def _greedy_star_piece(
-    tree_graph: SimpleGraph,
-    piece: tuple[int, ...],
-    root: int,
-    host: SimpleGraph,
-    region: set[int],
-    root_child_candidates: Sequence[int],
-    used: set[int],
-    images: dict[int, int],
-) -> Optional[int]:
-    """Grow the piece whose root already sits on the apex: the root's
-    children take unused apex neighbors in the region, the rest is greedy."""
-    for child in tree_graph.adj[root]:
-        if child not in piece or child in images:
-            continue
-        img = next((w for w in root_child_candidates if w not in used), None)
-        if img is None:
-            return child
-        images[child] = img
-        used.add(img)
-        stalled = _greedy_grow(
-            tree_graph, set(piece), child, host, region, used, images
-        )
-        if stalled is not None:
-            return stalled
-    return None
-
-
-def _greedy_grow(
-    tree_graph: SimpleGraph,
-    piece: set[int],
-    start: int,
-    host: SimpleGraph,
-    region: set[int],
-    used: set[int],
-    images: dict[int, int],
-) -> Optional[int]:
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in tree_graph.adj[u]:
-            if w not in piece or w in images:
-                continue
-            img = next(
-                (h for h in host.adj[images[u]] if h in region and h not in used),
-                None,
-            )
-            if img is None:
-                return w
-            images[w] = img
-            used.add(img)
-            queue.append(w)
-    return None
-
-
 def auto_embed(
     tree: TreeGraph, host: SimpleGraph, budget: Optional[Budget] = None
 ) -> EmbedVerdict:
-    """Greedy, then the strategy pipeline, then the exact oracle.
+    """Greedy, then the exact oracle within the budget.
 
-    The first Embedded answer wins; otherwise the oracle's verdict stands,
-    and since the oracle never answers Unknown the effective precedence is
-    Embedded, then NotEmbedded, then Timeout, then Unknown.
+    A greedy Embedded answer wins; otherwise the oracle's verdict stands:
+    Embedded, NotEmbedded once the search space is exhausted, or Timeout
+    when the budget runs out first.
     """
     t0 = time.perf_counter()
     quick = greedy_min_degree_embed(tree, host)
     if quick.kind is Verdict.EMBEDDED:
         return quick
-    shaped = strategy_embed(tree, host, budget=budget)
-    if shaped.kind is Verdict.EMBEDDED:
-        return shaped
     remaining = budget
     if budget is not None and budget.time_ms is not None:
         left = budget.time_ms - _ms(t0)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 VERTEX_TAGS = frozenset(
     {"hub", "A1", "B1", "A2", "B2", "clique", "path", "leaf", "untagged"}
@@ -214,37 +214,89 @@ def induced_subgraph(
     return build_graph(len(vs), edges, tags), index_map
 
 
-def components(g: SimpleGraph) -> tuple[Component, ...]:
-    """Connected components in ascending order of their smallest vertex.
+class BfsLayout(NamedTuple):
+    """Breadth-first layout from a sequence of roots.
 
-    Each component carries its two-coloring when one exists; an odd cycle
-    leaves bipartition as None.
+    order lists the reached vertices, each root's search finished before
+    the next root starts; parent is -1 for roots and unreached vertices;
+    depth is the distance from the vertex's own root, -1 when unreached.
     """
-    color: list[int] = [-1] * g.n
-    out: list[Component] = []
-    for start in range(g.n):
-        if color[start] >= 0:
+
+    order: list[int]
+    parent: list[int]
+    depth: list[int]
+
+    def trees(self) -> list[list[int]]:
+        """order cut into one run per root that started a search."""
+        runs: list[list[int]] = []
+        for v in self.order:
+            if self.depth[v] == 0:
+                runs.append([])
+            runs[-1].append(v)
+        return runs
+
+
+def bfs_layout(
+    g: SimpleGraph, roots: Iterable[int], blocked: Iterable[int] = ()
+) -> BfsLayout:
+    """Breadth-first search from each root in turn, never entering blocked.
+
+    Neighbors are scanned in ascending order.  A root already reached, or
+    blocked, starts no search of its own.
+    """
+    depth = [-1] * g.n
+    blocked = tuple(blocked)
+    for b in blocked:
+        depth[b] = -2
+    parent = [-1] * g.n
+    order: list[int] = []
+    adj = g.adj
+    for r in roots:
+        if depth[r] != -1:
             continue
-        color[start] = 0
-        queue = deque([start])
-        verts = []
-        bipartite = True
-        while queue:
-            u = queue.popleft()
-            verts.append(u)
-            for w in g.adj[u]:
-                if color[w] < 0:
-                    color[w] = color[u] ^ 1
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    bipartite = False
+        depth[r] = 0
+        head = len(order)
+        order.append(r)
+        while head < len(order):
+            u = order[head]
+            head += 1
+            d = depth[u] + 1
+            for w in adj[u]:
+                if depth[w] == -1:
+                    depth[w] = d
+                    parent[w] = u
+                    order.append(w)
+    for b in blocked:
+        depth[b] = -1
+    return BfsLayout(order, parent, depth)
+
+
+def components(g: SimpleGraph, exclude: Optional[int] = None) -> tuple[Component, ...]:
+    """Connected components of g, or of g minus the vertex exclude, in
+    ascending order of their smallest vertex.
+
+    Vertex ids stay those of g.  Each component carries its two-coloring
+    when one exists; an odd cycle leaves bipartition as None.
+    """
+    if exclude is not None and not (0 <= exclude < g.n):
+        raise GraphError(f"excluded vertex {exclude} out of range for n={g.n}")
+    layout = bfs_layout(g, range(g.n), () if exclude is None else (exclude,))
+    depth = layout.depth
+    out: list[Component] = []
+    for verts in layout.trees():
         verts.sort()
+        bipartite = all(
+            (depth[u] ^ depth[w]) & 1
+            for u in verts
+            for w in g.adj[u]
+            if w != exclude
+        )
         sub, index_map = induced_subgraph(g, verts)
         bip = None
         if bipartite:
-            anchor = color[verts[0]]
-            side0 = tuple(v for v in verts if color[v] == anchor)
-            side1 = tuple(v for v in verts if color[v] != anchor)
+            anchor = depth[verts[0]] & 1
+            side0 = tuple(v for v in verts if depth[v] & 1 == anchor)
+            side1 = tuple(v for v in verts if depth[v] & 1 != anchor)
             bip = Bipartition(side0, side1)
         out.append(Component(tuple(verts), sub, index_map, bip))
     return tuple(out)
@@ -254,16 +306,7 @@ def distance_bfs(g: SimpleGraph, source: int) -> tuple[int, ...]:
     """BFS distances from source; unreachable vertices get -1."""
     if not (0 <= source < g.n):
         raise GraphError(f"source {source} out of range for n={g.n}")
-    dist = [-1] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in g.adj[u]:
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return tuple(dist)
+    return tuple(bfs_layout(g, (source,)).depth)
 
 
 class _SplitFlow:

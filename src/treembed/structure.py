@@ -15,13 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .families import ExtremalParams
-from .graphs import (
-    Component,
-    GraphError,
-    SimpleGraph,
-    components,
-    induced_subgraph,
-)
+from .graphs import Component, GraphError, SimpleGraph, components
 from .rational import RationalLike, as_fraction
 
 
@@ -125,11 +119,7 @@ def classify_apex_structure(
         raise GraphError("classification needs at least one non-apex vertex")
     if k < 1:
         raise GraphError(f"k must be positive, got {k}")
-    rest, old_to_new = induced_subgraph(g, (v for v in range(g.n) if v != x))
-    new_to_old = {i: v for v, i in old_to_new.items()}
-    facts = []
-    for comp in components(rest):
-        facts.append(_component_facts(g, x, k, th, comp, new_to_old))
+    facts = [_component_facts(g, x, k, th, comp) for comp in components(g, exclude=x)]
     seen_indices = tuple(i for i, f in enumerate(facts) if f.seen)
     unseen_untouched = all(
         f.x_degree == 0 for i, f in enumerate(facts) if i not in seen_indices
@@ -178,21 +168,12 @@ def _component_facts(
     k: int,
     theta: Fraction,
     comp: Component,
-    new_to_old: dict[int, int],
 ) -> ComponentFacts:
-    verts = tuple(sorted(new_to_old[v] for v in comp.vertices))
-    sub, index_map = induced_subgraph(g, verts)
-    translated = Component(
-        verts,
-        sub,
-        index_map,
-        _translate_bipartition(comp, new_to_old),
-    )
     xs = g.neighbor_sets[x]
-    x_degree = sum(1 for v in verts if v in xs)
-    if translated.bipartition is not None:
-        larger = translated.bipartition.larger()
-        smaller = translated.bipartition.smaller()
+    x_degree = sum(1 for v in comp.vertices if v in xs)
+    if comp.bipartition is not None:
+        larger = comp.bipartition.larger()
+        smaller = comp.bipartition.smaller()
         x_larger = sum(1 for v in larger if v in xs)
         x_smaller = sum(1 for v in smaller if v in xs)
     else:
@@ -202,30 +183,18 @@ def _component_facts(
         x_smaller = 0
     two_thirds = Fraction(2 * k, 3)
     return ComponentFacts(
-        component=translated,
-        order=translated.order,
-        bipartite=translated.bipartition is not None,
+        component=comp,
+        order=comp.order,
+        bipartite=comp.bipartition is not None,
         larger_side=larger,
         smaller_side=smaller,
         x_degree=x_degree,
         x_degree_larger=x_larger,
         x_degree_smaller=x_smaller,
-        seen=Fraction(x_degree) >= theta * translated.order,
-        small_at_k=_order_for_smallness(translated) < (1 + theta) * k,
-        small_at_two_thirds_k=_order_for_smallness(translated) < (1 + theta) * two_thirds,
+        seen=Fraction(x_degree) >= theta * comp.order,
+        small_at_k=_order_for_smallness(comp) < (1 + theta) * k,
+        small_at_two_thirds_k=_order_for_smallness(comp) < (1 + theta) * two_thirds,
     )
-
-
-def _translate_bipartition(comp: Component, new_to_old: dict[int, int]):
-    if comp.bipartition is None:
-        return None
-    from .graphs import Bipartition
-
-    side0 = tuple(sorted(new_to_old[v] for v in comp.bipartition.side0))
-    side1 = tuple(sorted(new_to_old[v] for v in comp.bipartition.side1))
-    if side1 and (not side0 or min(side1) < min(side0)):
-        side0, side1 = side1, side0
-    return Bipartition(side0, side1)
 
 
 @dataclass(frozen=True)

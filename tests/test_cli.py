@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from treembed import cli
 from treembed.cli import main
 from treembed.families import caterpillar, cliques_with_apex
 from treembed.formats import (
@@ -14,7 +15,7 @@ from treembed.formats import (
     witness_from_text,
 )
 from treembed.graphs import TreeGraph, build_graph
-from treembed.embedding import validate_embedding
+from treembed.embedding import EmbedVerdict, Verdict, validate_embedding
 
 
 def write_graph(path, g, meta=None):
@@ -135,6 +136,21 @@ class TestCheck:
         out = capsys.readouterr().out
         assert out.startswith("Timeout")
         assert "detail:" in out
+
+    def test_zero_node_budget_times_out(self, tmp_path, capsys):
+        # greedy stalls here, so the exact stage runs and must stop at once
+        tree = write_graph(tmp_path / "p12.json", caterpillar(12).graph)
+        host = write_graph(tmp_path / "ca.json", cliques_with_apex(5, 3).graph)
+        code = main(["check", "--tree", tree, "--host", host, "--max-nodes", "0"])
+        assert code == 3
+        assert capsys.readouterr().out.startswith("Timeout")
+
+    def test_negative_node_budget_is_usage_error(self, tmp_path, capsys):
+        tree = write_graph(tmp_path / "p12.json", caterpillar(12).graph)
+        host = write_graph(tmp_path / "ca.json", cliques_with_apex(5, 3).graph)
+        code = main(["check", "--tree", tree, "--host", host, "--max-nodes", "-1"])
+        assert code == 2
+        assert "--max-nodes" in capsys.readouterr().err
 
     def test_wall_clock_timeout(self, tmp_path, capsys):
         tree = write_graph(tmp_path / "p12.json", caterpillar(12).graph)
@@ -265,6 +281,29 @@ class TestStress:
               "--max-tree-degree", "3", "--out", str(out)])
         row = json.loads(out.read_text().splitlines()[0])
         assert row["params"]["max_tree_degree"] == 3
+
+    def test_false_refutation_is_a_solver_bug(self, tmp_path, monkeypatch):
+        def refute(tree, host, budget=None):
+            return EmbedVerdict(Verdict.NOT_EMBEDDED, None)
+
+        monkeypatch.setattr(cli, "auto_embed", refute)
+        with pytest.raises(RuntimeError, match="solver bug"):
+            main(["stress", "--k", "6", "--n", "16", "--trials", "1",
+                  "--out", str(tmp_path / "s.jsonl")])
+
+    def test_unconfirmed_refutation_is_no_counterexample(self, tmp_path, monkeypatch):
+        def refute(tree, host, budget=None):
+            return EmbedVerdict(Verdict.NOT_EMBEDDED, None)
+
+        def out_of_budget(tree, host, budget=None, symmetry=True):
+            return EmbedVerdict(Verdict.TIMEOUT, None)
+
+        monkeypatch.setattr(cli, "auto_embed", refute)
+        monkeypatch.setattr(cli, "exact_embed", out_of_budget)
+        out = tmp_path / "s.jsonl"
+        assert main(["stress", "--k", "6", "--n", "16", "--trials", "1",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["counterexample"] is False
 
     def test_host_too_small(self, capsys):
         code = main(["stress", "--k", "10", "--n", "5", "--trials", "1"])

@@ -27,7 +27,9 @@ from treembed.families import (
     caterpillar,
     cliques_with_apex,
     complete_bipartite,
+    matched_wing_host,
     two_wing_host,
+    wing_clique_host,
 )
 from treembed.graphs import GraphError, build_graph, build_tree, components
 from treembed.randgen import random_tree
@@ -263,6 +265,20 @@ class TestGreedyMinDegree:
         verdict = greedy_min_degree_embed(caterpillar(5), complete_graph(3))
         assert verdict.kind is Verdict.UNKNOWN
 
+    def test_pinned_witnesses(self):
+        host = two_wing_host(ExtremalParams(3, 2, 24)).graph
+        broom = greedy_min_degree_embed(broom_tree(3, 12), host)
+        assert broom.embedding == {
+            0: 0, 1: 1, 5: 2, 9: 3, 2: 15, 3: 16, 4: 17, 6: 18, 7: 19, 8: 20,
+            10: 21, 11: 22, 12: 23,
+        }
+        path = greedy_min_degree_embed(caterpillar(12), host)
+        assert path.embedding == {
+            0: 0, 1: 1, 2: 15, 3: 2, 4: 16, 5: 3, 6: 17, 7: 4, 8: 18, 9: 5,
+            10: 19, 11: 6, 12: 20,
+        }
+        assert broom.nodes_explored == path.nodes_explored == 13
+
 
 class TestRootedForest:
     def test_color_classes_by_depth(self):
@@ -419,6 +435,22 @@ class TestAutoEmbed:
         host = cliques_with_apex(5, 3).graph
         verdict = auto_embed(caterpillar(12), host, budget=Budget(max_nodes=100))
         assert verdict.kind is Verdict.TIMEOUT
+
+    def test_greedy_stall_hands_over_to_exact(self):
+        rng = random.Random(0)
+        stalls = 0
+        for build in (two_wing_host, wing_clique_host, matched_wing_host):
+            host = build(ExtremalParams(3, 1, 12)).graph
+            for _ in range(20):
+                tree = random_tree(12, rng)
+                if greedy_min_degree_embed(tree, host).kind is Verdict.EMBEDDED:
+                    continue
+                stalls += 1
+                budget = Budget(max_nodes=20_000)
+                auto = auto_embed(tree, host, budget=budget)
+                want = exact_embed(tree, host, budget=budget)
+                assert (auto.kind, auto.nodes_explored) == (want.kind, want.nodes_explored)
+        assert stalls >= 20
 
     def test_matches_exact_on_random_pairs(self):
         rng = random.Random(777000)

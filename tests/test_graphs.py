@@ -6,8 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treembed.families import (
+    ExtremalParams,
+    matched_wing_host,
+    two_wing_host,
+    wing_clique_host,
+)
 from treembed.graphs import (
     GraphError,
+    bfs_layout,
     build_graph,
     build_tree,
     components,
@@ -151,6 +158,60 @@ class TestComponents:
             assert (comp.bipartition is not None) == brute_bipartition_exists(
                 comp.induced
             )
+
+
+    @settings(max_examples=150)
+    @given(small_graphs(), st.integers(min_value=0, max_value=7))
+    def test_exclude_matches_relabelled_induced(self, g, pick):
+        assert_exclude_matches_induced(g, pick % g.n)
+
+    def test_exclude_out_of_range(self):
+        g = build_graph(3, [(0, 1), (1, 2)])
+        for bad in (-1, 3):
+            with pytest.raises(GraphError, match="out of range"):
+                components(g, exclude=bad)
+
+    @pytest.mark.parametrize("build", [two_wing_host, wing_clique_host, matched_wing_host])
+    def test_exclude_apex_of_extremal_hosts(self, build):
+        g = build(ExtremalParams(3, 2, 24)).graph
+        assert_exclude_matches_induced(g, degree_stats(g).argmax)
+
+
+def assert_exclude_matches_induced(g, x):
+    """components(g, exclude=x) is components of G - x in original ids."""
+    rest, old_to_new = induced_subgraph(g, [v for v in range(g.n) if v != x])
+    new_to_old = {i: v for v, i in old_to_new.items()}
+    got = components(g, exclude=x)
+    want = components(rest)
+    assert len(got) == len(want)
+    for comp, ref in zip(got, want):
+        assert comp.vertices == tuple(new_to_old[v] for v in ref.vertices)
+        assert comp.induced == ref.induced
+        assert comp.index_map == {new_to_old[v]: i for v, i in ref.index_map.items()}
+        if ref.bipartition is None:
+            assert comp.bipartition is None
+        else:
+            assert comp.bipartition.side0 == tuple(new_to_old[v] for v in ref.bipartition.side0)
+            assert comp.bipartition.side1 == tuple(new_to_old[v] for v in ref.bipartition.side1)
+
+
+class TestBfsLayout:
+    def test_each_root_finishes_before_the_next(self):
+        g = build_graph(6, [(0, 1), (1, 2), (3, 4), (0, 5)])
+        layout = bfs_layout(g, (3, 1, 0))
+        # root 0 was reached from root 1, so it starts no search
+        assert layout.order == [3, 4, 1, 0, 2, 5]
+        assert layout.parent == [1, -1, 1, -1, 3, 0]
+        assert layout.depth == [1, 0, 1, 0, 1, 2]
+        assert layout.trees() == [[3, 4], [1, 0, 2, 5]]
+
+    def test_blocked_and_unreached(self):
+        g = build_graph(6, [(0, 1), (1, 2), (2, 3), (4, 5)])
+        layout = bfs_layout(g, (0,), blocked=(2,))
+        assert layout.order == [0, 1]
+        assert layout.parent == [-1, 0, -1, -1, -1, -1]
+        assert layout.depth == [0, 1, -1, -1, -1, -1]
+        assert bfs_layout(g, (2, 3), blocked=(2,)).order == [3]
 
 
 class TestInducedSubgraph:
