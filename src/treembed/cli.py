@@ -329,6 +329,8 @@ def run_stress(args: argparse.Namespace) -> int:
     k, n = args.k, args.n
     if k < 1:
         raise GraphError(f"k must be positive, got {k}")
+    if args.trials < 0:
+        raise GraphError(f"--trials must be nonnegative, got {args.trials}")
     if n < k + 1:
         raise GraphError(f"n={n} cannot host a tree with {k} edges (need n >= {k + 1})")
     alpha = as_fraction(args.alpha)
@@ -393,6 +395,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # also rejects nan, which would leave the wall clock unarmed
+        if args.timeout_ms is not None and not args.timeout_ms >= 0:
+            raise GraphError(f"--timeout-ms must be nonnegative, got {args.timeout_ms}")
         return args.func(args)
     except (GraphError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ exact search within the budget.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -159,12 +160,6 @@ def validate_embedding(
     return not embedding_violations(tree_like, host, mapping)
 
 
-class _LimitHit(Exception):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
-
 class _Backtracker:
     """Depth first search for an injective adjacency preserving map.
 
@@ -174,15 +169,30 @@ class _Backtracker:
     mask, with enough unused neighbors left for its pending children, and
     leaving the parent's image enough unused neighbors for the remaining
     siblings.  Roots additionally need a host component large enough for
-    their subtree.
+    their subtree.  The search keeps one frame per depth on an explicit
+    stack, so tree depth is not bounded by the interpreter's recursion.
 
-    With symmetry on, interchangeable siblings (equal rooted shape with
-    nothing constrained below, or childless vertices sharing one allowed
-    mask) are forced into ascending image order, and host vertices with
-    identical neighborhoods and identical constraint membership collapse
-    to one representative per search node.  Both reductions map any
-    embedding to one the reduced search still visits, so verdicts agree
-    with the unreduced search.
+    With symmetry on, two reductions apply.  Interchangeable siblings
+    (equal rooted shape with nothing constrained below, or childless
+    vertices sharing one allowed mask) take ascending images.  Host
+    vertices are grouped into twin classes, and each search node tries
+    only the smallest candidate of each class.  Two vertices are twins
+    when they have the same constraint membership and either the same
+    open neighborhood N(v) or the same closed neighborhood N[v]; swapping
+    two twins of either kind is a host automorphism that fixes every other
+    vertex and every allowed mask.  A vertex with an open twin has no
+    closed twin (if N(a) = N(b) and N[a] = N[c] then c is in N(b), so b
+    is in N[a] and thus in N(a) = N(b)), so keying each vertex by N(v)
+    when that is shared and by N[v] otherwise finds both kinds.
+
+    Soundness: take, among the embeddings obtained from a given one by
+    sibling subtree swaps and twin swaps, the one whose images in BFS
+    order are lexicographically smallest by host id.  A later sibling
+    with a smaller image than its chain predecessor, or an image with an
+    unused smaller twin among the candidates, could be swapped for a
+    smaller sequence, so this embedding passes both reductions at every
+    node and the reduced search visits it.  Verdicts therefore agree with
+    the unreduced search; only node counts differ.
     """
 
     def __init__(
@@ -195,7 +205,6 @@ class _Backtracker:
     ):
         self.forest = forest
         self.host = host
-        self.symmetry = symmetry
         self.allowed = list(allowed)
         n_t = forest.n
         self.full_mask = (1 << host.n) - 1
@@ -253,6 +262,11 @@ class _Backtracker:
         if symmetry:
             self._build_chains(list(roots))
             self._build_twin_classes()
+        # clearing a candidate's whole class leaves one candidate per class
+        class_mask = [0] * host.n
+        for w, c in enumerate(self.class_id):
+            class_mask[c] |= 1 << w
+        self.others = [~class_mask[c] for c in self.class_id]
 
     def _build_chains(self, roots: list[int]) -> None:
         n_t = self.forest.n
@@ -290,19 +304,21 @@ class _Backtracker:
                 chain(self.children[v])
 
     def _build_twin_classes(self) -> None:
+        masks = self.host_masks
         constrained = [
             v for v in range(self.forest.n) if self.allowed[v] != self.full_mask
         ]
+        shared = {m for m, count in Counter(masks).items() if count > 1}
         table: dict[tuple, int] = {}
         for w in range(self.host.n):
-            key = (
-                self.host_masks[w],
-                tuple((self.allowed[v] >> w) & 1 for v in constrained),
-            )
+            nbrs = masks[w] if masks[w] in shared else masks[w] | 1 << w
+            key = (nbrs, tuple((self.allowed[v] >> w) & 1 for v in constrained))
             self.class_id[w] = table.setdefault(key, len(table))
 
     def run(self, budget: Optional[Budget]) -> tuple[str, Optional[list[int]], int]:
-        max_nodes = budget.max_nodes if budget else None
+        limit = float("inf")
+        if budget and budget.max_nodes is not None:
+            limit = budget.max_nodes
         deadline = None
         if budget and budget.time_ms is not None:
             if budget.time_ms <= 0:
@@ -314,85 +330,85 @@ class _Backtracker:
         allowed = self.allowed
         masks = self.host_masks
         deg_mask = self.deg_mask
+        cap_mask = self.cap_mask
         tree_deg = self.tree_deg
         chain_prev = self.chain_prev
         child_count = self.child_count
         sib_rest = self.sib_rest
-        cls = self.class_id
+        others = self.others
         rank = self.rank
-        symmetry = self.symmetry
         n_t = self.forest.n
         images = [-1] * n_t
+        # one frame per depth: candidates in rank order, the next one to
+        # try, and the parent image's neighborhood
+        frame_chosen: list[list[int]] = [[]] * n_t
+        frame_next = [0] * n_t
+        frame_pmask = [0] * n_t
         used = 0
         nodes = 0
-
-        def place(pos: int) -> bool:
-            nonlocal used, nodes
-            if pos == n_t:
-                return True
-            u = order[pos]
-            cand = allowed[u] & ~used
-            p = parent[u]
-            if p >= 0:
-                pmask = masks[images[p]]
-                cand &= pmask
+        pos = 0
+        descend = True
+        while True:
+            if descend:
+                if pos == n_t:
+                    return ("found", images, nodes)
+                u = order[pos]
+                cand = allowed[u] & ~used
+                p = parent[u]
+                if p >= 0:
+                    pmask = masks[images[p]]
+                    cand &= pmask
+                else:
+                    pmask = 0
+                    cand &= cap_mask[u]
+                cand &= deg_mask[tree_deg[u]]
+                cp = chain_prev[u]
+                if cp is not None:
+                    cand &= -(1 << (images[cp] + 1))
+                chosen = []
+                while cand:
+                    w = (cand & -cand).bit_length() - 1
+                    chosen.append(w)
+                    cand &= others[w]
+                if len(chosen) > 1:
+                    chosen.sort(key=rank.__getitem__)
+                i = 0
             else:
-                pmask = 0
-                cand &= self.cap_mask[u]
-            cand &= deg_mask[tree_deg[u]]
-            cp = chain_prev[u]
-            if cp is not None:
-                cand &= -(1 << (images[cp] + 1))
-            if not cand:
-                return False
-            chosen = []
-            if symmetry:
-                seen_cls = set()
-                m = cand
-                while m:
-                    low = m & -m
-                    m ^= low
-                    w = low.bit_length() - 1
-                    c = cls[w]
-                    if c not in seen_cls:
-                        seen_cls.add(c)
-                        chosen.append(w)
-            else:
-                m = cand
-                while m:
-                    low = m & -m
-                    m ^= low
-                    chosen.append(low.bit_length() - 1)
-            if len(chosen) > 1:
-                chosen.sort(key=rank.__getitem__)
+                u = order[pos]
+                chosen = frame_chosen[pos]
+                i = frame_next[pos]
+                pmask = frame_pmask[pos]
+                used ^= 1 << images[u]
+                images[u] = -1
             pend = child_count[u]
             rest = sib_rest[u]
-            for w in chosen:
+            descend = False
+            while i < len(chosen):
+                w = chosen[i]
+                i += 1
                 nodes += 1
-                if max_nodes is not None and nodes > max_nodes:
-                    raise _LimitHit("node")
+                if nodes > limit:
+                    return ("node", None, nodes)
                 if deadline is not None and nodes & 2047 == 0:
                     if time.perf_counter() > deadline:
-                        raise _LimitHit("time")
-                bit = 1 << w
-                nxt = used | bit
+                        return ("time", None, nodes)
+                nxt = used | 1 << w
                 if pend and (masks[w] & ~nxt).bit_count() < pend:
                     continue
                 if rest and (pmask & ~nxt).bit_count() < rest:
                     continue
                 images[u] = w
                 used = nxt
-                if place(pos + 1):
-                    return True
-                used ^= bit
-                images[u] = -1
-            return False
-
-        try:
-            found = place(0)
-        except _LimitHit as hit:
-            return (hit.reason, None, nodes)
-        return ("found", images, nodes) if found else ("exhausted", None, nodes)
+                frame_chosen[pos] = chosen
+                frame_next[pos] = i
+                frame_pmask[pos] = pmask
+                pos += 1
+                descend = True
+                break
+            if not descend:
+                if pos == 0:
+                    return ("exhausted", None, nodes)
+                pos -= 1
 
 
 def _allowed_masks(

@@ -206,12 +206,10 @@ def induced_subgraph(
         if not (0 <= v < g.n):
             raise GraphError(f"vertex {v} out of range for n={g.n}")
     index_map = {v: i for i, v in enumerate(vs)}
-    keep = set(vs)
-    edges = [
-        (index_map[u], index_map[v]) for u, v in g.edges() if u in keep and v in keep
-    ]
+    # relabeling keeps the order, so each filtered row stays sorted
+    adj = tuple(tuple(index_map[w] for w in g.adj[v] if w in index_map) for v in vs)
     tags = {index_map[v]: g.tags[v] for v in vs if v in g.tags}
-    return build_graph(len(vs), edges, tags), index_map
+    return SimpleGraph(len(vs), adj, tags), index_map
 
 
 class BfsLayout(NamedTuple):

@@ -89,7 +89,6 @@ def test_02_broom_blocked_by_two_wing_host():
         assert cert.center_demand > cert.a_capacity
 
 
-@pytest.mark.stretch
 def test_02s_broom_blocked_at_doubled_scale():
     with criterion(2, "stretch: broom blocked at doubled scale"), clock(600):
         host = two_wing_host(ExtremalParams(3, 2, 24)).graph

@@ -7,7 +7,13 @@ import pytest
 
 from treembed import cli
 from treembed.cli import main
-from treembed.families import caterpillar, cliques_with_apex
+from treembed.families import (
+    ExtremalParams,
+    broom_tree,
+    caterpillar,
+    cliques_with_apex,
+    matched_wing_host,
+)
 from treembed.formats import (
     graph_from_dimacs,
     graph_from_json,
@@ -127,9 +133,17 @@ class TestCheck:
         assert capsys.readouterr().out.startswith("NotEmbedded")
         assert not wit.exists()
 
+    def hard_pair(self, tmp_path):
+        # greedy stalls here and the exact search needs far more than the
+        # budgets below to finish
+        tree = write_graph(tmp_path / "broom.json", broom_tree(5, 60).graph)
+        host = write_graph(
+            tmp_path / "hprime.json", matched_wing_host(ExtremalParams(5, 2, 60)).graph
+        )
+        return tree, host
+
     def test_node_budget_timeout(self, tmp_path, capsys):
-        tree = write_graph(tmp_path / "p12.json", caterpillar(12).graph)
-        host = write_graph(tmp_path / "ca.json", cliques_with_apex(5, 3).graph)
+        tree, host = self.hard_pair(tmp_path)
         code = main(["check", "--tree", tree, "--host", host,
                      "--solver", "exact", "--max-nodes", "1000"])
         assert code == 3
@@ -153,11 +167,26 @@ class TestCheck:
         assert "--max-nodes" in capsys.readouterr().err
 
     def test_wall_clock_timeout(self, tmp_path, capsys):
-        tree = write_graph(tmp_path / "p12.json", caterpillar(12).graph)
-        host = write_graph(tmp_path / "ca.json", cliques_with_apex(5, 3).graph)
+        tree, host = self.hard_pair(tmp_path)
         code = main(["check", "--tree", tree, "--host", host,
                      "--solver", "exact", "--timeout-ms", "1"])
         assert code == 3
+
+    def test_zero_timeout_times_out(self, tmp_path, capsys):
+        tree, host = self.hard_pair(tmp_path)
+        code = main(["check", "--tree", tree, "--host", host, "--timeout-ms", "0"])
+        assert code == 3
+        assert capsys.readouterr().out.startswith("Timeout")
+
+    @pytest.mark.parametrize("value", ["-5", "nan"])
+    def test_bad_timeout_is_usage_error(self, tmp_path, capsys, value):
+        tree, host = self.hard_pair(tmp_path)
+        code = main(["check", "--tree", tree, "--host", host,
+                     "--solver", "exact", "--timeout-ms", value])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --timeout-ms")
 
     def test_greedy_solver(self, tmp_path, capsys):
         tree = gen(tmp_path, "t.json", "--family", "broom", "--stars", "4,4,4")
@@ -304,6 +333,19 @@ class TestStress:
         assert main(["stress", "--k", "6", "--n", "16", "--trials", "1",
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["counterexample"] is False
+
+    def test_negative_trials_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "s.jsonl"
+        code = main(["stress", "--k", "6", "--n", "16", "--trials", "-3",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --trials")
+        assert not out.exists()
+
+    def test_negative_timeout_is_usage_error(self, capsys):
+        code = main(["stress", "--k", "6", "--n", "16", "--timeout-ms", "-5"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --timeout-ms")
 
     def test_host_too_small(self, capsys):
         code = main(["stress", "--k", "10", "--n", "5", "--trials", "1"])

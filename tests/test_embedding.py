@@ -191,8 +191,8 @@ class TestExactEmbed:
         assert verdict.nodes_explored == 51
 
     def test_wall_clock_budget_times_out(self):
-        host = cliques_with_apex(5, 3).graph
-        verdict = exact_embed(caterpillar(12), host, budget=Budget(time_ms=1))
+        host = matched_wing_host(ExtremalParams(5, 2, 60)).graph
+        verdict = exact_embed(broom_tree(5, 60), host, budget=Budget(time_ms=1))
         assert verdict.kind is Verdict.TIMEOUT
 
     def test_quick_search_beats_generous_budget(self):
@@ -201,6 +201,31 @@ class TestExactEmbed:
             broom_tree(3, 12), host, budget=Budget(max_nodes=10_000_000)
         )
         assert verdict.kind is Verdict.NOT_EMBEDDED
+
+    @pytest.mark.parametrize(
+        "build, ell, c, nodes",
+        [
+            # no closed twins in these hosts
+            (two_wing_host, 3, 1, 119),
+            (two_wing_host, 7, 3, 7_554),
+            (matched_wing_host, 3, 1, 2_409),
+            # the clique of the wing-clique host is one closed-twin class
+            (wing_clique_host, 3, 1, 99),
+            (wing_clique_host, 3, 2, 277),
+        ],
+    )
+    def test_pinned_broom_proofs(self, build, ell, c, nodes):
+        k = c * ell * (ell + 1)
+        verdict = exact_embed(broom_tree(ell, k), build(ExtremalParams(ell, c, k)).graph)
+        assert verdict.kind is Verdict.NOT_EMBEDDED
+        assert verdict.nodes_explored == nodes
+
+    def test_deep_tree_does_not_recurse(self):
+        tree = caterpillar(1500)
+        host = caterpillar(1600).graph
+        verdict = exact_embed(tree, host)
+        assert verdict.kind is Verdict.EMBEDDED
+        assert validate_embedding(tree, host, verdict.embedding)
 
     def test_deterministic_witness(self):
         host = two_wing_host(ExtremalParams(3, 1, 12)).graph
@@ -228,6 +253,56 @@ class TestExactEmbed:
             denser = build_graph(n_h, list(host.edges()) + extra)
             assert exact_embed(tree, denser).kind is Verdict.EMBEDDED
             checked += 1
+
+
+def clique_union(rng, n):
+    """Consecutive blocks made cliques, plus random noise edges."""
+    cuts = sorted(rng.sample(range(1, n), rng.randrange(0, min(4, n - 1) + 1)))
+    blocks = [range(a, b) for a, b in zip([0] + cuts, cuts + [n])]
+    edges = {e for blk in blocks for e in itertools.combinations(blk, 2)}
+    p = rng.random() * 0.3
+    edges |= {e for e in itertools.combinations(range(n), 2) if rng.random() < p}
+    return build_graph(n, sorted(edges))
+
+
+def has_closed_twins(host):
+    closed = [mask | 1 << w for w, mask in enumerate(host.adjacency_masks)]
+    return len(set(closed)) < host.n
+
+
+class TestClosedTwins:
+    def test_verdicts_match_unreduced_search(self):
+        rng = random.Random(20261018)
+        hosts = [
+            cliques_with_apex(3, 3).graph,
+            cliques_with_apex(4, 2).graph,
+            wing_clique_host(ExtremalParams(3, 1, 12)).graph,
+        ]
+        hosts += [clique_union(rng, rng.randrange(3, 11)) for _ in range(120)]
+        assert sum(map(has_closed_twins, hosts)) >= 90
+        refuted = 0
+        for host in hosts:
+            for _ in range(6):
+                tree = random_tree(rng.randrange(1, min(host.n, 10)), rng)
+                cons = {
+                    v: frozenset(rng.sample(range(host.n), rng.randrange(1, host.n + 1)))
+                    for v in range(tree.graph.n)
+                    if rng.random() < 0.3
+                }
+                for constraints in (None, EmbedConstraints(cons)):
+                    on = exact_embed(tree, host, constraints=constraints)
+                    off = exact_embed(
+                        tree, host, constraints=constraints, symmetry=False,
+                        budget=Budget(max_nodes=100_000),
+                    )
+                    if off.kind is not Verdict.TIMEOUT:
+                        assert on.kind == off.kind
+                    if on.kind is Verdict.EMBEDDED:
+                        assert validate_embedding(tree, host, on.embedding)
+                        if constraints is not None:
+                            assert all(on.embedding[v] in s for v, s in cons.items())
+                    refuted += on.kind is Verdict.NOT_EMBEDDED
+        assert refuted >= 100
 
 
 class TestGreedyMinDegree:

@@ -13,6 +13,7 @@ from treembed.families import (
     wing_clique_host,
 )
 from treembed.graphs import (
+    VERTEX_TAGS,
     GraphError,
     bfs_layout,
     build_graph,
@@ -226,6 +227,28 @@ class TestInducedSubgraph:
         g = build_graph(3, [(0, 1), (1, 2)], tags={0: "hub", 2: "leaf"})
         sub, _ = induced_subgraph(g, [1, 2])
         assert sub.tags == {1: "leaf"}
+
+    @settings(max_examples=150)
+    @given(small_graphs(), st.data())
+    def test_matches_build_graph_over_kept_edges(self, g, data):
+        vertex = st.integers(min_value=0, max_value=g.n - 1)
+        tags = data.draw(st.dictionaries(vertex, st.sampled_from(sorted(VERTEX_TAGS))))
+        g = build_graph(g.n, list(g.edges()), tags)
+        keep = data.draw(st.lists(vertex, unique=True))
+        sub, index_map = induced_subgraph(g, keep)
+        vs = sorted(keep)
+        assert index_map == {v: i for i, v in enumerate(vs)}
+        want = build_graph(
+            len(vs),
+            [
+                (index_map[u], index_map[v])
+                for u, v in g.edges()
+                if u in index_map and v in index_map
+            ],
+            {index_map[v]: g.tags[v] for v in vs if v in g.tags},
+        )
+        assert sub == want
+        assert list(sub.tags.items()) == list(want.tags.items())
 
 
 class TestDistanceBfs:
