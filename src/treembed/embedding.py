@@ -464,17 +464,7 @@ def exact_embed(
             Verdict.NOT_EMBEDDED, None, 0, _ms(t0),
             f"tree has {g.n} vertices, host only {host.n}",
         )
-    if g.n == 1:
-        host_degs = host.degrees
-        cands = [w for w in range(host.n) if allowed[0] >> w & 1]
-        cands.sort(key=lambda w: (-host_degs[w], w))
-        if not cands:
-            return EmbedVerdict(
-                Verdict.NOT_EMBEDDED, None, 0, _ms(t0), "no admissible image"
-            )
-        mapping = {0: cands[0]}
-        return EmbedVerdict(Verdict.EMBEDDED, mapping, 1, _ms(t0))
-    root = find_separator(tree).separator
+    root = find_separator(tree).separator if g.n > 1 else 0
     solver = _Backtracker(g, (root,), host, allowed, symmetry)
     status, images, nodes = solver.run(budget)
     if status == "found":
@@ -518,22 +508,24 @@ def greedy_min_degree_embed(tree: TreeGraph, host: SimpleGraph) -> EmbedVerdict:
 
 def forest_embed_component(
     forest: RootedForest,
+    host: SimpleGraph,
     comp: Component,
     targets: Optional[EmbedConstraints] = None,
     budget: Optional[Budget] = None,
     class0_side: int = 0,
 ) -> EmbedVerdict:
-    """Embed a rooted forest into one bipartite host component, color class
-    0 into the chosen side and class 1 into the other.
+    """Embed a rooted forest into one bipartite component of host, as
+    components(host) or components(host, exclude=x) returns it, color
+    class 0 into the chosen side and class 1 into the other.
 
-    Target sets (in original host ids) restrict where individual vertices,
-    typically the roots, may land.  A color class larger than its side is
-    refused outright with the pigeonhole certificate in the detail.  A
-    greedy pass, finishing each root's tree before the next, runs first;
-    on a stall the exact search takes over with the side restrictions as
-    constraints, so a NotEmbedded here means no embedding with this side
-    assignment exists.  Unknown only appears when the fallback runs out of
-    budget.
+    Images and target sets are in host ids.  Target sets restrict where
+    individual vertices, typically the roots, may land.  A color class
+    larger than its side is refused outright with the pigeonhole
+    certificate in the detail.  A greedy pass, finishing each root's tree
+    before the next, runs first; on a stall the exact search takes over
+    with the side restrictions as constraints, so a NotEmbedded here means
+    no embedding with this side assignment exists.  Unknown only appears
+    when the fallback runs out of budget.
     """
     t0 = time.perf_counter()
     if comp.bipartition is None:
@@ -550,10 +542,11 @@ def forest_embed_component(
                 f"capacity certificate: color class {label} has {len(cls)} "
                 f"vertices, its side only {len(side)}",
             )
-    to_new = comp.index_map
-    to_old = {i: v for v, i in to_new.items()}
+    # Search the component's own relabelled copy, not the host in host ids:
+    # there the apex and the rest of the host would enter the degree ranks,
+    # the capacity prunes and the twin classes, and node counts would move.
+    sub, to_new = induced_subgraph(host, comp.vertices)
     g = forest.graph
-    n_host = comp.induced.n
     side_mask = [0, 0]
     for idx in (0, 1):
         for v in side_of_class[idx]:
@@ -577,16 +570,17 @@ def forest_embed_component(
 
     layout = bfs_layout(g, forest.roots)
     greedy: dict[int, int] = {}
-    if _greedy_walk(comp.induced, layout.order, layout.parent, greedy, set(), allowed) is None:
-        mapping = {v: to_old[w] for v, w in greedy.items()}
+    if _greedy_walk(sub, layout.order, layout.parent, greedy, set(), allowed) is None:
+        # the relabelling keeps vertex order: new id i is comp.vertices[i]
+        mapping = {v: comp.vertices[w] for v, w in greedy.items()}
         return EmbedVerdict(Verdict.EMBEDDED, mapping, len(mapping), _ms(t0))
 
-    solver = _Backtracker(g, forest.roots, comp.induced, allowed, symmetry=True)
+    solver = _Backtracker(g, forest.roots, sub, allowed, symmetry=True)
     status, images, nodes = solver.run(budget)
     if status == "found":
         inner = {v: images[v] for v in range(g.n)}
-        _check_witness(forest, comp.induced, inner)
-        mapping = {v: to_old[w] for v, w in inner.items()}
+        _check_witness(forest, sub, inner)
+        mapping = {v: comp.vertices[w] for v, w in inner.items()}
         return EmbedVerdict(Verdict.EMBEDDED, mapping, nodes, _ms(t0))
     if status == "exhausted":
         return EmbedVerdict(
@@ -756,7 +750,7 @@ def strategy_embed(
         forest_roots = [piece_roots[i] for i in into_primary]
         root_targets = {r: anchor_a for r in forest_roots}
         verdict = _embed_pieces_into(
-            g, forest_vertices, forest_roots, c1, larger, root_targets, budget
+            g, forest_vertices, forest_roots, host, c1, larger, root_targets, budget
         )
         if verdict.kind is not Verdict.EMBEDDED:
             return unknown(f"primary component: {verdict.detail}", verdict.nodes_explored)
@@ -770,7 +764,7 @@ def strategy_embed(
         rest_vertices = [(z,)] + [pieces[i] for i in range(len(pieces)) if i != star_piece]
         rest_union = sorted(v for piece in rest_vertices for v in piece)
         verdict = _embed_pieces_into(
-            g, [tuple(rest_union)], [z], c1, larger, {z: anchor_a}, budget
+            g, [tuple(rest_union)], [z], host, c1, larger, {z: anchor_a}, budget
         )
         if verdict.kind is not Verdict.EMBEDDED:
             return unknown(f"primary component: {verdict.detail}", verdict.nodes_explored)
@@ -806,6 +800,7 @@ def _embed_pieces_into(
     tree_graph: SimpleGraph,
     piece_vertex_sets: Sequence[tuple[int, ...]],
     piece_roots: Sequence[int],
+    host: SimpleGraph,
     comp: Component,
     larger_side: tuple[int, ...],
     root_targets: Mapping[int, Sequence[int]],
@@ -822,10 +817,9 @@ def _embed_pieces_into(
         {old_to_new[r]: frozenset(imgs) for r, imgs in root_targets.items()}
     )
     class0_side = 0 if larger_side == comp.bipartition.side0 else 1
-    verdict = forest_embed_component(forest, comp, targets, budget, class0_side)
+    verdict = forest_embed_component(forest, host, comp, targets, budget, class0_side)
     if verdict.kind is Verdict.EMBEDDED:
-        new_to_old = {i: v for v, i in old_to_new.items()}
-        verdict.embedding = {new_to_old[v]: w for v, w in verdict.embedding.items()}
+        verdict.embedding = {all_vertices[v]: w for v, w in verdict.embedding.items()}
     return verdict
 
 

@@ -181,11 +181,10 @@ class Bipartition:
 
 @dataclass(frozen=True)
 class Component:
-    """A connected component: original vertex ids plus the relabeled subgraph."""
+    """A connected component as its sorted vertex ids in the graph it came
+    from, with its two-coloring when it has one."""
 
     vertices: tuple[int, ...]
-    induced: SimpleGraph
-    index_map: Mapping[int, int]
     bipartition: Optional[Bipartition]
 
     @property
@@ -289,14 +288,13 @@ def components(g: SimpleGraph, exclude: Optional[int] = None) -> tuple[Component
             for w in g.adj[u]
             if w != exclude
         )
-        sub, index_map = induced_subgraph(g, verts)
         bip = None
         if bipartite:
             anchor = depth[verts[0]] & 1
             side0 = tuple(v for v in verts if depth[v] & 1 == anchor)
             side1 = tuple(v for v in verts if depth[v] & 1 != anchor)
             bip = Bipartition(side0, side1)
-        out.append(Component(tuple(verts), sub, index_map, bip))
+        out.append(Component(tuple(verts), bip))
     return tuple(out)
 
 

@@ -103,6 +103,17 @@ class TestExactEmbed:
         # highest degree host vertex, ties to the smaller id
         assert verdict.embedding == {0: 1}
 
+    def test_single_vertex_with_constraint(self):
+        # the search itself places a lone vertex: 1 ties 2 on degree but
+        # lies outside the set, and 2 outranks 0 on degree
+        verdict = exact_embed(
+            build_tree(1, []), build_graph(3, [(1, 2)]),
+            constraints=EmbedConstraints({0: {0, 2}}),
+        )
+        assert verdict.kind is Verdict.EMBEDDED
+        assert verdict.embedding == {0: 2}
+        assert verdict.nodes_explored == 1
+
     def test_single_vertex_with_impossible_constraint(self):
         t = build_tree(1, [])
         host = build_graph(3, [(1, 2)])
@@ -185,8 +196,8 @@ class TestExactEmbed:
             exact_embed(t, complete_graph(3), constraints=EmbedConstraints({0: {9}}))
 
     def test_node_budget_times_out(self):
-        host = cliques_with_apex(5, 3).graph
-        verdict = exact_embed(caterpillar(12), host, budget=Budget(max_nodes=50))
+        host = matched_wing_host(ExtremalParams(5, 2, 60)).graph
+        verdict = exact_embed(broom_tree(5, 60), host, budget=Budget(max_nodes=50))
         assert verdict.kind is Verdict.TIMEOUT
         assert verdict.nodes_explored == 51
 
@@ -385,8 +396,9 @@ class TestForestEmbedComponent:
         return RootedForest(g, (0, 4, 8))
 
     def test_capacity_certificate(self):
-        comp = components(complete_bipartite(6, 5).graph)[0]
-        verdict = forest_embed_component(self._stars_forest(), comp)
+        host = complete_bipartite(6, 5).graph
+        comp = components(host)[0]
+        verdict = forest_embed_component(self._stars_forest(), host, comp)
         assert verdict.kind is Verdict.NOT_EMBEDDED
         assert "capacity certificate" in verdict.detail
 
@@ -394,13 +406,14 @@ class TestForestEmbedComponent:
         host = complete_bipartite(3, 9).graph
         comp = components(host)[0]
         forest = self._stars_forest()
-        verdict = forest_embed_component(forest, comp)
+        verdict = forest_embed_component(forest, host, comp)
         assert verdict.kind is Verdict.EMBEDDED
         assert validate_embedding(forest, host, verdict.embedding)
 
     def test_side_flip_changes_answer(self):
-        comp = components(complete_bipartite(3, 9).graph)[0]
-        verdict = forest_embed_component(self._stars_forest(), comp, class0_side=1)
+        host = complete_bipartite(3, 9).graph
+        comp = components(host)[0]
+        verdict = forest_embed_component(self._stars_forest(), host, comp, class0_side=1)
         assert verdict.kind is Verdict.NOT_EMBEDDED
 
     def test_root_targets_respected(self):
@@ -408,7 +421,7 @@ class TestForestEmbedComponent:
         comp = components(host)[0]
         forest = self._stars_forest()
         targets = EmbedConstraints({0: {2}, 4: {0}})
-        verdict = forest_embed_component(forest, comp, targets=targets)
+        verdict = forest_embed_component(forest, host, comp, targets=targets)
         assert verdict.kind is Verdict.EMBEDDED
         assert verdict.embedding[0] == 2
         assert verdict.embedding[4] == 0
@@ -419,7 +432,7 @@ class TestForestEmbedComponent:
         g = build_graph(2, [(0, 1)])
         forest = RootedForest(g, (0,))
         verdict = forest_embed_component(
-            forest, comp, targets=EmbedConstraints({0: {1}})
+            forest, host, comp, targets=EmbedConstraints({0: {1}})
         )
         assert verdict.kind is Verdict.NOT_EMBEDDED
         assert "misses its side" in verdict.detail
@@ -429,7 +442,7 @@ class TestForestEmbedComponent:
         comp = components(host)[0]
         g = build_graph(1, [])
         with pytest.raises(GraphError, match="bipartite"):
-            forest_embed_component(RootedForest(g, (0,)), comp)
+            forest_embed_component(RootedForest(g, (0,)), host, comp)
 
     def test_side_constrained_refusal_is_not_global(self):
         # the path on 3 vertices embeds with its ends on the larger side,
@@ -439,10 +452,31 @@ class TestForestEmbedComponent:
         comp = components(host)[0]
         g = build_graph(3, [(0, 1), (1, 2)])
         forest = RootedForest(g, (1,))
-        verdict = forest_embed_component(forest, comp, class0_side=1)
+        verdict = forest_embed_component(forest, host, comp, class0_side=1)
         assert verdict.kind is Verdict.NOT_EMBEDDED
-        flipped = forest_embed_component(forest, comp, class0_side=0)
+        flipped = forest_embed_component(forest, host, comp, class0_side=0)
         assert flipped.kind is Verdict.EMBEDDED
+
+    def test_fallback_searches_the_component_alone(self):
+        # G - 0 is one bipartite component with sides (1..5) and (6..9);
+        # the apex 0 sees 1, 2 and 5, all on the larger side.  Greedy
+        # stalls and the exact search runs.  It must search the component's
+        # own relabelled copy: with the apex's edges in the degree ranks,
+        # the capacity prune and the twin classes, the same search takes 5
+        # nodes and sends tree vertex 2 to host vertex 2 instead of 4.
+        host = build_graph(10, [
+            (0, 1), (0, 2), (0, 5), (1, 6), (1, 8), (1, 9), (2, 9),
+            (3, 7), (3, 8), (4, 7), (4, 9), (5, 7),
+        ])
+        (comp,) = components(host, exclude=0)
+        assert comp.bipartition.side0 == (1, 2, 3, 4, 5)
+        forest = RootedForest(build_graph(5, [(0, 1), (1, 2), (3, 4)]), (0, 3))
+        targets = EmbedConstraints({0: {1, 2, 5}, 3: {1, 2, 5}})
+        verdict = forest_embed_component(forest, host, comp, targets=targets)
+        assert verdict.kind is Verdict.EMBEDDED
+        assert verdict.nodes_explored == 6
+        assert verdict.embedding == {0: 1, 1: 9, 2: 4, 3: 5, 4: 7}
+        assert validate_embedding(forest, host, verdict.embedding)
 
 
 class TestStrategyEmbed:
@@ -507,8 +541,8 @@ class TestAutoEmbed:
         assert verdict.kind is Verdict.NOT_EMBEDDED
 
     def test_budget_exhaustion_is_timeout(self):
-        host = cliques_with_apex(5, 3).graph
-        verdict = auto_embed(caterpillar(12), host, budget=Budget(max_nodes=100))
+        host = matched_wing_host(ExtremalParams(5, 2, 60)).graph
+        verdict = auto_embed(broom_tree(5, 60), host, budget=Budget(max_nodes=100))
         assert verdict.kind is Verdict.TIMEOUT
 
     def test_greedy_stall_hands_over_to_exact(self):
