@@ -14,11 +14,10 @@ exact search within the budget.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, TypeAlias
 
 from .decompose import (
     even_distance_set,
@@ -28,9 +27,11 @@ from .decompose import (
 )
 from .graphs import (
     Component,
+    FlowNetwork,
     GraphError,
     SimpleGraph,
     TreeGraph,
+    TwinQuotient,
     bfs_layout,
     components,
     degree_stats,
@@ -114,7 +115,9 @@ class RootedForest:
         return class0, class1
 
 
-TreeLike = Union[TreeGraph, RootedForest, SimpleGraph]
+# a string, not typing.Union: typing caches every Union it builds, and the
+# cache would keep these classes, and so this module, alive across a reload
+TreeLike: TypeAlias = "TreeGraph | RootedForest | SimpleGraph"
 
 
 def _graph_of(tree_like: TreeLike) -> SimpleGraph:
@@ -166,33 +169,64 @@ class _Backtracker:
     Vertices are assigned in BFS order from the given roots.  A candidate
     image must be an unused host vertex adjacent to the parent's image,
     with host degree at least the tree degree, in the vertex's allowed
-    mask, with enough unused neighbors left for its pending children, and
-    leaving the parent's image enough unused neighbors for the remaining
-    siblings.  Roots additionally need a host component large enough for
+    mask, with enough unused neighbors left for its children, and leaving
+    the parent's image enough unused neighbors for its children still
+    unplaced.  Roots additionally need a host component large enough for
     their subtree.  The search keeps one frame per depth on an explicit
     stack, so tree depth is not bounded by the interpreter's recursion.
+    Each candidate tried counts as one node.
 
-    With symmetry on, two reductions apply.  Interchangeable siblings
-    (equal rooted shape with nothing constrained below, or childless
-    vertices sharing one allowed mask) take ascending images.  Host
-    vertices are grouped into twin classes, and each search node tries
-    only the smallest candidate of each class.  Two vertices are twins
-    when they have the same constraint membership and either the same
-    open neighborhood N(v) or the same closed neighborhood N[v]; swapping
-    two twins of either kind is a host automorphism that fixes every other
-    vertex and every allowed mask.  A vertex with an open twin has no
-    closed twin (if N(a) = N(b) and N[a] = N[c] then c is in N(b), so b
-    is in N[a] and thus in N(a) = N(b)), so keying each vertex by N(v)
-    when that is shared and by N[v] otherwise finds both kinds.
+    symmetry=False is the plain search: every vertex is a search vertex
+    and only the prunes above apply.  With symmetry on, four reductions
+    apply.
 
-    Soundness: take, among the embeddings obtained from a given one by
-    sibling subtree swaps and twin swaps, the one whose images in BFS
-    order are lexicographically smallest by host id.  A later sibling
-    with a smaller image than its chain predecessor, or an image with an
-    unused smaller twin among the candidates, could be swapped for a
-    smaller sequence, so this embedding passes both reductions at every
-    node and the reduced search visits it.  Verdicts therefore agree with
-    the unreduced search; only node counts differ.
+    * Leaves by matching.  Non-root childless vertices (leaves) are not
+      searched.  The leaves of one parent that share an allowed mask form
+      a group, whose free neighborhood is the set of unused vertices next
+      to the parent's image in that mask.  Every node checks Hall's
+      condition for the groups of the placed parents: each set of groups
+      has at least as many free neighbors as leaves.  It keeps a holding,
+      a partial b-matching of groups into free neighbors, from node to
+      node; a node extends it greedily and, if that falls short, completes
+      it by flow or finds the set of groups that violates the condition
+      (_complete_holding).  Placing more vertices only shrinks the free
+      neighborhoods, so a violation holds in every extension and the
+      prune is exact.  Once every other vertex is placed, the holding
+      gives the leaves their images.
+    * Chain order.  Interchangeable sibling vertices (equal rooted shape
+      with nothing constrained below, or childless roots sharing one
+      allowed mask) take ascending images.
+    * Twin classes.  Host vertices are grouped into the classes of
+      graphs.TwinQuotient, cut by constraint membership, and each node
+      tries only the smallest candidate of each class.
+    * Orbits of the prefix stabiliser.  Before a node tries its second
+      candidate, it computes orbits of the automorphisms of the host
+      quotient that fix the classes holding placed images and keep every
+      allowed mask (membership is part of the initial colour), and drops
+      every candidate whose class is not the smallest in its orbit.  Every
+      permutation behind a merge is verified as an automorphism; a pair
+      that is not verified stays apart, which only weakens the prune.
+
+    Soundness: let the group act on embeddings by sibling subtree swaps
+    (on the tree side) and by host automorphisms keeping every allowed
+    mask (on the host side), and take, in the orbit of a given embedding,
+    the one L whose images, internal vertices in search order first, are
+    lexicographically smallest by host id.  At each node on L's path,
+    L's image survives: a smaller image for a later chain sibling would
+    be undone by swapping the two subtrees, which changes nothing before
+    the earlier sibling; and an automorphism sigma that fixes every
+    placed image, maps L(u) to a smaller host id and keeps the masks
+    gives sigma o L, equal to L before u and smaller at u.  A twin swap
+    is such an automorphism, and a candidate dropped by the orbit prune
+    has one by construction, because its class is not the smallest in
+    its orbit and the members of a class are twins.  The representative
+    kept must be the smallest host id of its orbit, not merely the first
+    one tested, or sigma o L would be larger and the argument would
+    fail.  Candidates excluded by chain order may still be orbit members:
+    the argument compares L with sigma o L, not with a candidate.  The
+    capacity and Hall prunes hold for every extendable prefix.  So L is
+    found whenever an embedding exists, and verdicts agree with the plain
+    search; only node counts differ.
     """
 
     def __init__(
@@ -215,20 +249,44 @@ class _Backtracker:
             raise GraphError("roots repeated or shared between components")
         if len(layout.order) != n_t:
             raise GraphError("roots do not cover every component")
-        self.order = layout.order
         self.parent = layout.parent
         self.children: list[list[int]] = [[] for _ in range(n_t)]
-        for v in self.order:
+        for v in layout.order:
             if self.parent[v] >= 0:
                 self.children[self.parent[v]].append(v)
-
         self.child_count = [len(c) for c in self.children]
-        self.sib_rest = [0] * n_t
-        for u in range(n_t):
-            kids = self.children[u]
-            for i, c in enumerate(kids):
-                self.sib_rest[c] = len(kids) - 1 - i
         self.tree_deg = [forest.degree(v) for v in range(n_t)]
+
+        leaf = [
+            symmetry and self.parent[v] >= 0 and not self.children[v] for v in range(n_t)
+        ]
+        self.order = [v for v in layout.order if not leaf[v]]
+        # children of the parent still unplaced once this vertex is placed
+        self.sib_rest = [0] * n_t
+        for u in self.order:
+            left = self.child_count[u]
+            for c in self.children[u]:
+                if not leaf[c]:
+                    left -= 1
+                    self.sib_rest[c] = left
+        # leaf groups, numbered in the search order of their parents
+        self.group_leaves: list[list[int]] = []
+        self.group_mask: list[int] = []
+        self.group_start = [0] * n_t
+        self.group_end = [0] * n_t
+        for u in self.order:
+            self.group_start[u] = len(self.group_leaves)
+            by_mask: dict[int, list[int]] = {}
+            for c in self.children[u]:
+                if leaf[c]:
+                    by_mask.setdefault(self.allowed[c], []).append(c)
+            for mask, leaves in by_mask.items():
+                self.group_leaves.append(leaves)
+                self.group_mask.append(mask)
+            self.group_end[u] = len(self.group_leaves)
+        self.demand = [len(leaves) for leaves in self.group_leaves]
+        # free neighborhood of each group, before masking out used vertices
+        self.group_nbrs = [0] * len(self.demand)
 
         host_degs = host.degrees
         self.host_masks = host.adjacency_masks
@@ -236,18 +294,18 @@ class _Backtracker:
         self.rank = [0] * host.n
         for idx, w in enumerate(by_rank):
             self.rank[w] = idx
+        # vertices of degree at least d form a prefix of the rank order
         self.deg_mask: dict[int, int] = {}
-        for d in set(self.tree_deg):
-            mask = 0
-            for w in range(host.n):
-                if host_degs[w] >= d:
-                    mask |= 1 << w
+        wanted = sorted(set(self.tree_deg), reverse=True)
+        mask = 0
+        for w in by_rank:
+            while wanted and host_degs[w] < wanted[0]:
+                self.deg_mask[wanted.pop(0)] = mask
+            mask |= 1 << w
+        for d in wanted:
             self.deg_mask[d] = mask
 
-        host_comp = [0] * host.n
-        for run in bfs_layout(host, range(host.n)).trees():
-            for w in run:
-                host_comp[w] = len(run)
+        host_comp = host.component_sizes
         self.cap_mask: dict[int, int] = {}
         for tree in trees:
             need = len(tree)
@@ -259,21 +317,31 @@ class _Backtracker:
 
         self.chain_prev: list[Optional[int]] = [None] * n_t
         self.class_id = list(range(host.n))
+        self.quotient: Optional[TwinQuotient] = None
         if symmetry:
-            self._build_chains(list(roots))
-            self._build_twin_classes()
+            self._build_chains(list(roots), layout.order, leaf)
+            quotient = host.twin_quotient
+            masks = sorted({a for a in self.allowed if a != self.full_mask})
+            if masks:
+                quotient = quotient.split(
+                    [tuple(m >> w & 1 for m in masks) for w in range(host.n)]
+                )
+            self.quotient = quotient
+            self.class_id = quotient.class_of
+        # per depth, the quotient's colouring with the placed classes fixed
+        self.prefix_partitions: list[Optional[tuple]] = [None] * len(self.order)
         # clearing a candidate's whole class leaves one candidate per class
         class_mask = [0] * host.n
         for w, c in enumerate(self.class_id):
             class_mask[c] |= 1 << w
         self.others = [~class_mask[c] for c in self.class_id]
 
-    def _build_chains(self, roots: list[int]) -> None:
+    def _build_chains(self, roots: list[int], full_order: list[int], leaf: list[bool]) -> None:
         n_t = self.forest.n
         codes = [0] * n_t
         constrained_below = [False] * n_t
         table: dict[tuple[int, ...], int] = {}
-        for v in reversed(self.order):
+        for v in reversed(full_order):
             kids = self.children[v]
             key = tuple(sorted(codes[c] for c in kids))
             codes[v] = table.setdefault(key, len(table))
@@ -300,20 +368,88 @@ class _Backtracker:
 
         chain(roots)
         for v in self.order:
-            if self.children[v]:
-                chain(self.children[v])
+            chain([c for c in self.children[v] if not leaf[c]])
 
-    def _build_twin_classes(self) -> None:
-        masks = self.host_masks
-        constrained = [
-            v for v in range(self.forest.n) if self.allowed[v] != self.full_mask
-        ]
-        shared = {m for m, count in Counter(masks).items() if count > 1}
-        table: dict[tuple, int] = {}
-        for w in range(self.host.n):
-            nbrs = masks[w] if masks[w] in shared else masks[w] | 1 << w
-            key = (nbrs, tuple((self.allowed[v] >> w) & 1 for v in constrained))
-            self.class_id[w] = table.setdefault(key, len(table))
+    def _hall(self, u: int, w: int, used: int, state: tuple) -> Optional[tuple]:
+        """Leaf holdings after placing u at w, or None when Hall's
+        condition fails.  state is (holding per group, union of the
+        holdings, vertices held, leaves of the placed groups)."""
+        hold, taken, held, need = state
+        start, end = self.group_start[u], self.group_end[u]
+        bit = 1 << w
+        hold = hold.copy()
+        nbrs = self.group_nbrs
+        free = ~used
+        if taken & bit:
+            g = next(g for g in range(start) if hold[g] & bit)
+            hold[g] ^= bit
+            taken ^= bit
+            held -= 1
+            spare = nbrs[g] & free & ~taken
+            if spare:
+                top = 1 << (spare.bit_length() - 1)
+                hold[g] |= top
+                taken |= top
+                held += 1
+        around = self.host_masks[w]
+        for g in range(start, end):
+            nbrs[g] = around & self.group_mask[g]
+            spare = nbrs[g] & free & ~taken
+            # hold the highest ids: the search tries low ids first
+            got = 0
+            for _ in range(self.demand[g]):
+                if not spare:
+                    break
+                top = 1 << (spare.bit_length() - 1)
+                got |= top
+                spare ^= top
+            hold[g] = got
+            taken |= got
+            held += got.bit_count()
+            need += self.demand[g]
+        if held < need:
+            hold = _complete_holding([nbrs[g] & free for g in range(end)], self.demand, hold)
+            if hold is None:
+                return None
+            taken = 0
+            for g in range(end):
+                taken |= hold[g]
+            held = need
+        return (hold, taken, held, need)
+
+    def _orbit_filter(self, pos: int, images: list[int], chosen: list[int], i: int) -> list[int]:
+        """chosen[i:] without the candidates whose class is not the
+        smallest in its orbit under the stabiliser of the placed images."""
+        cls = self.class_id
+        classes = [cls[w] for w in chosen]
+        base = self.quotient.partition[0]
+        # fixing classes only refines the colouring, so classes of distinct
+        # colours lie in distinct orbits; and the automorphisms that keep
+        # the masks are among the host's
+        if (
+            len({base[c] for c in classes}) == len(classes)
+            or not self.host.twin_quotient.symmetric
+        ):
+            return chosen[i:]
+        # refined colourings with the classes of the placed images fixed,
+        # one per depth, reset whenever the image above them changes
+        parts = self.prefix_partitions
+        parts[0] = self.quotient.partition
+        j = pos
+        while parts[j] is None:
+            j -= 1
+        for t in range(j, pos):
+            parts[t + 1] = self.quotient.fix(parts[t], cls[images[self.order[t]]])
+        fixed = list(dict.fromkeys(cls[images[v]] for v in self.order[:pos]))
+        root = self.quotient.stabiliser_orbits(parts[pos], fixed, classes)
+        return [w for w in chosen[i:] if root[cls[w]] == cls[w]]
+
+    def _place_leaves(self, images: list[int], state: tuple) -> None:
+        for leaves, mask in zip(self.group_leaves, state[0]):
+            for v in leaves:
+                low = mask & -mask
+                images[v] = low.bit_length() - 1
+                mask ^= low
 
     def run(self, budget: Optional[Budget]) -> tuple[str, Optional[list[int]], int]:
         limit = float("inf")
@@ -337,20 +473,30 @@ class _Backtracker:
         sib_rest = self.sib_rest
         others = self.others
         rank = self.rank
-        n_t = self.forest.n
-        images = [-1] * n_t
+        grouped = bool(self.demand)
+        has_groups = [a != b for a, b in zip(self.group_start, self.group_end)]
+        orbits = self.quotient is not None
+        prefix_partitions = self.prefix_partitions
+        n_s = len(order)
+        images = [-1] * self.forest.n
         # one frame per depth: candidates in rank order, the next one to
-        # try, and the parent image's neighborhood
-        frame_chosen: list[list[int]] = [[]] * n_t
-        frame_next = [0] * n_t
-        frame_pmask = [0] * n_t
+        # try, the parent image's neighborhood, the leaf holdings before
+        # this depth, and whether orbits have cut the candidates yet
+        frame_chosen: list[list[int]] = [[]] * n_s
+        frame_next = [0] * n_s
+        frame_pmask = [0] * n_s
+        frame_leaves: list[tuple] = [()] * n_s
+        frame_orbits = [False] * n_s
+        leaves = ([0] * len(self.demand), 0, 0, 0)
         used = 0
         nodes = 0
         pos = 0
         descend = True
         while True:
             if descend:
-                if pos == n_t:
+                if pos == n_s:
+                    if grouped:
+                        self._place_leaves(images, leaves)
                     return ("found", images, nodes)
                 u = order[pos]
                 cand = allowed[u] & ~used
@@ -373,6 +519,11 @@ class _Backtracker:
                 if len(chosen) > 1:
                     chosen.sort(key=rank.__getitem__)
                 i = 0
+                frame_leaves[pos] = leaves
+                frame_orbits[pos] = False
+                if orbits:
+                    # the image one level up has just changed
+                    prefix_partitions[pos] = None
             else:
                 u = order[pos]
                 chosen = frame_chosen[pos]
@@ -380,10 +531,17 @@ class _Backtracker:
                 pmask = frame_pmask[pos]
                 used ^= 1 << images[u]
                 images[u] = -1
+                leaves = frame_leaves[pos]
             pend = child_count[u]
             rest = sib_rest[u]
             descend = False
             while i < len(chosen):
+                if i and orbits and not frame_orbits[pos]:
+                    # the first candidate failed: cut the rest by orbits
+                    frame_orbits[pos] = True
+                    chosen = chosen[:i] + self._orbit_filter(pos, images, chosen, i)
+                    if i == len(chosen):
+                        break
                 w = chosen[i]
                 i += 1
                 nodes += 1
@@ -397,6 +555,11 @@ class _Backtracker:
                     continue
                 if rest and (pmask & ~nxt).bit_count() < rest:
                     continue
+                if grouped and (has_groups[u] or frame_leaves[pos][1] >> w & 1):
+                    after = self._hall(u, w, nxt, frame_leaves[pos])
+                    if after is None:
+                        continue
+                    leaves = after
                 images[u] = w
                 used = nxt
                 frame_chosen[pos] = chosen
@@ -409,6 +572,78 @@ class _Backtracker:
                 if pos == 0:
                     return ("exhausted", None, nodes)
                 pos -= 1
+
+
+def _complete_holding(
+    nbrs: Sequence[int], demand: Sequence[int], hold: list[int]
+) -> Optional[list[int]]:
+    """hold, a partial b-matching of groups 0..len(nbrs)-1 into their
+    free neighborhoods nbrs, made complete, or None when Hall's condition
+    fails and no complete one exists.
+
+    Only the groups reachable from a short group by alternating paths (a
+    neighbor held by another group leads to that group) can take part in
+    an augmenting path.  When those groups reach no vertex that nobody
+    holds, they hold all of their neighbors and still want more: Hall's
+    condition fails for them.  Otherwise a flow over just those groups
+    and their neighbors, started from the current holding, completes it
+    if anything can.
+    """
+    taken = 0
+    owner: dict[int, int] = {}
+    for g in range(len(nbrs)):
+        taken |= hold[g]
+        mask = hold[g]
+        while mask:
+            low = mask & -mask
+            owner[low] = g
+            mask ^= low
+    groups = [g for g in range(len(nbrs)) if hold[g].bit_count() < demand[g]]
+    reached = set(groups)
+    seen = 0
+    for g in groups:  # grows while it runs
+        fresh = nbrs[g] & ~seen
+        seen |= fresh
+        fresh &= taken
+        while fresh:
+            low = fresh & -fresh
+            fresh ^= low
+            if owner[low] not in reached:
+                reached.add(owner[low])
+                groups.append(owner[low])
+    if not seen & ~taken:
+        return None
+    node: dict[int, int] = {}
+    mask = seen
+    while mask:
+        low = mask & -mask
+        node[low] = 2 + len(groups) + len(node)
+        mask ^= low
+    net = FlowNetwork(2 + len(groups) + len(node))
+    sink_arc = {low: net.arc(x, 1, 1) for low, x in node.items()}
+    pairs = []
+    short = 0
+    for i, g in enumerate(groups):
+        source_arc = net.arc(0, 2 + i, demand[g])
+        short += demand[g] - hold[g].bit_count()
+        mask = nbrs[g]
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            arc = net.arc(2 + i, node[low], 1)
+            pairs.append((g, low, arc))
+            if hold[g] & low:
+                for a in (source_arc, arc, sink_arc[low]):
+                    net.push(a)
+    if net.max_flow(0, 1, short) < short:
+        return None
+    out = hold.copy()
+    for g in groups:
+        out[g] = 0
+    for g, low, arc in pairs:
+        if net.flow(arc):
+            out[g] |= low
+    return out
 
 
 def _allowed_masks(
@@ -453,8 +688,10 @@ def exact_embed(
     candidates are tried by descending host degree with ties to the
     smaller id.  NotEmbedded is only returned once the search space is
     exhausted, so it is a proof; running out of budget yields Timeout.
-    symmetry=False disables the interchangeability reductions (the
-    verdicts agree; only the node counts differ).
+    A node is one candidate image tried for a searched vertex.  By default
+    the leaves are not searched but matched, and symmetries are reduced
+    (see _Backtracker); symmetry=False runs the plain search over every
+    vertex.  The verdicts agree; only the node counts differ.
     """
     t0 = time.perf_counter()
     g = tree.graph

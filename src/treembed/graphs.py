@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 VERTEX_TAGS = frozenset(
     {"hub", "A1", "B1", "A2", "B2", "clique", "path", "leaf", "untagged"}
@@ -52,6 +52,21 @@ class SimpleGraph:
             masks.append(mask)
         return tuple(masks)
 
+    @cached_property
+    def component_sizes(self) -> tuple[int, ...]:
+        """The order of each vertex's connected component."""
+        sizes = [0] * self.n
+        for run in bfs_layout(self, range(self.n)).trees():
+            for v in run:
+                sizes[v] = len(run)
+        return tuple(sizes)
+
+    @cached_property
+    def twin_quotient(self) -> "TwinQuotient":
+        """The graph with its twin classes contracted, and its refined
+        colouring once asked for; the exact search reads both."""
+        return TwinQuotient.of_graph(self)
+
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
@@ -79,7 +94,6 @@ def build_graph(
     if n < 0:
         raise GraphError("vertex count must be nonnegative")
     adj: list[list[int]] = [[] for _ in range(n)]
-    seen: set[tuple[int, int]] = set()
     for edge in edges:
         try:
             u, v = edge
@@ -91,12 +105,14 @@ def build_graph(
             raise GraphError(f"self-loop ({u}, {v})")
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise GraphError(f"duplicate edge ({key[0]}, {key[1]})")
-        seen.add(key)
         adj[u].append(v)
         adj[v].append(u)
+    # a repeated edge shows as two equal neighbors in a sorted row
+    for u, row in enumerate(adj):
+        row.sort()
+        if len(set(row)) != len(row):
+            w = next(row[i] for i in range(1, len(row)) if row[i] == row[i - 1])
+            raise GraphError(f"duplicate edge ({min(u, w)}, {max(u, w)})")
     tag_map: dict[int, str] = {}
     if tags:
         for v in sorted(tags):
@@ -106,7 +122,7 @@ def build_graph(
             if role not in VERTEX_TAGS:
                 raise GraphError(f"unknown tag {role!r} on vertex {v}")
             tag_map[v] = role
-    return SimpleGraph(n, tuple(tuple(sorted(nbrs)) for nbrs in adj), tag_map)
+    return SimpleGraph(n, tuple(map(tuple, adj)), tag_map)
 
 
 @dataclass(frozen=True)
@@ -305,43 +321,308 @@ def distance_bfs(g: SimpleGraph, source: int) -> tuple[int, ...]:
     return tuple(bfs_layout(g, (source,)).depth)
 
 
-class _SplitFlow:
-    """Unit-capacity flow network for vertex cuts.
+class TwinQuotient:
+    """A graph with each class of twins contracted to one vertex.
 
-    Each vertex v becomes an arc 2v -> 2v+1 of capacity one; each edge uv
-    becomes arcs u_out -> v_in and v_out -> u_in of effectively infinite
-    capacity.  A max flow from s_out to t_in then equals the least number
-    of vertices separating non-adjacent s from t.
+    Two vertices are twins when they have the same open neighborhood N(v)
+    or the same closed neighborhood N[v].  A vertex with an open twin has
+    no closed twin (if N(a) = N(b) and N[a] = N[c] then c is in N(b), so b
+    is in N[a] and thus in N(a) = N(b)), so keying each vertex by N(v)
+    when that is shared and by N[v] otherwise finds both kinds.  split
+    cuts the classes further by a key per vertex.
+
+    Classes are numbered in the order of their smallest member.  Closed
+    twins form a clique (clique[c], kept by the parts that split cuts) and
+    open twins an independent set, and every class is a module: a vertex
+    outside it sees all of it or none.  So adj, the quotient graph, is
+    well defined, and a permutation of the classes that keeps adj and the
+    colour (size, clique, key) lifts to an automorphism of the graph
+    mapping each class onto its image in id order.  Swapping two members
+    of one class is an automorphism fixing everything else.
     """
 
-    def __init__(self, g: SimpleGraph):
-        self.size = 2 * g.n
-        self.head: list[list[int]] = [[] for _ in range(self.size)]
+    def __init__(
+        self, class_of: list[int], clique: list[bool], keys: list[tuple], adj: list[list[int]]
+    ):
+        self.class_of = class_of
+        self.members: list[list[int]] = [[] for _ in clique]
+        for v, c in enumerate(class_of):
+            self.members[c].append(v)
+        self.clique = clique
+        self.colour_key = [
+            (len(m), flag, key) for m, flag, key in zip(self.members, clique, keys)
+        ]
+        self.adj = adj
+
+    @classmethod
+    def of_graph(cls, g: SimpleGraph) -> "TwinQuotient":
+        masks = g.adjacency_masks
+        counts: dict[int, int] = {}
+        for m in masks:
+            counts[m] = counts.get(m, 0) + 1
+        table: dict[int, int] = {}
+        class_of = []
+        reps: list[int] = []
+        clique: list[bool] = []
+        for w, m in enumerate(masks):
+            key = m if counts[m] > 1 else m | 1 << w
+            c = table.setdefault(key, len(table))
+            if c == len(reps):
+                reps.append(w)
+                clique.append(False)
+            elif key != m:
+                clique[c] = True
+            class_of.append(c)
+        adj = [sorted({class_of[w] for w in g.adj[r]} - {c}) for c, r in enumerate(reps)]
+        return cls(class_of, clique, [()] * len(reps), adj)
+
+    def split(self, keys: Sequence[tuple]) -> "TwinQuotient":
+        """The quotient by the classes cut by keys[v]; keys join the colour."""
+        table: dict[tuple, int] = {}
+        class_of = [
+            table.setdefault((c, keys[v]), len(table)) for v, c in enumerate(self.class_of)
+        ]
+        old = [c for c, _ in table]
+        parts: list[list[int]] = [[] for _ in self.clique]
+        for c, o in enumerate(old):
+            parts[o].append(c)
+        adj = []
+        for c, o in enumerate(old):
+            nbrs = [d for p in self.adj[o] for d in parts[p]]
+            if self.clique[o]:
+                nbrs += [d for d in parts[o] if d != c]
+            adj.append(sorted(nbrs))
+        clique = [self.clique[o] for o in old]
+        return TwinQuotient(class_of, clique, [k for _, k in table], adj)
+
+    @cached_property
+    def _masks(self) -> list[int]:
+        out = []
+        for nbrs in self.adj:
+            mask = 0
+            for d in nbrs:
+                mask |= 1 << d
+            out.append(mask)
+        return out
+
+    @cached_property
+    def partition(self) -> tuple[list[int], list[set[int]]]:
+        """The coarsest equitable refinement of the colours, as the colour
+        of each class and the classes of each colour."""
+        ids = {key: i for i, key in enumerate(sorted(set(self.colour_key)))}
+        col = [ids[key] for key in self.colour_key]
+        cells: list[set[int]] = [set() for _ in ids]
+        for c, x in enumerate(col):
+            cells[x].add(c)
+        _refine(self.adj, col, cells, list(range(len(cells))))
+        return col, cells
+
+    @cached_property
+    def symmetric(self) -> bool:
+        """Whether a test of the smallest class of some colour cell against
+        its largest verifies an automorphism.  When none does, the orbit
+        search is not worth its refinements (each costs time linear in the
+        quotient, and a regular graph with no symmetry refines nothing
+        away), and skipping it is always sound."""
+        col, cells = self.partition
+        for cell in cells:
+            if len(cell) > 1:
+                a, b = min(cell), max(cell)
+                if self._match(self._individualised(col, cells, a),
+                               self._individualised(col, cells, b), ()):
+                    return True
+        return False
+
+    def fix(self, partition: tuple, c: int) -> tuple:
+        """partition, a refined colouring, with class c given a colour of
+        its own and refined again; unchanged when c has one already."""
+        col, cells = partition
+        if len(cells[col[c]]) == 1:
+            return partition
+        return self._individualised(col, cells, c)
+
+    def stabiliser_orbits(
+        self, partition: tuple, fixed: Sequence[int], candidates: Sequence[int]
+    ) -> dict[int, int]:
+        """Orbit representatives for the automorphisms that fix each class
+        in fixed: out[c], for each candidate class c, is the smallest class
+        shown to share c's orbit.  partition is this quotient's colouring
+        with the classes in fixed individualised (fix).
+
+        Within each colour cell, every candidate is tested against the
+        cell's smallest candidate: both are individualised, the two
+        refinements are matched cell by cell, mapping the members of each
+        cell in order, along a greedy individualisation path until the
+        map is verified as an automorphism or the partition is discrete.
+        A verified permutation joins every candidate with its image, so
+        one test may settle a whole cell, and the first test that fails
+        ends the cell's tests: each costs a refinement.  A pair left
+        untested or failed stays apart; it may still share an orbit.
+        """
+        col, cells = partition
+        root = list(range(len(col)))
+
+        def find(c: int) -> int:
+            while root[c] != c:
+                c = root[c]
+            return c
+
+        by_cell: dict[int, list[int]] = {}
+        for c in sorted(set(candidates)):
+            if len(cells[col[c]]) > 1:
+                by_cell.setdefault(col[c], []).append(c)
+        for group in by_cell.values():
+            rep = None
+            for c in reversed(group[1:]):
+                if find(c) == find(group[0]):
+                    continue
+                if rep is None:
+                    rep = self._individualised(col, cells, group[0])
+                perm = self._match(rep, self._individualised(col, cells, c), fixed)
+                if perm is None:
+                    break
+                for a in candidates:
+                    ra, rb = find(a), find(perm[a])
+                    if ra != rb:
+                        root[max(ra, rb)] = min(ra, rb)
+        return {c: find(c) for c in candidates}
+
+    def _individualised(self, col: list[int], cells: list[set[int]], c: int):
+        col, cells = col.copy(), cells.copy()
+        _refine(self.adj, col, cells, [_individualise(col, cells, c)])
+        return col, cells
+
+    def _match(self, a, b, fixed: Sequence[int]) -> Optional[list[int]]:
+        """A verified automorphism taking partition a onto partition b."""
+        while True:
+            a_cells, b_cells = a[1], b[1]
+            if len(a_cells) != len(b_cells) or any(
+                len(x) != len(y) for x, y in zip(a_cells, b_cells)
+            ):
+                return None
+            perm = [0] * len(a[0])
+            for x, y in zip(a_cells, b_cells):
+                for p, q in zip(sorted(x), sorted(y)):
+                    perm[p] = q
+            if self._is_automorphism(perm, fixed):
+                return perm
+            open_cell = next((i for i, x in enumerate(a_cells) if len(x) > 1), None)
+            if open_cell is None:
+                return None
+            a = self._individualised(*a, min(a_cells[open_cell]))
+            b = self._individualised(*b, min(b_cells[open_cell]))
+
+    def _is_automorphism(self, perm: list[int], fixed: Sequence[int]) -> bool:
+        key, masks = self.colour_key, self._masks
+        if any(perm[c] != c for c in fixed):
+            return False
+        for c, nbrs in enumerate(self.adj):
+            image = perm[c]
+            if key[image] != key[c]:
+                return False
+            mask = 0
+            for d in nbrs:
+                mask |= 1 << perm[d]
+            if mask != masks[image]:
+                return False
+        return True
+
+
+def _individualise(col: list[int], cells: list[set[int]], c: int) -> Optional[int]:
+    """Give class c a colour of its own; returns it, or None if c already
+    had one."""
+    cell = cells[col[c]]
+    if len(cell) == 1:
+        return None
+    cells[col[c]] = cell - {c}
+    col[c] = len(cells)
+    cells.append({c})
+    return col[c]
+
+
+def _refine(adj: list[list[int]], col: list[int], cells: list[set[int]], queue: list[int]) -> None:
+    """Refine (col, cells) until equitable, splitting by the colours in
+    queue and the new colours the splits create.  col changes in place,
+    cells only by replacing or appending sets, so a shallow copy of a
+    partition may be refined without touching the original.
+
+    Every step depends only on colours and neighbor counts, never on
+    class ids, so an automorphism that maps one input onto another maps
+    the results onto each other colour for colour.  Of the parts of a
+    split cell the largest (the first of them on a tie) keeps the old
+    colour and is not queued again: the counts to it follow from those to
+    the others, so the work stays near linear per level of splitting.
+    """
+    head = 0
+    while head < len(queue):
+        counts: dict[int, int] = {}
+        for x in cells[queue[head]]:
+            for y in adj[x]:
+                counts[y] = counts.get(y, 0) + 1
+        head += 1
+        hit: dict[int, dict[int, set[int]]] = {}
+        for y, k in counts.items():
+            hit.setdefault(col[y], {}).setdefault(k, set()).add(y)
+        for colour in sorted(hit):
+            by_count = hit[colour]
+            parts = [by_count[k] for k in sorted(by_count)]
+            cell = cells[colour]
+            if sum(map(len, parts)) < len(cell):
+                parts.insert(0, cell.difference(*parts))
+            if len(parts) == 1:
+                continue
+            keep = max(range(len(parts)), key=lambda i: (len(parts[i]), -i))
+            cells[colour] = parts.pop(keep)
+            for part in parts:
+                for x in part:
+                    col[x] = len(cells)
+                queue.append(len(cells))
+                cells.append(part)
+
+
+class FlowNetwork:
+    """Integer-capacity flow network grown by shortest augmenting paths.
+
+    Arcs come in pairs: arc a and its residual partner a ^ 1, which starts
+    at capacity zero.  max_flow augments from the flow already present, so
+    a caller may push part of a flow it knows (push) and let the search
+    finish it; reset returns every arc to zero flow.  Serves the vertex
+    cuts of vertex_connectivity and the leaf b-matching of the exact search.
+    """
+
+    def __init__(self, size: int):
+        self.head: list[list[int]] = [[] for _ in range(size)]
         self.to: list[int] = []
         self.base_cap: list[int] = []
-        unbounded = g.n
-        for v in range(g.n):
-            self._arc(2 * v, 2 * v + 1, 1)
-        for u, v in g.edges():
-            self._arc(2 * u + 1, 2 * v, unbounded)
-            self._arc(2 * v + 1, 2 * u, unbounded)
+        self.cap: list[int] = []
 
-    def _arc(self, a: int, b: int, cap: int) -> None:
-        self.head[a].append(len(self.to))
-        self.to.append(b)
-        self.base_cap.append(cap)
-        self.head[b].append(len(self.to))
-        self.to.append(a)
-        self.base_cap.append(0)
+    def arc(self, a: int, b: int, cap: int) -> int:
+        """Add an arc a -> b and return its index."""
+        idx = len(self.to)
+        self.head[a].append(idx)
+        self.head[b].append(idx + 1)
+        self.to += (b, a)
+        self.base_cap += (cap, 0)
+        self.cap += (cap, 0)
+        return idx
 
-    def min_cut(self, s: int, t: int, cutoff: int) -> int:
-        """Max flow s_out -> t_in, aborting once the cutoff is reached."""
-        cap = self.base_cap.copy()
-        head, to = self.head, self.to
-        source, sink = 2 * s + 1, 2 * t
-        flow = 0
-        while flow < cutoff:
-            parent_arc = [-1] * self.size
+    def push(self, arc: int, amount: int = 1) -> None:
+        self.cap[arc] -= amount
+        self.cap[arc ^ 1] += amount
+
+    def flow(self, arc: int) -> int:
+        return self.base_cap[arc] - self.cap[arc]
+
+    def reset(self) -> None:
+        self.cap = self.base_cap.copy()
+
+    def max_flow(self, source: int, sink: int, cutoff: int) -> int:
+        """Augment source -> sink until no path is left or cutoff more
+        units have moved; returns the units this call added."""
+        cap, head, to = self.cap, self.head, self.to
+        added = 0
+        while added < cutoff:
+            parent_arc = [-1] * len(head)
             parent_arc[source] = -2
             queue = deque([source])
             while queue and parent_arc[sink] == -1:
@@ -353,14 +634,19 @@ class _SplitFlow:
                         queue.append(b)
             if parent_arc[sink] == -1:
                 break
+            step = cutoff - added
             b = sink
             while b != source:
                 arc = parent_arc[b]
-                cap[arc] -= 1
-                cap[arc ^ 1] += 1
+                step = min(step, cap[arc])
                 b = to[arc ^ 1]
-            flow += 1
-        return flow
+            b = sink
+            while b != source:
+                arc = parent_arc[b]
+                self.push(arc, step)
+                b = to[arc ^ 1]
+            added += step
+        return added
 
 
 def vertex_connectivity(g: SimpleGraph) -> int:
@@ -380,19 +666,33 @@ def vertex_connectivity(g: SimpleGraph) -> int:
     degs = g.degrees
     v0 = min(range(g.n), key=lambda v: (degs[v], v))
     closed = set(g.adj[v0]) | {v0}
-    net = _SplitFlow(g)
+    # each vertex v becomes an arc 2v -> 2v+1 of capacity one, each edge uv
+    # the arcs u_out -> v_in and v_out -> u_in of capacity n; a max flow
+    # from s_out to t_in is then the least number of vertices separating
+    # non-adjacent s from t
+    net = FlowNetwork(2 * g.n)
+    for v in range(g.n):
+        net.arc(2 * v, 2 * v + 1, 1)
+    for u, v in g.edges():
+        net.arc(2 * u + 1, 2 * v, g.n)
+        net.arc(2 * v + 1, 2 * u, g.n)
+
+    def min_cut(s: int, t: int, cutoff: int) -> int:
+        net.reset()
+        return net.max_flow(2 * s + 1, 2 * t, cutoff)
+
     best = g.n - 1
     for w in range(g.n):
         if w in closed:
             continue
-        best = min(best, net.min_cut(v0, w, best))
+        best = min(best, min_cut(v0, w, best))
         if best == 0:
             return 0
     nbrs = list(g.adj[v0])
     for i, u in enumerate(nbrs):
         for w in nbrs[i + 1 :]:
             if not g.has_edge(u, w):
-                best = min(best, net.min_cut(u, w, best))
+                best = min(best, min_cut(u, w, best))
                 if best == 0:
                     return 0
     return best

@@ -106,3 +106,30 @@ def capped_sequences(max_len: int, total: int):
             yield from extend(prefix + (nxt,), remaining - nxt)
     for first in range(1, min(cap, total) + 1):
         yield from extend((first,), total - first)
+
+
+def brute_stabiliser_orbits(g: SimpleGraph, fixed: set[int]) -> list[set[int]]:
+    """Orbits of the automorphisms fixing every vertex in fixed, by trying
+    every permutation; feasible only for small n."""
+    edges = set(g.edges())
+    orbit = [{v} for v in range(g.n)]
+    for perm in itertools.permutations(range(g.n)):
+        if any(perm[v] != v for v in fixed):
+            continue
+        if all((min(perm[u], perm[v]), max(perm[u], perm[v])) in edges for u, v in edges):
+            for v in range(g.n):
+                orbit[v].add(perm[v])
+    return orbit
+
+
+def brute_hall_holds(nbrs: list[int], demand: list[int]) -> bool:
+    """Hall's condition for groups with neighborhood bitmasks nbrs and
+    demands, over every nonempty subset."""
+    for size in range(1, len(nbrs) + 1):
+        for subset in itertools.combinations(range(len(nbrs)), size):
+            union = 0
+            for g in subset:
+                union |= nbrs[g]
+            if bin(union).count("1") < sum(demand[g] for g in subset):
+                return False
+    return True

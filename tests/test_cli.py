@@ -7,13 +7,7 @@ import pytest
 
 from treembed import cli
 from treembed.cli import main
-from treembed.families import (
-    ExtremalParams,
-    broom_tree,
-    caterpillar,
-    cliques_with_apex,
-    matched_wing_host,
-)
+from treembed.families import caterpillar, cliques_with_apex
 from treembed.formats import (
     graph_from_dimacs,
     graph_from_json,
@@ -135,11 +129,12 @@ class TestCheck:
 
     def hard_pair(self, tmp_path):
         # greedy stalls here and the exact search needs far more than the
-        # budgets below to finish
-        tree = write_graph(tmp_path / "broom.json", broom_tree(5, 60).graph)
-        host = write_graph(
-            tmp_path / "hprime.json", matched_wing_host(ExtremalParams(5, 2, 60)).graph
-        )
+        # budgets below to finish (10,099 nodes): a path numbered from its
+        # middle into a path ten edges longer
+        edges = [(i, i + 1) for i in range(100)] + [(0, 101)]
+        edges += [(i, i + 1) for i in range(101, 200)]
+        tree = write_graph(tmp_path / "path.json", build_graph(201, edges))
+        host = write_graph(tmp_path / "longer.json", caterpillar(210).graph)
         return tree, host
 
     def test_node_budget_timeout(self, tmp_path, capsys):

@@ -21,6 +21,7 @@ from treembed.embedding import (
     strategy_embed,
     validate_embedding,
 )
+from treembed.embedding import _Backtracker, _complete_holding
 from treembed.families import (
     ExtremalParams,
     broom_tree,
@@ -34,7 +35,7 @@ from treembed.families import (
 from treembed.graphs import GraphError, build_graph, build_tree, components
 from treembed.randgen import random_tree
 
-from oracles import naive_constrained_embed_exists, naive_embed_exists
+from oracles import brute_hall_holds, naive_constrained_embed_exists, naive_embed_exists
 
 
 def rand_graph(rng, n, p):
@@ -114,11 +115,7 @@ class TestExactEmbed:
         assert verdict.embedding == {0: 2}
         assert verdict.nodes_explored == 1
 
-    def test_single_vertex_with_impossible_constraint(self):
-        t = build_tree(1, [])
-        host = build_graph(3, [(1, 2)])
-        # empty required sets are rejected at construction, so constrain to
-        # a vertex and shrink the host instead
+    def test_constrained_edge_into_edgeless_host(self):
         verdict = exact_embed(
             build_tree(2, [(0, 1)]), build_graph(2, []),
             constraints=EmbedConstraints({0: {1}}),
@@ -196,15 +193,36 @@ class TestExactEmbed:
             exact_embed(t, complete_graph(3), constraints=EmbedConstraints({0: {9}}))
 
     def test_node_budget_times_out(self):
-        host = matched_wing_host(ExtremalParams(5, 2, 60)).graph
-        verdict = exact_embed(broom_tree(5, 60), host, budget=Budget(max_nodes=50))
+        verdict = exact_embed(
+            middle_numbered_path(200), caterpillar(210).graph, budget=Budget(max_nodes=50)
+        )
         assert verdict.kind is Verdict.TIMEOUT
         assert verdict.nodes_explored == 51
 
     def test_wall_clock_budget_times_out(self):
-        host = matched_wing_host(ExtremalParams(5, 2, 60)).graph
-        verdict = exact_embed(broom_tree(5, 60), host, budget=Budget(time_ms=1))
+        verdict = exact_embed(
+            middle_numbered_path(200), caterpillar(210).graph, budget=Budget(time_ms=1)
+        )
         assert verdict.kind is Verdict.TIMEOUT
+
+    def test_timeout_pair_needs_the_full_search(self):
+        # the pair behind the budget tests: greedy stalls at once, and the
+        # search tries root images from the path's end inwards, each failing
+        # only after both arms have grown, whatever the reductions
+        tree, host = middle_numbered_path(200), caterpillar(210).graph
+        assert greedy_min_degree_embed(tree, host).kind is Verdict.UNKNOWN
+        verdict = exact_embed(tree, host)
+        assert verdict.kind is Verdict.EMBEDDED
+        assert verdict.nodes_explored == 10_099
+
+    def test_unreduced_search_is_the_plain_search(self):
+        # symmetry=False places every vertex, leaves included, with no
+        # reduction, so this count must not move when a reduction changes
+        host = two_wing_host(ExtremalParams(3, 1, 12)).graph
+        verdict = exact_embed(caterpillar(12), host, symmetry=False)
+        assert verdict.kind is Verdict.EMBEDDED
+        assert verdict.nodes_explored == 55_743
+        assert validate_embedding(caterpillar(12), host, verdict.embedding)
 
     def test_quick_search_beats_generous_budget(self):
         host = two_wing_host(ExtremalParams(3, 1, 12)).graph
@@ -216,13 +234,17 @@ class TestExactEmbed:
     @pytest.mark.parametrize(
         "build, ell, c, nodes",
         [
-            # no closed twins in these hosts
-            (two_wing_host, 3, 1, 119),
-            (two_wing_host, 7, 3, 7_554),
-            (matched_wing_host, 3, 1, 2_409),
-            # the clique of the wing-clique host is one closed-twin class
-            (wing_clique_host, 3, 1, 99),
-            (wing_clique_host, 3, 2, 277),
+            # nodes place the handle and the ell star centers only; the
+            # leaves go by matching
+            (two_wing_host, 3, 1, 14),
+            (two_wing_host, 7, 3, 36),
+            (wing_clique_host, 3, 1, 22),
+            (wing_clique_host, 3, 2, 22),
+            # the matched pairs B1[j] B2[j] are one orbit, which no twin
+            # relation sees
+            (matched_wing_host, 3, 1, 16),
+            (matched_wing_host, 5, 2, 27),
+            (matched_wing_host, 7, 3, 40),
         ],
     )
     def test_pinned_broom_proofs(self, build, ell, c, nodes):
@@ -264,6 +286,16 @@ class TestExactEmbed:
             denser = build_graph(n_h, list(host.edges()) + extra)
             assert exact_embed(tree, denser).kind is Verdict.EMBEDDED
             checked += 1
+
+
+def middle_numbered_path(path_edges):
+    """The path on path_edges edges numbered from its middle vertex 0 out
+    along both arms, so that greedy, which starts at vertex 0, stalls in a
+    longer host path."""
+    half = path_edges // 2
+    edges = [(i, i + 1) for i in range(half)] + [(0, half + 1)]
+    edges += [(i, i + 1) for i in range(half + 1, path_edges)]
+    return build_tree(path_edges + 1, edges)
 
 
 def clique_union(rng, n):
@@ -461,21 +493,22 @@ class TestForestEmbedComponent:
         # G - 0 is one bipartite component with sides (1..5) and (6..9);
         # the apex 0 sees 1, 2 and 5, all on the larger side.  Greedy
         # stalls and the exact search runs.  It must search the component's
-        # own relabelled copy: with the apex's edges in the degree ranks,
-        # the capacity prune and the twin classes, the same search takes 5
-        # nodes and sends tree vertex 2 to host vertex 2 instead of 4.
+        # own relabelled copy: with the apex's edges in the degree ranks and
+        # the capacity prunes, tree vertex 2 tries host vertex 2 (apex
+        # neighbor, degree 2) before 4 and passes the children prune through
+        # the apex, and the same search takes 9 nodes.
         host = build_graph(10, [
             (0, 1), (0, 2), (0, 5), (1, 6), (1, 8), (1, 9), (2, 9),
             (3, 7), (3, 8), (4, 7), (4, 9), (5, 7),
         ])
         (comp,) = components(host, exclude=0)
         assert comp.bipartition.side0 == (1, 2, 3, 4, 5)
-        forest = RootedForest(build_graph(5, [(0, 1), (1, 2), (3, 4)]), (0, 3))
+        forest = RootedForest(build_graph(6, [(0, 1), (1, 2), (2, 5), (3, 4)]), (0, 3))
         targets = EmbedConstraints({0: {1, 2, 5}, 3: {1, 2, 5}})
         verdict = forest_embed_component(forest, host, comp, targets=targets)
         assert verdict.kind is Verdict.EMBEDDED
-        assert verdict.nodes_explored == 6
-        assert verdict.embedding == {0: 1, 1: 9, 2: 4, 3: 5, 4: 7}
+        assert verdict.nodes_explored == 8
+        assert verdict.embedding == {0: 1, 1: 8, 2: 3, 3: 2, 4: 9, 5: 7}
         assert validate_embedding(forest, host, verdict.embedding)
 
 
@@ -541,8 +574,9 @@ class TestAutoEmbed:
         assert verdict.kind is Verdict.NOT_EMBEDDED
 
     def test_budget_exhaustion_is_timeout(self):
-        host = matched_wing_host(ExtremalParams(5, 2, 60)).graph
-        verdict = auto_embed(broom_tree(5, 60), host, budget=Budget(max_nodes=100))
+        verdict = auto_embed(
+            middle_numbered_path(200), caterpillar(210).graph, budget=Budget(max_nodes=100)
+        )
         assert verdict.kind is Verdict.TIMEOUT
 
     def test_greedy_stall_hands_over_to_exact(self):
@@ -581,3 +615,148 @@ class TestSeparatorRootChoice:
         host = two_wing_host(ExtremalParams(3, 1, 12)).graph
         verdict = exact_embed(tree, host)
         assert verdict.kind is Verdict.NOT_EMBEDDED
+
+
+def relabelled(n, edges, rng):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return build_graph(n, sorted({tuple(sorted((perm[u], perm[v]))) for u, v in edges}))
+
+
+def prism(rng):
+    """B x K2 for a random base graph B."""
+    b = rng.randrange(2, 6)
+    base = list(rand_graph(rng, b, rng.random()).edges())
+    edges = base + [(u + b, v + b) for u, v in base] + [(i, i + b) for i in range(b)]
+    return relabelled(2 * b, edges, rng)
+
+
+def twin_blowup(rng):
+    """A random base graph with each vertex blown up into a clique or an
+    independent set of one to three twins."""
+    b = rng.randrange(2, 5)
+    base = rand_graph(rng, b, rng.random())
+    sizes = [rng.randrange(1, 4) for _ in range(b)]
+    start = [sum(sizes[:i]) for i in range(b)]
+    blocks = [range(start[i], start[i] + sizes[i]) for i in range(b)]
+    edges = set()
+    for blk in blocks:
+        if rng.random() < 0.5:
+            edges |= set(itertools.combinations(blk, 2))
+    for u, v in base.edges():
+        edges |= {(x, y) for x in blocks[u] for y in blocks[v]}
+    return relabelled(sum(sizes), edges, rng)
+
+
+def apex_over_three_copies(rng):
+    b = rng.randrange(2, 4)
+    base = list(rand_graph(rng, b, rng.random()).edges())
+    edges = [(u + c * b, v + c * b) for c in range(3) for u, v in base]
+    edges += [(3 * b, x) for x in range(3 * b) if x % b != b - 1 or b == 1]
+    return relabelled(3 * b + 1, edges, rng)
+
+
+def circulant(rng):
+    n = rng.randrange(5, 12)
+    steps = rng.sample(range(1, n // 2 + 1), rng.randrange(1, 3))
+    edges = {tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps}
+    return relabelled(n, edges, rng)
+
+
+SYMMETRIC_HOSTS = (prism, twin_blowup, apex_over_three_copies, circulant)
+
+
+def no_orbits(self, pos, images, chosen, i):
+    return chosen[i:]
+
+
+class TestReductionsAgainstUnreducedSearch:
+    """Every reduction of the search against symmetry=False, the plain
+    search: Hall-matched leaves, chain order and twins always, orbits on
+    and, patched out, off."""
+
+    def differential(self, hosts, rng, constrained):
+        refuted = 0
+        for host in hosts:
+            tree = random_tree(rng.randrange(1, min(host.n, 10)), rng)
+            cons = None
+            if constrained:
+                cons = EmbedConstraints({
+                    v: frozenset(rng.sample(range(host.n), rng.randrange(1, host.n + 1)))
+                    for v in range(tree.graph.n)
+                    if rng.random() < 0.3
+                })
+            on = exact_embed(tree, host, constraints=cons)
+            off = exact_embed(
+                tree, host, constraints=cons, symmetry=False, budget=Budget(max_nodes=200_000)
+            )
+            assert off.kind is not Verdict.TIMEOUT
+            assert on.kind == off.kind
+            if on.kind is Verdict.EMBEDDED:
+                assert validate_embedding(tree, host, on.embedding)
+                if cons is not None:
+                    assert all(on.embedding[v] in s for v, s in cons.required_images.items())
+            refuted += on.kind is Verdict.NOT_EMBEDDED
+        return refuted
+
+    @pytest.mark.parametrize("orbits", [True, False])
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_random_hosts(self, monkeypatch, orbits, constrained):
+        if not orbits:
+            monkeypatch.setattr(_Backtracker, "_orbit_filter", no_orbits)
+        rng = random.Random(4242 + constrained)
+        hosts = [rand_graph(rng, rng.randrange(2, 12), rng.random()) for _ in range(250)]
+        assert self.differential(hosts, rng, constrained) >= 40
+
+    @pytest.mark.parametrize("orbits", [True, False])
+    @pytest.mark.parametrize("constrained", [False, True])
+    @pytest.mark.parametrize("family", SYMMETRIC_HOSTS, ids=lambda f: f.__name__)
+    def test_symmetric_hosts(self, monkeypatch, family, orbits, constrained):
+        if not orbits:
+            monkeypatch.setattr(_Backtracker, "_orbit_filter", no_orbits)
+        rng = random.Random(777 + constrained)
+        hosts = [family(rng) for _ in range(100)]
+        assert self.differential(hosts, rng, constrained) >= 10
+
+    def test_orbits_cut_the_search_on_symmetric_hosts(self, monkeypatch):
+        rng = random.Random(99)
+        pairs = [(random_tree(rng.randrange(3, 9), rng), family(rng))
+                 for family in SYMMETRIC_HOSTS for _ in range(40)]
+        pairs = [(t, h) for t, h in pairs if t.n <= h.n]
+        with_orbits = [exact_embed(t, h).nodes_explored for t, h in pairs]
+        monkeypatch.setattr(_Backtracker, "_orbit_filter", no_orbits)
+        without = [exact_embed(t, h).nodes_explored for t, h in pairs]
+        assert all(a <= b for a, b in zip(with_orbits, without))
+        assert sum(with_orbits) < 0.8 * sum(without)
+
+
+class TestHallCheck:
+    def test_complete_holding_decides_hall(self):
+        rng = random.Random(8)
+        for _ in range(400):
+            groups = rng.randrange(1, 6)
+            nbrs = [rng.getrandbits(8) for _ in range(groups)]
+            demand = [rng.randrange(1, 4) for _ in range(groups)]
+            # a random partial holding: each group keeps a few of its neighbors
+            hold, taken = [], 0
+            for m, d in zip(nbrs, demand):
+                h = 0
+                for w in range(8):
+                    if m >> w & 1 and not taken >> w & 1 and h.bit_count() < d - 1:
+                        h |= 1 << w
+                hold.append(h)
+                taken |= h
+            got = _complete_holding(nbrs, demand, hold)
+            assert (got is not None) == brute_hall_holds(nbrs, demand)
+            if got is not None:
+                assert all(h.bit_count() == d and h & ~m == 0
+                           for h, d, m in zip(got, demand, nbrs))
+                # no vertex held twice
+                assert sum(h.bit_count() for h in got) == _or(got).bit_count()
+
+
+def _or(masks):
+    out = 0
+    for m in masks:
+        out |= m
+    return out

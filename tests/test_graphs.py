@@ -14,6 +14,7 @@ from treembed.families import (
 )
 from treembed.graphs import (
     VERTEX_TAGS,
+    FlowNetwork,
     GraphError,
     bfs_layout,
     build_graph,
@@ -25,7 +26,11 @@ from treembed.graphs import (
     vertex_connectivity,
 )
 
-from oracles import brute_bipartition_exists, brute_vertex_connectivity
+from oracles import (
+    brute_bipartition_exists,
+    brute_stabiliser_orbits,
+    brute_vertex_connectivity,
+)
 
 
 def small_graphs(max_n=8):
@@ -60,6 +65,10 @@ class TestBuildGraph:
     def test_duplicate_rejected(self):
         with pytest.raises(GraphError, match="duplicate"):
             build_graph(3, [(0, 1), (1, 0)])
+
+    def test_duplicate_is_named(self):
+        with pytest.raises(GraphError, match=r"duplicate edge \(1, 2\)"):
+            build_graph(3, [(0, 1), (1, 2), (2, 1)])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(GraphError, match=r"\(0, 5\)"):
@@ -311,3 +320,86 @@ class TestVertexConnectivity:
             ]
             g = build_graph(n, edges)
             assert vertex_connectivity(g) == brute_vertex_connectivity(g)
+
+
+class TestTwinQuotient:
+    def test_classes_of_the_extremal_hosts(self):
+        # hub, A1 and A2 (open twins), and every B vertex alone
+        host = matched_wing_host(ExtremalParams(3, 1, 12)).graph
+        q = host.twin_quotient
+        assert len(q.members) == 3 + 2 * 5
+        assert q.members[q.class_of[1]] == list(range(1, 5))
+        assert not q.clique[q.class_of[1]]
+        # the clique of the wing-clique host is one closed-twin class
+        params = ExtremalParams(3, 1, 12)
+        host = wing_clique_host(params).graph
+        q = host.twin_quotient
+        clique = q.class_of[host.n - 1]
+        assert q.clique[clique] and len(q.members[clique]) == params.clique_order
+
+    def test_pair_swaps_are_one_orbit(self):
+        # in hprime the swaps (B1[j] B1[j'])(B2[j] B2[j']) and the wing swap
+        # make every B vertex one orbit, once no vertex is fixed
+        host = matched_wing_host(ExtremalParams(5, 2, 60)).graph
+        q = host.twin_quotient
+        b_classes = sorted({q.class_of[v] for v, tag in host.tags.items() if tag in ("B1", "B2")})
+        assert len(b_classes) == 64
+        root = q.stabiliser_orbits(q.partition, [], b_classes)
+        assert set(root.values()) == {b_classes[0]}
+
+    def test_symmetry_found_or_absent(self):
+        assert matched_wing_host(ExtremalParams(3, 1, 12)).graph.twin_quotient.symmetric
+        # the Frucht graph is cubic with no automorphism but the identity,
+        # so colour refinement alone cannot split it and no test may verify
+        lcf = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
+        edges = {tuple(sorted((i, (i + 1) % 12))) for i in range(12)}
+        edges |= {tuple(sorted((i, (i + lcf[i]) % 12))) for i in range(12)}
+        frucht = build_graph(12, sorted(edges))
+        assert set(frucht.degrees) == {3}
+        assert not frucht.twin_quotient.symmetric
+
+    def test_orbits_are_sound_and_found(self):
+        rng = random.Random(5)
+        exact = 0
+        for trial in range(60):
+            n = rng.randrange(3, 8)
+            if trial % 2:
+                steps = rng.sample(range(1, n // 2 + 1), rng.randrange(1, n // 2 + 1))
+                edges = {tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps}
+            else:
+                edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5}
+            g = build_graph(n, sorted(edges))
+            fixed = set(rng.sample(range(n), rng.randrange(0, 2)))
+            q = g.twin_quotient
+            partition = q.partition
+            for v in sorted(fixed):
+                partition = q.fix(partition, q.class_of[v])
+            candidates = sorted({q.class_of[v] for v in range(n) if v not in fixed})
+            root = q.stabiliser_orbits(
+                partition, [q.class_of[v] for v in fixed], candidates
+            )
+            truth = brute_stabiliser_orbits(g, fixed)
+            found = True
+            for c in candidates:
+                # a merge is only ever made by a real automorphism
+                assert q.members[root[c]][0] in truth[q.members[c][0]]
+                smallest = min(
+                    d for d in candidates if q.members[d][0] in truth[q.members[c][0]]
+                )
+                found &= root[c] == smallest
+            exact += found
+        assert exact >= 55
+
+
+class TestFlowNetwork:
+    def test_warm_start_and_reset(self):
+        # two disjoint unit paths 0 -> 1 -> 3 and 0 -> 2 -> 3
+        net = FlowNetwork(4)
+        arcs = [net.arc(0, 1, 1), net.arc(1, 3, 1), net.arc(0, 2, 1), net.arc(2, 3, 1)]
+        for a in arcs[:2]:
+            net.push(a)
+        assert net.max_flow(0, 3, 5) == 1
+        assert [net.flow(a) for a in arcs] == [1, 1, 1, 1]
+        net.reset()
+        assert net.max_flow(0, 3, 1) == 1
+        assert net.max_flow(0, 3, 5) == 1
