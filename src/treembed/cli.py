@@ -75,19 +75,11 @@ _HOST_BUILDERS = {
 _STRESS_NODE_BUDGET = 200_000
 
 
-def _common_options() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master seed")
-    common.add_argument(
-        "--timeout-ms", type=float, default=None, dest="timeout_ms",
-        help="wall clock budget per solver call",
-    )
-    common.add_argument("--out", default=None, help="output file (default stdout)")
-    common.add_argument(
-        "--format", choices=("json", "dimacs"), default="json",
-        help="graph file format for gen",
-    )
-    return common
+def _flag(*names: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one option, for the subcommands that read it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,10 +87,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="treembed",
         description="generate, check, and stress tree containment instances",
     )
-    common = _common_options()
+    seed = _flag("--seed", type=int, default=0, help="master seed")
+    timeout = _flag(
+        "--timeout-ms", type=float, default=None, dest="timeout_ms",
+        help="wall clock budget per solver call",
+    )
+    out = _flag("--out", default=None, help="output file (default stdout)")
+    fmt = _flag(
+        "--format", choices=("json", "dimacs"), default="json", help="graph file format"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[common], help="write a generated graph")
+    p = sub.add_parser("gen", parents=[out, fmt], help="write a generated graph")
     p.add_argument(
         "--family", required=True, choices=("h", "g", "hprime", "broom", "kbip")
     )
@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n2", type=int, help="second side of the complete bipartite host")
     p.set_defaults(func=run_gen)
 
-    p = sub.add_parser("check", parents=[common], help="embed a tree file in a host file")
+    p = sub.add_parser("check", parents=[timeout], help="embed a tree file in a host file")
     p.add_argument("--tree", required=True, help="tree graph file")
     p.add_argument("--host", required=True, help="host graph file")
     p.add_argument(
@@ -121,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=run_check)
 
     p = sub.add_parser(
-        "verify-example", parents=[common],
+        "verify-example", parents=[timeout],
         help="confirm a non-embedding claim for an extremal pair",
     )
     p.add_argument("--family", required=True, choices=("h", "g", "hprime"))
@@ -129,13 +129,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int, required=True)
     p.set_defaults(func=run_verify_example)
 
-    p = sub.add_parser("sweep", parents=[common], help="CSV of host degree facts")
+    p = sub.add_parser("sweep", parents=[out], help="CSV of host degree facts")
     p.add_argument("--family", choices=("h", "g", "hprime"), default="h")
     p.add_argument("--ell-list", required=True, dest="ell_list", help="e.g. 3,5,7")
     p.add_argument("--c-list", required=True, dest="c_list", help="e.g. 1,2,3")
     p.set_defaults(func=run_sweep)
 
-    p = sub.add_parser("stress", parents=[common], help="random embed trials, JSONL out")
+    p = sub.add_parser(
+        "stress", parents=[seed, timeout, out], help="random embed trials, JSONL out"
+    )
     p.add_argument("--k", type=int, required=True, help="tree edge count")
     p.add_argument("--n", type=int, required=True, help="host order")
     p.add_argument("--alpha", default="0.0", help="degree condition parameter")
@@ -396,8 +398,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         # also rejects nan, which would leave the wall clock unarmed
-        if args.timeout_ms is not None and not args.timeout_ms >= 0:
-            raise GraphError(f"--timeout-ms must be nonnegative, got {args.timeout_ms}")
+        timeout_ms = getattr(args, "timeout_ms", None)
+        if timeout_ms is not None and not timeout_ms >= 0:
+            raise GraphError(f"--timeout-ms must be nonnegative, got {timeout_ms}")
         return args.func(args)
     except (GraphError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,14 +1,15 @@
 """Embedding solvers.
 
 exact_embed is a complete backtracking search over injective adjacency
-preserving maps; it is the oracle every other routine is judged against,
-and a NotEmbedded from it means the whole (symmetry reduced) space was
-exhausted.  greedy_min_degree_embed, forest_embed_component, and
-strategy_embed are the constructive routines shaped after the
-two-component degree-condition strategy; they may answer Unknown but never
-claim a non-embedding on their own.  Every greedy placement goes through
-one walker over a bfs_layout order.  auto_embed runs greedy, then the
-exact search within the budget.
+preserving maps and the only routine that searches; it is the oracle
+every other routine is judged against, and a NotEmbedded from it means the
+whole (symmetry reduced) space was exhausted.  greedy_min_degree_embed,
+forest_embed_component, and strategy_embed are the constructive routines
+shaped after the two-component degree-condition strategy; they answer
+Unknown when a greedy placement stalls, and claim a non-embedding only
+with a counting certificate.  Every greedy placement goes through one
+walker over a bfs_layout order.  auto_embed runs greedy, then the exact
+search within the budget.
 """
 
 from __future__ import annotations
@@ -166,13 +167,13 @@ def validate_embedding(
 class _Backtracker:
     """Depth first search for an injective adjacency preserving map.
 
-    Vertices are assigned in BFS order from the given roots.  A candidate
+    Vertices are assigned in BFS order from the given root.  A candidate
     image must be an unused host vertex adjacent to the parent's image,
     with host degree at least the tree degree, in the vertex's allowed
     mask, with enough unused neighbors left for its children, and leaving
     the parent's image enough unused neighbors for its children still
-    unplaced.  Roots additionally need a host component large enough for
-    their subtree.  The search keeps one frame per depth on an explicit
+    unplaced.  The root additionally needs a host component large enough
+    for the whole tree.  The search keeps one frame per depth on an explicit
     stack, so tree depth is not bounded by the interpreter's recursion.
     Each candidate tried counts as one node.
 
@@ -194,8 +195,7 @@ class _Backtracker:
       prune is exact.  Once every other vertex is placed, the holding
       gives the leaves their images.
     * Chain order.  Interchangeable sibling vertices (equal rooted shape
-      with nothing constrained below, or childless roots sharing one
-      allowed mask) take ascending images.
+      with nothing constrained below) take ascending images.
     * Twin classes.  Host vertices are grouped into the classes of
       graphs.TwinQuotient, cut by constraint membership, and each node
       tries only the smallest candidate of each class.
@@ -231,31 +231,26 @@ class _Backtracker:
 
     def __init__(
         self,
-        forest: SimpleGraph,
-        roots: Sequence[int],
+        tree: SimpleGraph,
+        root: int,
         host: SimpleGraph,
         allowed: Sequence[int],
         symmetry: bool = True,
     ):
-        self.forest = forest
+        self.tree = tree
         self.host = host
         self.allowed = list(allowed)
-        n_t = forest.n
+        n_t = tree.n
         self.full_mask = (1 << host.n) - 1
 
-        layout = bfs_layout(forest, roots)
-        trees = layout.trees()
-        if len(trees) != len(roots):
-            raise GraphError("roots repeated or shared between components")
-        if len(layout.order) != n_t:
-            raise GraphError("roots do not cover every component")
+        layout = bfs_layout(tree, (root,))
         self.parent = layout.parent
         self.children: list[list[int]] = [[] for _ in range(n_t)]
         for v in layout.order:
             if self.parent[v] >= 0:
                 self.children[self.parent[v]].append(v)
         self.child_count = [len(c) for c in self.children]
-        self.tree_deg = [forest.degree(v) for v in range(n_t)]
+        self.tree_deg = [tree.degree(v) for v in range(n_t)]
 
         leaf = [
             symmetry and self.parent[v] >= 0 and not self.children[v] for v in range(n_t)
@@ -306,20 +301,16 @@ class _Backtracker:
             self.deg_mask[d] = mask
 
         host_comp = host.component_sizes
-        self.cap_mask: dict[int, int] = {}
-        for tree in trees:
-            need = len(tree)
-            mask = 0
-            for w in range(host.n):
-                if host_comp[w] >= need:
-                    mask |= 1 << w
-            self.cap_mask[tree[0]] = mask
+        self.cap_mask = 0
+        for w in range(host.n):
+            if host_comp[w] >= n_t:
+                self.cap_mask |= 1 << w
 
         self.chain_prev: list[Optional[int]] = [None] * n_t
         self.class_id = list(range(host.n))
         self.quotient: Optional[TwinQuotient] = None
         if symmetry:
-            self._build_chains(list(roots), layout.order, leaf)
+            self._build_chains(layout.order, leaf)
             quotient = host.twin_quotient
             masks = sorted({a for a in self.allowed if a != self.full_mask})
             if masks:
@@ -336,8 +327,8 @@ class _Backtracker:
             class_mask[c] |= 1 << w
         self.others = [~class_mask[c] for c in self.class_id]
 
-    def _build_chains(self, roots: list[int], full_order: list[int], leaf: list[bool]) -> None:
-        n_t = self.forest.n
+    def _build_chains(self, full_order: list[int], leaf: list[bool]) -> None:
+        n_t = self.tree.n
         codes = [0] * n_t
         constrained_below = [False] * n_t
         table: dict[tuple[int, ...], int] = {}
@@ -348,27 +339,14 @@ class _Backtracker:
             constrained_below[v] = self.allowed[v] != self.full_mask or any(
                 constrained_below[c] for c in kids
             )
-
-        def signature(v: int):
-            if not constrained_below[v]:
-                return ("shape", codes[v])
-            if not self.children[v]:
-                return ("leaf", self.allowed[v])
-            return None
-
-        def chain(members: Sequence[int]) -> None:
-            last: dict[object, int] = {}
-            for v in members:
-                sig = signature(v)
-                if sig is None:
-                    continue
-                if sig in last:
-                    self.chain_prev[v] = last[sig]
-                last[sig] = v
-
-        chain(roots)
         for v in self.order:
-            chain([c for c in self.children[v] if not leaf[c]])
+            last: dict[int, int] = {}
+            for c in self.children[v]:
+                if leaf[c] or constrained_below[c]:
+                    continue
+                if codes[c] in last:
+                    self.chain_prev[c] = last[codes[c]]
+                last[codes[c]] = c
 
     def _hall(self, u: int, w: int, used: int, state: tuple) -> Optional[tuple]:
         """Leaf holdings after placing u at w, or None when Hall's
@@ -478,7 +456,7 @@ class _Backtracker:
         orbits = self.quotient is not None
         prefix_partitions = self.prefix_partitions
         n_s = len(order)
-        images = [-1] * self.forest.n
+        images = [-1] * self.tree.n
         # one frame per depth: candidates in rank order, the next one to
         # try, the parent image's neighborhood, the leaf holdings before
         # this depth, and whether orbits have cut the candidates yet
@@ -506,7 +484,7 @@ class _Backtracker:
                     cand &= pmask
                 else:
                     pmask = 0
-                    cand &= cap_mask[u]
+                    cand &= cap_mask
                 cand &= deg_mask[tree_deg[u]]
                 cp = chain_prev[u]
                 if cp is not None:
@@ -702,7 +680,7 @@ def exact_embed(
             f"tree has {g.n} vertices, host only {host.n}",
         )
     root = find_separator(tree).separator if g.n > 1 else 0
-    solver = _Backtracker(g, (root,), host, allowed, symmetry)
+    solver = _Backtracker(g, root, host, allowed, symmetry)
     status, images, nodes = solver.run(budget)
     if status == "found":
         mapping = {v: images[v] for v in range(g.n)}
@@ -748,7 +726,6 @@ def forest_embed_component(
     host: SimpleGraph,
     comp: Component,
     targets: Optional[EmbedConstraints] = None,
-    budget: Optional[Budget] = None,
     class0_side: int = 0,
 ) -> EmbedVerdict:
     """Embed a rooted forest into one bipartite component of host, as
@@ -756,13 +733,12 @@ def forest_embed_component(
     class 0 into the chosen side and class 1 into the other.
 
     Images and target sets are in host ids.  Target sets restrict where
-    individual vertices, typically the roots, may land.  A color class
-    larger than its side is refused outright with the pigeonhole
-    certificate in the detail.  A greedy pass, finishing each root's tree
-    before the next, runs first; on a stall the exact search takes over
-    with the side restrictions as constraints, so a NotEmbedded here means
-    no embedding with this side assignment exists.  Unknown only appears
-    when the fallback runs out of budget.
+    individual vertices, typically the roots, may land; targets outside
+    the component drop out.  NotEmbedded comes only with a certificate in
+    the detail: a color class larger than its side (pigeonhole), or a
+    target set that misses its side.  Otherwise a greedy pass places the
+    forest, finishing each root's tree before the next, and a stall
+    answers Unknown.
     """
     t0 = time.perf_counter()
     if comp.bipartition is None:
@@ -779,15 +755,11 @@ def forest_embed_component(
                 f"capacity certificate: color class {label} has {len(cls)} "
                 f"vertices, its side only {len(side)}",
             )
-    # Search the component's own relabelled copy, not the host in host ids:
-    # there the apex and the rest of the host would enter the degree ranks,
-    # the capacity prunes and the twin classes, and node counts would move.
-    sub, to_new = induced_subgraph(host, comp.vertices)
     g = forest.graph
     side_mask = [0, 0]
     for idx in (0, 1):
         for v in side_of_class[idx]:
-            side_mask[idx] |= 1 << to_new[v]
+            side_mask[idx] |= 1 << v
     in_class0 = set(class0)
     allowed = [side_mask[0 if v in in_class0 else 1] for v in range(g.n)]
     if targets is not None:
@@ -796,8 +768,8 @@ def forest_embed_component(
                 raise GraphError(f"target on vertex {v} outside the forest")
             mask = 0
             for w in images:
-                if w in to_new:
-                    mask |= 1 << to_new[w]
+                if 0 <= w < host.n:
+                    mask |= 1 << w
             allowed[v] &= mask
             if allowed[v] == 0:
                 return EmbedVerdict(
@@ -806,28 +778,14 @@ def forest_embed_component(
                 )
 
     layout = bfs_layout(g, forest.roots)
-    greedy: dict[int, int] = {}
-    if _greedy_walk(sub, layout.order, layout.parent, greedy, set(), allowed) is None:
-        # the relabelling keeps vertex order: new id i is comp.vertices[i]
-        mapping = {v: comp.vertices[w] for v, w in greedy.items()}
-        return EmbedVerdict(Verdict.EMBEDDED, mapping, len(mapping), _ms(t0))
-
-    solver = _Backtracker(g, forest.roots, sub, allowed, symmetry=True)
-    status, images, nodes = solver.run(budget)
-    if status == "found":
-        inner = {v: images[v] for v in range(g.n)}
-        _check_witness(forest, sub, inner)
-        mapping = {v: comp.vertices[w] for v, w in inner.items()}
-        return EmbedVerdict(Verdict.EMBEDDED, mapping, nodes, _ms(t0))
-    if status == "exhausted":
+    mapping: dict[int, int] = {}
+    stalled = _greedy_walk(host, layout.order, layout.parent, mapping, set(), allowed)
+    if stalled is not None:
         return EmbedVerdict(
-            Verdict.NOT_EMBEDDED, None, nodes, _ms(t0),
-            f"no embedding with color class 0 in side {class0_side}",
+            Verdict.UNKNOWN, None, len(mapping), _ms(t0),
+            f"greedy stalled at forest vertex {stalled}",
         )
-    return EmbedVerdict(
-        Verdict.UNKNOWN, None, nodes, _ms(t0),
-        f"fallback {status} budget exhausted",
-    )
+    return EmbedVerdict(Verdict.EMBEDDED, mapping, len(mapping), _ms(t0))
 
 
 def _greedy_walk(
@@ -884,7 +842,9 @@ def strategy_embed(
         greedily into the secondary component.
 
     Any stall, capacity refusal, or missing structure answers Unknown;
-    this routine never reports NotEmbedded.
+    this routine never reports NotEmbedded.  Every placement is greedy, so
+    no search runs and budget limits nothing; it is accepted so that all
+    solvers share one call shape.
     """
     t0 = time.perf_counter()
     g = tree.graph
@@ -934,7 +894,7 @@ def strategy_embed(
     c1 = report.facts[primary].component
     c2 = report.facts[secondary].component
     larger = report.facts[primary].larger_side
-    x_nbrs = host.neighbor_sets[x]
+    x_nbrs = set(host.adj[x])
     anchor_a = sorted(v for v in larger if v in x_nbrs)
     if not anchor_a or x_nbrs.isdisjoint(c2.vertices):
         return _greedy_fallback(tree, host, t0, "apex misses an anchor side")
@@ -987,7 +947,7 @@ def strategy_embed(
         forest_roots = [piece_roots[i] for i in into_primary]
         root_targets = {r: anchor_a for r in forest_roots}
         verdict = _embed_pieces_into(
-            g, forest_vertices, forest_roots, host, c1, larger, root_targets, budget
+            g, forest_vertices, forest_roots, host, c1, larger, root_targets
         )
         if verdict.kind is not Verdict.EMBEDDED:
             return unknown(f"primary component: {verdict.detail}", verdict.nodes_explored)
@@ -1001,7 +961,7 @@ def strategy_embed(
         rest_vertices = [(z,)] + [pieces[i] for i in range(len(pieces)) if i != star_piece]
         rest_union = sorted(v for piece in rest_vertices for v in piece)
         verdict = _embed_pieces_into(
-            g, [tuple(rest_union)], [z], host, c1, larger, {z: anchor_a}, budget
+            g, [tuple(rest_union)], [z], host, c1, larger, {z: anchor_a}
         )
         if verdict.kind is not Verdict.EMBEDDED:
             return unknown(f"primary component: {verdict.detail}", verdict.nodes_explored)
@@ -1041,7 +1001,6 @@ def _embed_pieces_into(
     comp: Component,
     larger_side: tuple[int, ...],
     root_targets: Mapping[int, Sequence[int]],
-    budget: Optional[Budget],
 ) -> EmbedVerdict:
     """Forest of tree pieces into one bipartite component, roots (class 0)
     into the larger side.  Images come back in tree/host original ids."""
@@ -1054,7 +1013,7 @@ def _embed_pieces_into(
         {old_to_new[r]: frozenset(imgs) for r, imgs in root_targets.items()}
     )
     class0_side = 0 if larger_side == comp.bipartition.side0 else 1
-    verdict = forest_embed_component(forest, host, comp, targets, budget, class0_side)
+    verdict = forest_embed_component(forest, host, comp, targets, class0_side)
     if verdict.kind is Verdict.EMBEDDED:
         verdict.embedding = {all_vertices[v]: w for v, w in verdict.embedding.items()}
     return verdict

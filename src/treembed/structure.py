@@ -169,7 +169,7 @@ def _component_facts(
     theta: Fraction,
     comp: Component,
 ) -> ComponentFacts:
-    xs = g.neighbor_sets[x]
+    xs = set(g.adj[x])
     x_degree = sum(1 for v in comp.vertices if v in xs)
     if comp.bipartition is not None:
         larger = comp.bipartition.larger()

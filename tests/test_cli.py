@@ -101,6 +101,17 @@ class TestGen:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--tree", "t.json", "--host", "h.json", "--out", "f"],
+    ["sweep", "--ell-list", "3", "--c-list", "1", "--timeout-ms", "5"],
+])
+def test_flag_the_subcommand_does_not_read_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestCheck:
     def test_embedded_with_witness(self, tmp_path, capsys):
         tree = gen(tmp_path, "t.json", "--family", "broom", "--stars", "12")

@@ -76,6 +76,16 @@ class TestValidateEmbedding:
         issues = embedding_violations(t, complete_graph(3), {0: 0, 1: 9})
         assert any("not a host vertex" in msg for msg in issues)
 
+    def test_no_routine_builds_neighbor_sets(self):
+        # frozenset rows cost far more memory than the bitmask rows the
+        # solvers read; only callers outside the library may build them
+        host = two_wing_host(ExtremalParams(3, 2, 24)).graph
+        assert exact_embed(broom_tree(3, 12), host).kind is Verdict.EMBEDDED
+        assert auto_embed(broom_tree(3, 12), host).kind is Verdict.EMBEDDED
+        verdict = strategy_embed(caterpillar(12), host)
+        assert validate_embedding(caterpillar(12), host, verdict.embedding)
+        assert "neighbor_sets" not in host.__dict__
+
 
 class TestExactEmbed:
     def test_broom_blocked_by_two_wing(self):
@@ -489,14 +499,13 @@ class TestForestEmbedComponent:
         flipped = forest_embed_component(forest, host, comp, class0_side=0)
         assert flipped.kind is Verdict.EMBEDDED
 
-    def test_fallback_searches_the_component_alone(self):
+    def test_greedy_stall_answers_unknown(self):
         # G - 0 is one bipartite component with sides (1..5) and (6..9);
-        # the apex 0 sees 1, 2 and 5, all on the larger side.  Greedy
-        # stalls and the exact search runs.  It must search the component's
-        # own relabelled copy: with the apex's edges in the degree ranks and
-        # the capacity prunes, tree vertex 2 tries host vertex 2 (apex
-        # neighbor, degree 2) before 4 and passes the children prune through
-        # the apex, and the same search takes 9 nodes.
+        # the apex 0 sees 1, 2 and 5, all on the larger side.  The forest
+        # embeds (0->1, 1->8, 2->3, 5->7, 3->2, 4->9), but greedy sends
+        # tree vertex 1 to host vertex 6, whose only neighbor is taken, and
+        # stalls at tree vertex 2.  No search runs, so without a
+        # certificate the answer is Unknown, never NotEmbedded.
         host = build_graph(10, [
             (0, 1), (0, 2), (0, 5), (1, 6), (1, 8), (1, 9), (2, 9),
             (3, 7), (3, 8), (4, 7), (4, 9), (5, 7),
@@ -505,11 +514,11 @@ class TestForestEmbedComponent:
         assert comp.bipartition.side0 == (1, 2, 3, 4, 5)
         forest = RootedForest(build_graph(6, [(0, 1), (1, 2), (2, 5), (3, 4)]), (0, 3))
         targets = EmbedConstraints({0: {1, 2, 5}, 3: {1, 2, 5}})
+        assert validate_embedding(forest, host, {0: 1, 1: 8, 2: 3, 3: 2, 4: 9, 5: 7})
         verdict = forest_embed_component(forest, host, comp, targets=targets)
-        assert verdict.kind is Verdict.EMBEDDED
-        assert verdict.nodes_explored == 8
-        assert verdict.embedding == {0: 1, 1: 8, 2: 3, 3: 2, 4: 9, 5: 7}
-        assert validate_embedding(forest, host, verdict.embedding)
+        assert verdict.kind is Verdict.UNKNOWN
+        assert verdict.detail == "greedy stalled at forest vertex 2"
+        assert verdict.nodes_explored == 2
 
 
 class TestStrategyEmbed:
@@ -530,6 +539,11 @@ class TestStrategyEmbed:
         verdict = strategy_embed(tree, host)
         assert verdict.kind is Verdict.EMBEDDED
         assert validate_embedding(tree, host, verdict.embedding)
+        assert verdict.nodes_explored == 22
+        assert verdict.embedding == {
+            0: 1, 1: 0, 2: 28, 3: 29, 4: 30, 5: 15, 6: 2, 7: 3, 8: 4, 9: 16,
+            10: 5, 11: 6, 12: 7,
+        }
 
     def test_path_through_pipeline(self):
         host = two_wing_host(ExtremalParams(3, 2, 24)).graph
@@ -537,6 +551,11 @@ class TestStrategyEmbed:
         verdict = strategy_embed(tree, host)
         assert verdict.kind is Verdict.EMBEDDED
         assert validate_embedding(tree, host, verdict.embedding)
+        assert verdict.nodes_explored == 20
+        assert verdict.embedding == {
+            0: 30, 1: 43, 2: 29, 3: 42, 4: 28, 5: 0, 6: 1, 7: 15, 8: 2, 9: 16,
+            10: 3, 11: 17, 12: 4,
+        }
 
     def test_single_edge_tree(self):
         verdict = strategy_embed(build_tree(2, [(0, 1)]), complete_graph(3))

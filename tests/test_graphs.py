@@ -90,6 +90,13 @@ class TestBuildGraph:
         g = build_graph(3, [(0, 1), (1, 2)])
         assert g.adjacency_masks == (0b010, 0b101, 0b010)
 
+    def test_has_edge(self):
+        g = build_graph(3, [(0, 1), (1, 2)])
+        assert g.has_edge(0, 1) and g.has_edge(2, 1)
+        assert not g.has_edge(0, 2)
+        assert not g.has_edge(0, -1)
+        assert not g.has_edge(0, g.n)
+
 
 class TestBuildTree:
     def test_single_vertex(self):
