@@ -75,7 +75,7 @@ class SimpleGraph:
         return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        row = self.adj[u]
+        row = self.adj[u] if 0 <= u < self.n else ()
         i = bisect_left(row, v)
         return i < len(row) and row[i] == v
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .graphs import GraphError, SimpleGraph, TreeGraph, build_graph, build_tree, degree_stats
+from .graphs import GraphError, SimpleGraph, TreeGraph, build_tree, degree_stats
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -109,19 +109,19 @@ def random_host(
         raise GraphError(
             f"degree bounds need {max(d_min, d_plant)} neighbors, only {n - 1} available"
         )
-    p = min(0.95, float(1 + a) * k / (n - 1))
+    p, rand = min(0.95, float(1 + a) * k / max(n - 1, 1)), rng.random
     for _ in range(attempts):
-        edge_set = set()
-        if plant_hub:
-            for w in rng.sample(range(1, n), d_plant):
-                edge_set.add((0, w))
+        hub = set(rng.sample(range(1, n), d_plant)) if plant_hub else ()
+        # each pair u < v takes one draw in lexicographic order, a planted one
+        # none; row v gets each smaller u, then its larger ids, so rows are sorted
+        adj: list[list[int]] = [[] for _ in range(n)]
         for u in range(n):
+            row, planted = adj[u], hub if u == 0 else ()
             for v in range(u + 1, n):
-                if (u, v) in edge_set:
-                    continue
-                if rng.random() < p:
-                    edge_set.add((u, v))
-        g = build_graph(n, sorted(edge_set))
+                if v in planted or rand() < p:
+                    row.append(v)
+                    adj[v].append(u)
+        g = SimpleGraph(n, tuple(map(tuple, adj)))
         stats = degree_stats(g)
         if stats.min_degree >= d_min and stats.max_degree >= d_plant:
             return g

@@ -1,5 +1,6 @@
 """End-to-end runs of the command line harness through cli.main."""
 
+import hashlib
 import itertools
 import json
 
@@ -295,6 +296,18 @@ class TestStress:
             assert row["counterexample"] is False
             assert (row["witness"] is not None) == (row["verdict"] == "embedded")
             assert "elapsed_ms" not in row
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["--k", "30", "--n", "70", "--alpha", "1/4", "--trials", "20", "--seed", "7"],
+         "ca703b9467a032f30f8e948cec2753ee3c4ade46645c78a39c253c2e7c893455"),
+        (["--k", "4", "--n", "9", "--alpha", "0", "--trials", "50", "--seed", "3"],
+         "156cd1188195a03d352ca831694b0558f55b78d9d48d2096b16cdd44294e3e5f"),
+    ])
+    def test_output_frozen(self, capsys, argv, digest):
+        # a change to how hosts or trees are drawn shows here as a new digest
+        assert main(["stress"] + argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_timings_flag_adds_elapsed(self, tmp_path):
         out = tmp_path / "t.jsonl"

@@ -97,6 +97,12 @@ class TestBuildGraph:
         assert not g.has_edge(0, -1)
         assert not g.has_edge(0, g.n)
 
+    def test_has_edge_out_of_range_u(self):
+        # a negative u must not read a row from the end of adj
+        g = build_graph(3, [(1, 2)])
+        assert not g.has_edge(-1, 1)
+        assert not g.has_edge(3, 1)
+
 
 class TestBuildTree:
     def test_single_vertex(self):

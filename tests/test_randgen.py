@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from treembed.graphs import GraphError, degree_stats
+from treembed.graphs import GraphError, build_graph, degree_stats
+from treembed import randgen
 from treembed.randgen import random_host, random_tree, splitmix64, trial_seed
 
 
@@ -113,3 +114,42 @@ class TestRandomHost:
         a = random_host(24, 10, Fraction(0), random.Random(21))
         b = random_host(24, 10, Fraction(0), random.Random(21))
         assert list(a.edges()) == list(b.edges())
+
+    def test_single_vertex_host_for_zero_edges(self):
+        # both bounds are 0 at k = 0, and one vertex has no pair to draw
+        g = random_host(1, 0, Fraction(0), random.Random(0))
+        assert g.n == 1 and g.m == 0
+
+    @pytest.mark.parametrize("k, n, alpha, plant_hub", [
+        (4, 9, Fraction(0), True),
+        (4, 9, Fraction(1, 4), True),
+        (4, 9, Fraction(0), False),
+        (6, 14, Fraction(1, 4), False),
+        (10, 24, Fraction(0), True),
+    ])
+    def test_rows_match_build_graph(self, k, n, alpha, plant_hub):
+        # on (4, 9, 0) with the hub, 21 of these seeds need more than one attempt
+        for seed in range(300):
+            g = random_host(n, k, alpha, random.Random(seed), plant_hub=plant_hub)
+            assert g == build_graph(n, list(g.edges()))
+
+    @pytest.mark.parametrize("n, k, alpha, plant_hub, seed, attempts, after", [
+        (9, 4, Fraction(0), True, 6, 2, 0.7463130354756679),
+        (9, 4, Fraction(0), True, 115, 4, 0.011396819172710515),
+        (70, 30, Fraction(1, 4), True, 7, 1, 0.7619223161734349),
+        (24, 10, Fraction(1, 4), False, 5, 2, 0.24484955293814814),
+    ])
+    def test_rng_calls_frozen(self, monkeypatch, n, k, alpha, plant_hub, seed, attempts, after):
+        # the draw after the call pins how many draws each attempt made, so a
+        # host built another way cannot change the hosts that follow it
+        checks = []
+
+        def counting_stats(g):
+            checks.append(g)
+            return degree_stats(g)
+
+        monkeypatch.setattr(randgen, "degree_stats", counting_stats)
+        rng = random.Random(seed)
+        random_host(n, k, alpha, rng, plant_hub=plant_hub)
+        assert len(checks) == attempts
+        assert rng.random() == after
