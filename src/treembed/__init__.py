@@ -17,12 +17,10 @@ from .embedding import (
     Budget,
     EmbedConstraints,
     EmbedVerdict,
-    RootedForest,
     Verdict,
     auto_embed,
     embedding_violations,
     exact_embed,
-    forest_embed_component,
     greedy_min_degree_embed,
     strategy_embed,
     validate_embedding,

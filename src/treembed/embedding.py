@@ -3,13 +3,12 @@
 exact_embed is a complete backtracking search over injective adjacency
 preserving maps and the only routine that searches; it is the oracle
 every other routine is judged against, and a NotEmbedded from it means the
-whole (symmetry reduced) space was exhausted.  greedy_min_degree_embed,
-forest_embed_component, and strategy_embed are the constructive routines
-shaped after the two-component degree-condition strategy; they answer
-Unknown when a greedy placement stalls, and claim a non-embedding only
-with a counting certificate.  Every greedy placement goes through one
-walker over a bfs_layout order.  auto_embed runs greedy, then the exact
-search within the budget.
+whole (symmetry reduced) space was exhausted.  greedy_min_degree_embed and
+strategy_embed are the constructive routines, the second shaped after the
+two-component degree-condition strategy; they answer Unknown when a greedy
+placement stalls and never claim a non-embedding.  Every greedy placement
+goes through one walker over a bfs_layout order.  auto_embed runs greedy,
+then the exact search within the budget.
 """
 
 from __future__ import annotations
@@ -27,19 +26,16 @@ from .decompose import (
     split_family_by_cap,
 )
 from .graphs import (
-    Component,
+    BfsLayout,
     FlowNetwork,
     GraphError,
     SimpleGraph,
     TreeGraph,
     TwinQuotient,
     bfs_layout,
-    components,
     degree_stats,
     distance_bfs,
-    induced_subgraph,
 )
-from .rational import RationalLike, as_fraction
 from .structure import classify_apex_structure
 
 
@@ -84,41 +80,9 @@ class EmbedVerdict:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class RootedForest:
-    """An acyclic SimpleGraph with exactly one chosen root per component.
-
-    Color class 0 consists of the vertices at even depth below their root
-    (the roots included); class 1 is the rest.
-    """
-
-    graph: SimpleGraph
-    roots: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        comps = components(self.graph)
-        if self.graph.m != self.graph.n - len(comps):
-            raise GraphError("forest must be acyclic")
-        roots = set(self.roots)
-        if len(roots) != len(self.roots):
-            raise GraphError("duplicate roots")
-        for comp in comps:
-            hits = roots & set(comp.vertices)
-            if len(hits) != 1:
-                raise GraphError(
-                    f"component starting at {comp.vertices[0]} needs exactly one root"
-                )
-
-    def color_classes(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        depth = bfs_layout(self.graph, self.roots).depth
-        class0 = tuple(v for v in range(self.graph.n) if depth[v] % 2 == 0)
-        class1 = tuple(v for v in range(self.graph.n) if depth[v] % 2 == 1)
-        return class0, class1
-
-
 # a string, not typing.Union: typing caches every Union it builds, and the
 # cache would keep these classes, and so this module, alive across a reload
-TreeLike: TypeAlias = "TreeGraph | RootedForest | SimpleGraph"
+TreeLike: TypeAlias = "TreeGraph | SimpleGraph"
 
 
 def _graph_of(tree_like: TreeLike) -> SimpleGraph:
@@ -721,73 +685,6 @@ def greedy_min_degree_embed(tree: TreeGraph, host: SimpleGraph) -> EmbedVerdict:
     return EmbedVerdict(Verdict.EMBEDDED, images, len(images), _ms(t0))
 
 
-def forest_embed_component(
-    forest: RootedForest,
-    host: SimpleGraph,
-    comp: Component,
-    targets: Optional[EmbedConstraints] = None,
-    class0_side: int = 0,
-) -> EmbedVerdict:
-    """Embed a rooted forest into one bipartite component of host, as
-    components(host) or components(host, exclude=x) returns it, color
-    class 0 into the chosen side and class 1 into the other.
-
-    Images and target sets are in host ids.  Target sets restrict where
-    individual vertices, typically the roots, may land; targets outside
-    the component drop out.  NotEmbedded comes only with a certificate in
-    the detail: a color class larger than its side (pigeonhole), or a
-    target set that misses its side.  Otherwise a greedy pass places the
-    forest, finishing each root's tree before the next, and a stall
-    answers Unknown.
-    """
-    t0 = time.perf_counter()
-    if comp.bipartition is None:
-        raise GraphError("target component must be bipartite")
-    if class0_side not in (0, 1):
-        raise GraphError("class0_side must be 0 or 1")
-    sides = (comp.bipartition.side0, comp.bipartition.side1)
-    side_of_class = (sides[class0_side], sides[1 - class0_side])
-    class0, class1 = forest.color_classes()
-    for cls, side, label in ((class0, side_of_class[0], 0), (class1, side_of_class[1], 1)):
-        if len(cls) > len(side):
-            return EmbedVerdict(
-                Verdict.NOT_EMBEDDED, None, 0, _ms(t0),
-                f"capacity certificate: color class {label} has {len(cls)} "
-                f"vertices, its side only {len(side)}",
-            )
-    g = forest.graph
-    side_mask = [0, 0]
-    for idx in (0, 1):
-        for v in side_of_class[idx]:
-            side_mask[idx] |= 1 << v
-    in_class0 = set(class0)
-    allowed = [side_mask[0 if v in in_class0 else 1] for v in range(g.n)]
-    if targets is not None:
-        for v, images in targets.required_images.items():
-            if not (0 <= v < g.n):
-                raise GraphError(f"target on vertex {v} outside the forest")
-            mask = 0
-            for w in images:
-                if 0 <= w < host.n:
-                    mask |= 1 << w
-            allowed[v] &= mask
-            if allowed[v] == 0:
-                return EmbedVerdict(
-                    Verdict.NOT_EMBEDDED, None, 0, _ms(t0),
-                    f"target set of vertex {v} misses its side of the component",
-                )
-
-    layout = bfs_layout(g, forest.roots)
-    mapping: dict[int, int] = {}
-    stalled = _greedy_walk(host, layout.order, layout.parent, mapping, set(), allowed)
-    if stalled is not None:
-        return EmbedVerdict(
-            Verdict.UNKNOWN, None, len(mapping), _ms(t0),
-            f"greedy stalled at forest vertex {stalled}",
-        )
-    return EmbedVerdict(Verdict.EMBEDDED, mapping, len(mapping), _ms(t0))
-
-
 def _greedy_walk(
     host: SimpleGraph,
     order: Sequence[int],
@@ -815,12 +712,13 @@ def _greedy_walk(
     return None
 
 
+# the share of a component of G - x that x must see for strategy_embed to
+# count it, the theta of classify_apex_structure
+_THETA = Fraction(1, 10)
+
+
 def strategy_embed(
-    tree: TreeGraph,
-    host: SimpleGraph,
-    k: Optional[int] = None,
-    theta: RationalLike = Fraction(1, 10),
-    budget: Optional[Budget] = None,
+    tree: TreeGraph, host: SimpleGraph, budget: Optional[Budget] = None
 ) -> EmbedVerdict:
     """Heuristic that mirrors the two-component degree-condition strategy.
 
@@ -841,15 +739,18 @@ def strategy_embed(
         neighbor of x there, while F* hangs its root on x and continues
         greedily into the secondary component.
 
-    Any stall, capacity refusal, or missing structure answers Unknown;
-    this routine never reports NotEmbedded.  Every placement is greedy, so
-    no search runs and budget limits nothing; it is accepted so that all
-    solvers share one call shape.
+    In each case one tree vertex, the hub (z, or the root of F*), lands on
+    x, and each component takes the subtrees hanging from the hub at its
+    roots in one greedy walk over a BFS layout, in tree ids: each vertex
+    goes next to its parent's image, and in the primary component into the
+    larger side at even depth below its root and the smaller side at odd
+    depth.  Any stall, capacity refusal, or missing structure answers
+    Unknown; this routine never reports NotEmbedded.  No search runs, so
+    budget limits nothing; it is accepted so that all solvers share one
+    call shape.
     """
     t0 = time.perf_counter()
     g = tree.graph
-    if k is not None and k != g.m:
-        raise GraphError(f"k={k} does not match the tree's {g.m} edges")
     k = g.m
 
     def unknown(msg: str, nodes: int = 0) -> EmbedVerdict:
@@ -874,7 +775,7 @@ def strategy_embed(
     alpha = max(Fraction(0), alpha_lo)
     x = stats.argmax
 
-    report = classify_apex_structure(host, x, k, theta)
+    report = classify_apex_structure(host, x, k, _THETA)
     ranked = sorted(
         report.seen_indices,
         key=lambda i: (-report.facts[i].x_degree, report.facts[i].component.vertices[0]),
@@ -891,13 +792,12 @@ def strategy_embed(
     secondary = next((i for i in ranked if i != primary), None)
     if primary is None or secondary is None:
         return _greedy_fallback(tree, host, t0, "no two-component structure")
-    c1 = report.facts[primary].component
-    c2 = report.facts[secondary].component
+    # x sees the primary component only in its larger side, and sees every
+    # component the classifier counts, so both components hold a neighbor
+    # of x for the first vertex below the hub
     larger = report.facts[primary].larger_side
-    x_nbrs = set(host.adj[x])
-    anchor_a = sorted(v for v in larger if v in x_nbrs)
-    if not anchor_a or x_nbrs.isdisjoint(c2.vertices):
-        return _greedy_fallback(tree, host, t0, "apex misses an anchor side")
+    smaller = report.facts[primary].smaller_side
+    c2 = report.facts[secondary].component.vertices
 
     sep = find_separator(tree)
     z = sep.separator
@@ -923,61 +823,57 @@ def strategy_embed(
             star_piece = None
         else:
             star_piece = max(range(len(pieces)), key=lambda i: (weights[i], -i))
-            into_primary = tuple(i for i in range(len(pieces)) if i != star_piece)
-            into_secondary = ()
-
-    images: dict[int, int] = {}
-    used: set[int] = {x}
-    nodes = 0
-
-    def grow_into_c2(roots: Sequence[int], hub: int) -> Optional[int]:
-        # the subtrees hanging from the placed hub at these roots, one after
-        # another, each vertex next to its parent's image inside c2
-        order, parent, _ = bfs_layout(g, roots, blocked=(hub,))
-        for r in roots:
-            parent[r] = hub
-        in_c2 = 0
-        for v in c2.vertices:
-            in_c2 |= 1 << v
-        return _greedy_walk(host, order, parent, images, used, [in_c2] * g.n)
 
     if star_piece is None:
-        images[z] = x
-        forest_vertices = [pieces[i] for i in into_primary]
-        forest_roots = [piece_roots[i] for i in into_primary]
-        root_targets = {r: anchor_a for r in forest_roots}
-        verdict = _embed_pieces_into(
-            g, forest_vertices, forest_roots, host, c1, larger, root_targets
-        )
-        if verdict.kind is not Verdict.EMBEDDED:
-            return unknown(f"primary component: {verdict.detail}", verdict.nodes_explored)
-        nodes += verdict.nodes_explored
-        images.update(verdict.embedding)
-        used.update(verdict.embedding.values())
-        stalled = grow_into_c2([piece_roots[i] for i in into_secondary], z)
-        if stalled is not None:
-            return unknown(f"secondary component stalled at tree vertex {stalled}")
+        hub = z
+        primary_roots = [piece_roots[i] for i in into_primary]
+        secondary_roots = [piece_roots[i] for i in into_secondary]
+        stall_where = "secondary component"
     else:
-        rest_vertices = [(z,)] + [pieces[i] for i in range(len(pieces)) if i != star_piece]
-        rest_union = sorted(v for piece in rest_vertices for v in piece)
-        verdict = _embed_pieces_into(
-            g, [tuple(rest_union)], [z], host, c1, larger, {z: anchor_a}
-        )
-        if verdict.kind is not Verdict.EMBEDDED:
-            return unknown(f"primary component: {verdict.detail}", verdict.nodes_explored)
-        nodes += verdict.nodes_explored
-        images.update(verdict.embedding)
-        used.update(verdict.embedding.values())
-        star_root = piece_roots[star_piece]
-        images[star_root] = x
-        stalled = grow_into_c2([v for v in g.adj[star_root] if v != z], star_root)
-        if stalled is not None:
-            return unknown(f"heavy piece stalled at tree vertex {stalled}")
+        hub = piece_roots[star_piece]
+        primary_roots = [z]
+        secondary_roots = [v for v in g.adj[hub] if v != z]
+        stall_where = "heavy piece"
 
-    issues = embedding_violations(tree, host, images)
-    if issues:
-        raise RuntimeError(f"strategy bug: invalid embedding: {issues[0]}")
+    images = {hub: x}
+    used = {x}
+
+    def grow(layout: BfsLayout, sides: tuple[int, int]) -> Optional[int]:
+        # the subtrees hanging from the hub at the layout's roots, one after
+        # another: each vertex next to its parent's image, at depth d below
+        # its root inside the host vertices of mask sides[d & 1]; returns
+        # the first vertex left without an image, or None
+        parent = [hub if d == 0 else p for p, d in zip(layout.parent, layout.depth)]
+        allowed = [sides[d & 1] for d in layout.depth]
+        return _greedy_walk(host, layout.order, parent, images, used, allowed)
+
+    layout = bfs_layout(g, primary_roots, blocked=(hub,))
+    odd = sum(layout.depth[v] & 1 for v in layout.order)
+    for label, count, side in ((0, len(layout.order) - odd, larger), (1, odd, smaller)):
+        if count > len(side):
+            return unknown(
+                f"primary component: capacity certificate: color class {label} "
+                f"has {count} vertices, its side only {len(side)}"
+            )
+    stalled = grow(layout, (_mask(larger), _mask(smaller)))
+    nodes = len(images) - 1
+    if stalled is not None:
+        return unknown(
+            f"primary component: greedy stalled at tree vertex {stalled}", nodes
+        )
+    in_c2 = _mask(c2)
+    stalled = grow(bfs_layout(g, secondary_roots, blocked=(hub,)), (in_c2, in_c2))
+    if stalled is not None:
+        return unknown(f"{stall_where} stalled at tree vertex {stalled}")
+    _check_witness(tree, host, images)
     return EmbedVerdict(Verdict.EMBEDDED, images, nodes + len(images), _ms(t0))
+
+
+def _mask(vertices: Sequence[int]) -> int:
+    out = 0
+    for v in vertices:
+        out |= 1 << v
+    return out
 
 
 def _greedy_fallback(
@@ -991,32 +887,6 @@ def _greedy_fallback(
         Verdict.UNKNOWN, None, verdict.nodes_explored, _ms(t0),
         f"{reason}; greedy fallback failed",
     )
-
-
-def _embed_pieces_into(
-    tree_graph: SimpleGraph,
-    piece_vertex_sets: Sequence[tuple[int, ...]],
-    piece_roots: Sequence[int],
-    host: SimpleGraph,
-    comp: Component,
-    larger_side: tuple[int, ...],
-    root_targets: Mapping[int, Sequence[int]],
-) -> EmbedVerdict:
-    """Forest of tree pieces into one bipartite component, roots (class 0)
-    into the larger side.  Images come back in tree/host original ids."""
-    all_vertices = sorted(v for piece in piece_vertex_sets for v in piece)
-    if not all_vertices:
-        return EmbedVerdict(Verdict.EMBEDDED, {}, 0, 0.0)
-    sub, old_to_new = induced_subgraph(tree_graph, all_vertices)
-    forest = RootedForest(sub, tuple(old_to_new[r] for r in piece_roots))
-    targets = EmbedConstraints(
-        {old_to_new[r]: frozenset(imgs) for r, imgs in root_targets.items()}
-    )
-    class0_side = 0 if larger_side == comp.bipartition.side0 else 1
-    verdict = forest_embed_component(forest, host, comp, targets, class0_side)
-    if verdict.kind is Verdict.EMBEDDED:
-        verdict.embedding = {all_vertices[v]: w for v, w in verdict.embedding.items()}
-    return verdict
 
 
 def auto_embed(

@@ -94,8 +94,9 @@ def build_graph(
 ) -> SimpleGraph:
     """Validate an edge list and return the normalized SimpleGraph.
 
-    Self-loops, duplicate edges, and endpoints outside 0..n-1 are rejected
-    with the offending edge named in the error.
+    Self-loops, duplicate edges, and endpoints that are not of type int
+    (bools and other int subclasses included) or lie outside 0..n-1 are
+    rejected with the offending edge named in the error.
     """
     if n < 0:
         raise GraphError("vertex count must be nonnegative")
@@ -105,7 +106,8 @@ def build_graph(
             u, v = edge
         except (TypeError, ValueError):
             raise GraphError(f"malformed edge {edge!r}") from None
-        if not isinstance(u, int) or not isinstance(v, int):
+        # exact type: bool is an int subclass, but True is no vertex id
+        if type(u) is not int or type(v) is not int:
             raise GraphError(f"non-integer edge ({u!r}, {v!r})")
         if u == v:
             raise GraphError(f"self-loop ({u}, {v})")

@@ -96,7 +96,8 @@ def random_host(
     degree is about twice the minimum bound; with plant_hub, vertex 0 first
     gets ceil(2(1-alpha)k) neighbors so the maximum degree bound holds by
     construction.  Hosts are resampled until degree_stats clears both
-    bounds; exhausting the attempts raises GraphError.
+    bounds; exhausting the attempts raises GraphError, and so, before any
+    draw, does a bound no host on n vertices can meet.
     """
     from math import ceil
 
@@ -105,7 +106,8 @@ def random_host(
     a = as_fraction(alpha)
     d_min = ceil((1 + a) * k / 2)
     d_plant = ceil(2 * (1 - a) * k)
-    if max(d_min, d_plant if plant_hub else 0) > n - 1:
+    # without the planted hub the draws must still reach the max bound
+    if max(d_min, d_plant) > n - 1:
         raise GraphError(
             f"degree bounds need {max(d_min, d_plant)} neighbors, only {n - 1} available"
         )

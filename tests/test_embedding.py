@@ -3,7 +3,6 @@ pipeline's routing."""
 
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -11,12 +10,10 @@ from treembed.decompose import find_separator
 from treembed.embedding import (
     Budget,
     EmbedConstraints,
-    RootedForest,
     Verdict,
     auto_embed,
     embedding_violations,
     exact_embed,
-    forest_embed_component,
     greedy_min_degree_embed,
     strategy_embed,
     validate_embedding,
@@ -32,7 +29,7 @@ from treembed.families import (
     two_wing_host,
     wing_clique_host,
 )
-from treembed.graphs import GraphError, build_graph, build_tree, components
+from treembed.graphs import GraphError, build_graph, build_tree
 from treembed.randgen import random_tree
 
 from oracles import brute_hall_holds, naive_constrained_embed_exists, naive_embed_exists
@@ -42,6 +39,21 @@ def rand_graph(rng, n, p):
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
+    return build_graph(n, edges)
+
+
+def planted_apex_host(rng):
+    """Apex 0 over a random bipartite component, sides A and B, and a
+    random near-clique C; the apex sees part of A and part of C."""
+    a, c = rng.randint(1, 6), rng.randint(1, 6)
+    b = rng.randint(1, a)
+    n = 1 + a + b + c
+    side_a, side_b, clique = range(1, 1 + a), range(1 + a, 1 + a + b), range(1 + a + b, n)
+    p_ab, p_cc, p_xa, p_xc = (rng.choice((0.5, 1.0)) for _ in range(4))
+    edges = [(u, v) for u in side_a for v in side_b if rng.random() < p_ab]
+    edges += [(u, v) for u in clique for v in clique if u < v and rng.random() < p_cc]
+    edges += [(0, v) for v in side_a if rng.random() < p_xa]
+    edges += [(0, v) for v in clique if rng.random() < p_xc]
     return build_graph(n, edges)
 
 
@@ -408,119 +420,6 @@ class TestGreedyMinDegree:
         assert broom.nodes_explored == path.nodes_explored == 13
 
 
-class TestRootedForest:
-    def test_color_classes_by_depth(self):
-        g = build_graph(5, [(0, 1), (1, 2), (3, 4)])
-        forest = RootedForest(g, (0, 3))
-        class0, class1 = forest.color_classes()
-        assert class0 == (0, 2, 3)
-        assert class1 == (1, 4)
-
-    def test_cycle_rejected(self):
-        g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-        with pytest.raises(GraphError, match="acyclic"):
-            RootedForest(g, (0,))
-
-    def test_one_root_per_component(self):
-        g = build_graph(4, [(0, 1), (2, 3)])
-        with pytest.raises(GraphError, match="exactly one root"):
-            RootedForest(g, (0, 1, 2))
-        with pytest.raises(GraphError, match="exactly one root"):
-            RootedForest(g, (0,))
-
-
-class TestForestEmbedComponent:
-    def _stars_forest(self):
-        g = build_graph(
-            12,
-            [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (4, 7), (8, 9), (8, 10), (8, 11)],
-        )
-        return RootedForest(g, (0, 4, 8))
-
-    def test_capacity_certificate(self):
-        host = complete_bipartite(6, 5).graph
-        comp = components(host)[0]
-        verdict = forest_embed_component(self._stars_forest(), host, comp)
-        assert verdict.kind is Verdict.NOT_EMBEDDED
-        assert "capacity certificate" in verdict.detail
-
-    def test_embeds_when_sides_fit(self):
-        host = complete_bipartite(3, 9).graph
-        comp = components(host)[0]
-        forest = self._stars_forest()
-        verdict = forest_embed_component(forest, host, comp)
-        assert verdict.kind is Verdict.EMBEDDED
-        assert validate_embedding(forest, host, verdict.embedding)
-
-    def test_side_flip_changes_answer(self):
-        host = complete_bipartite(3, 9).graph
-        comp = components(host)[0]
-        verdict = forest_embed_component(self._stars_forest(), host, comp, class0_side=1)
-        assert verdict.kind is Verdict.NOT_EMBEDDED
-
-    def test_root_targets_respected(self):
-        host = complete_bipartite(3, 9).graph
-        comp = components(host)[0]
-        forest = self._stars_forest()
-        targets = EmbedConstraints({0: {2}, 4: {0}})
-        verdict = forest_embed_component(forest, host, comp, targets=targets)
-        assert verdict.kind is Verdict.EMBEDDED
-        assert verdict.embedding[0] == 2
-        assert verdict.embedding[4] == 0
-
-    def test_target_outside_component(self):
-        host = build_graph(5, [(0, 1), (2, 3), (3, 4)])
-        comp = components(host)[1]  # the path 2-3-4
-        g = build_graph(2, [(0, 1)])
-        forest = RootedForest(g, (0,))
-        verdict = forest_embed_component(
-            forest, host, comp, targets=EmbedConstraints({0: {1}})
-        )
-        assert verdict.kind is Verdict.NOT_EMBEDDED
-        assert "misses its side" in verdict.detail
-
-    def test_non_bipartite_component_rejected(self):
-        host = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-        comp = components(host)[0]
-        g = build_graph(1, [])
-        with pytest.raises(GraphError, match="bipartite"):
-            forest_embed_component(RootedForest(g, (0,)), host, comp)
-
-    def test_side_constrained_refusal_is_not_global(self):
-        # the path on 3 vertices embeds with its ends on the larger side,
-        # but pinning the middle vertex to the larger side must fail in
-        # K_{1,2}: the certificate names the side assignment, not the tree
-        host = complete_bipartite(1, 2).graph
-        comp = components(host)[0]
-        g = build_graph(3, [(0, 1), (1, 2)])
-        forest = RootedForest(g, (1,))
-        verdict = forest_embed_component(forest, host, comp, class0_side=1)
-        assert verdict.kind is Verdict.NOT_EMBEDDED
-        flipped = forest_embed_component(forest, host, comp, class0_side=0)
-        assert flipped.kind is Verdict.EMBEDDED
-
-    def test_greedy_stall_answers_unknown(self):
-        # G - 0 is one bipartite component with sides (1..5) and (6..9);
-        # the apex 0 sees 1, 2 and 5, all on the larger side.  The forest
-        # embeds (0->1, 1->8, 2->3, 5->7, 3->2, 4->9), but greedy sends
-        # tree vertex 1 to host vertex 6, whose only neighbor is taken, and
-        # stalls at tree vertex 2.  No search runs, so without a
-        # certificate the answer is Unknown, never NotEmbedded.
-        host = build_graph(10, [
-            (0, 1), (0, 2), (0, 5), (1, 6), (1, 8), (1, 9), (2, 9),
-            (3, 7), (3, 8), (4, 7), (4, 9), (5, 7),
-        ])
-        (comp,) = components(host, exclude=0)
-        assert comp.bipartition.side0 == (1, 2, 3, 4, 5)
-        forest = RootedForest(build_graph(6, [(0, 1), (1, 2), (2, 5), (3, 4)]), (0, 3))
-        targets = EmbedConstraints({0: {1, 2, 5}, 3: {1, 2, 5}})
-        assert validate_embedding(forest, host, {0: 1, 1: 8, 2: 3, 3: 2, 4: 9, 5: 7})
-        verdict = forest_embed_component(forest, host, comp, targets=targets)
-        assert verdict.kind is Verdict.UNKNOWN
-        assert verdict.detail == "greedy stalled at forest vertex 2"
-        assert verdict.nodes_explored == 2
-
-
 class TestStrategyEmbed:
     def test_infeasible_interval_reported(self):
         host = two_wing_host(ExtremalParams(3, 1, 12)).graph
@@ -565,10 +464,6 @@ class TestStrategyEmbed:
         verdict = strategy_embed(build_tree(1, []), complete_graph(3))
         assert verdict.kind is Verdict.EMBEDDED
 
-    def test_k_mismatch_rejected(self):
-        with pytest.raises(GraphError, match="does not match"):
-            strategy_embed(caterpillar(5), complete_graph(9), k=7)
-
     def test_never_claims_non_embedding(self):
         rng = random.Random(5551212)
         for _ in range(150):
@@ -579,6 +474,73 @@ class TestStrategyEmbed:
             assert verdict.kind in (Verdict.EMBEDDED, Verdict.UNKNOWN)
             if verdict.kind is Verdict.EMBEDDED:
                 assert validate_embedding(tree, host, verdict.embedding)
+
+    def test_capacity_certificate(self):
+        # G - 0 is K_{4,3} on 1..7 and K_4 on 8..11; the two pieces of the
+        # tree at its centroid go into the K_{4,3} with four vertices at odd
+        # depth, one more than its smaller side holds
+        edges = [(u, v) for u in range(1, 5) for v in range(5, 8)]
+        edges += list(itertools.combinations(range(8, 12), 2))
+        edges += [(0, v) for v in (1, 2, 3, 4, 8, 9, 10, 11)]
+        tree = build_tree(7, [(0, 1), (0, 2), (1, 3), (1, 5), (2, 4), (2, 6)])
+        verdict = strategy_embed(tree, build_graph(12, edges))
+        assert verdict.kind is Verdict.UNKNOWN
+        assert verdict.nodes_explored == 0
+        assert verdict.detail == (
+            "primary component: capacity certificate: color class 1 has 4 "
+            "vertices, its side only 3"
+        )
+
+    def test_primary_stall(self):
+        # the centroid 2 lands on the apex 0 and two of its leaves go into
+        # the 4-cycle 1-3-2-4 of G - 0, whose side next to 0 holds only one
+        # neighbor of 0: the first leaf takes it and the second, 3, stalls
+        host = build_graph(8, [
+            (0, 2), (0, 5), (0, 6), (0, 7), (1, 3), (1, 4), (2, 3), (2, 4),
+            (5, 6), (5, 7), (6, 7),
+        ])
+        verdict = strategy_embed(build_tree(4, [(0, 2), (1, 2), (2, 3)]), host)
+        assert verdict.kind is Verdict.UNKNOWN
+        assert verdict.nodes_explored == 1
+        assert verdict.detail == "primary component: greedy stalled at tree vertex 3"
+
+    def test_secondary_stall(self):
+        host = build_graph(11, [
+            (0, 3), (0, 7), (0, 9), (1, 4), (1, 5), (1, 6), (2, 4), (2, 5),
+            (2, 6), (3, 4), (3, 5), (3, 6), (7, 8), (7, 9), (7, 10), (8, 9),
+            (8, 10), (9, 10),
+        ])
+        tree = build_tree(5, [(0, 1), (0, 4), (1, 2), (1, 3)])
+        verdict = strategy_embed(tree, host)
+        assert verdict.kind is Verdict.UNKNOWN
+        assert verdict.nodes_explored == 0
+        assert verdict.detail == "secondary component stalled at tree vertex 3"
+
+    def test_planted_apex_sweep_reaches_every_branch(self):
+        # hosts of the shape the pipeline expects; trees as large as the
+        # feasible degree interval allows, 4 delta + Delta >= 4k
+        rng = random.Random(2)
+        reached = set()
+        for _ in range(3000):
+            host = planted_apex_host(rng)
+            degs = host.degrees
+            k_max = min(host.n - 1, min(degs) + max(degs) // 4)
+            if k_max < 2:
+                continue
+            tree = random_tree(rng.randint(2, k_max), rng)
+            verdict = strategy_embed(tree, host)
+            assert verdict.kind is not Verdict.NOT_EMBEDDED
+            if verdict.kind is Verdict.EMBEDDED:
+                assert validate_embedding(tree, host, verdict.embedding)
+                if "fallback" not in verdict.detail:
+                    reached.add("pipeline")
+            elif "capacity certificate" in verdict.detail:
+                reached.add("capacity")
+            elif verdict.detail.startswith("primary component: greedy stalled"):
+                reached.add("primary stall")
+            elif "stalled at tree vertex" in verdict.detail:
+                reached.add("secondary stall")
+        assert reached == {"pipeline", "capacity", "primary stall", "secondary stall"}
 
 
 class TestAutoEmbed:

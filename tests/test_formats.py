@@ -88,6 +88,12 @@ class TestJson:
         with pytest.raises(ParseError):
             graph_from_json(json.dumps(payload))
 
+    def test_bool_endpoints_rejected(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text('{"format": "%s", "n": 2, "edges": [[true, false]]}' % FORMAT_TAG)
+        with pytest.raises(ParseError, match="non-integer edge"):
+            parse_graph_file(path)
+
     def test_unknown_tag_role(self):
         payload = {"format": FORMAT_TAG, "n": 2, "edges": [[0, 1]], "tags": {"0": "nucleus"}}
         with pytest.raises(ParseError, match="unknown vertex tag"):

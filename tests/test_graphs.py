@@ -78,6 +78,11 @@ class TestBuildGraph:
         with pytest.raises(GraphError):
             build_graph(3, [(0, 1.5)])
 
+    def test_bool_endpoints_rejected(self):
+        # True == 1, but a row holding True would serialize as JSON `true`
+        with pytest.raises(GraphError, match=r"non-integer edge \(True, False\)"):
+            build_graph(2, [(True, False)])
+
     def test_bad_tag_rejected(self):
         with pytest.raises(GraphError, match="tag"):
             build_graph(2, [(0, 1)], tags={0: "nonsense"})

@@ -110,6 +110,14 @@ class TestRandomHost:
         with pytest.raises(GraphError, match="neighbors"):
             random_host(12, 10, Fraction(0), random.Random(0))
 
+    def test_unsatisfiable_max_bound_rejected_without_hub(self):
+        # no vertex of 5 can have the 8 neighbors the max bound asks for
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(GraphError, match="need 8 neighbors, only 4 available"):
+            random_host(5, 4, Fraction(0), rng, plant_hub=False)
+        assert rng.getstate() == state
+
     def test_deterministic_for_fixed_seed(self):
         a = random_host(24, 10, Fraction(0), random.Random(21))
         b = random_host(24, 10, Fraction(0), random.Random(21))
