@@ -15,7 +15,6 @@ from .decompose import (
 )
 from .embedding import (
     Budget,
-    EmbedConstraints,
     EmbedVerdict,
     Verdict,
     auto_embed,

@@ -335,7 +335,10 @@ def run_stress(args: argparse.Namespace) -> int:
         raise GraphError(f"--trials must be nonnegative, got {args.trials}")
     if n < k + 1:
         raise GraphError(f"n={n} cannot host a tree with {k} edges (need n >= {k + 1})")
-    alpha = as_fraction(args.alpha)
+    try:
+        alpha = as_fraction(args.alpha)
+    except (ValueError, ZeroDivisionError):
+        raise GraphError(f"--alpha must be a rational number, got {args.alpha!r}") from None
     if not (0 <= alpha < Fraction(1, 3)):
         raise GraphError(f"alpha must be in [0, 1/3), got {alpha}")
     if ceil(2 * (1 - alpha) * k) > n - 1:

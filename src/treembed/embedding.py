@@ -14,10 +14,10 @@ then the exact search within the budget.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, TypeAlias
+from typing import Mapping, Optional, Sequence
 
 from .decompose import (
     even_distance_set,
@@ -28,7 +28,6 @@ from .decompose import (
 from .graphs import (
     BfsLayout,
     FlowNetwork,
-    GraphError,
     SimpleGraph,
     TreeGraph,
     TwinQuotient,
@@ -55,22 +54,6 @@ class Budget:
     time_ms: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class EmbedConstraints:
-    """Required image sets for selected tree vertices."""
-
-    required_images: Mapping[int, frozenset[int]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        normalized = {}
-        for v, images in dict(self.required_images).items():
-            s = frozenset(images)
-            if not s:
-                raise GraphError(f"required image set for vertex {v} is empty")
-            normalized[v] = s
-        object.__setattr__(self, "required_images", normalized)
-
-
 @dataclass
 class EmbedVerdict:
     kind: Verdict
@@ -80,22 +63,11 @@ class EmbedVerdict:
     detail: str = ""
 
 
-# a string, not typing.Union: typing caches every Union it builds, and the
-# cache would keep these classes, and so this module, alive across a reload
-TreeLike: TypeAlias = "TreeGraph | SimpleGraph"
-
-
-def _graph_of(tree_like: TreeLike) -> SimpleGraph:
-    if isinstance(tree_like, SimpleGraph):
-        return tree_like
-    return tree_like.graph
-
-
 def embedding_violations(
-    tree_like: TreeLike, host: SimpleGraph, mapping: Mapping[int, int]
+    tree: TreeGraph, host: SimpleGraph, mapping: Mapping[int, int]
 ) -> list[str]:
     """Reasons a claimed embedding is invalid; empty means it checks out."""
-    g = _graph_of(tree_like)
+    g = tree.graph
     issues = []
     for v in range(g.n):
         if v not in mapping:
@@ -122,10 +94,10 @@ def embedding_violations(
 
 
 def validate_embedding(
-    tree_like: TreeLike, host: SimpleGraph, mapping: Mapping[int, int]
+    tree: TreeGraph, host: SimpleGraph, mapping: Mapping[int, int]
 ) -> bool:
     """True when mapping is a total injective adjacency preserving map."""
-    return not embedding_violations(tree_like, host, mapping)
+    return not embedding_violations(tree, host, mapping)
 
 
 class _Backtracker:
@@ -133,12 +105,12 @@ class _Backtracker:
 
     Vertices are assigned in BFS order from the given root.  A candidate
     image must be an unused host vertex adjacent to the parent's image,
-    with host degree at least the tree degree, in the vertex's allowed
-    mask, with enough unused neighbors left for its children, and leaving
-    the parent's image enough unused neighbors for its children still
-    unplaced.  The root additionally needs a host component large enough
-    for the whole tree.  The search keeps one frame per depth on an explicit
-    stack, so tree depth is not bounded by the interpreter's recursion.
+    with host degree at least the tree degree, with enough unused
+    neighbors left for its children, and leaving the parent's image enough
+    unused neighbors for its children still unplaced.  The root
+    additionally needs a host component large enough for the whole tree.
+    The search keeps one frame per depth on an explicit stack, so tree
+    depth is not bounded by the interpreter's recursion.
     Each candidate tried counts as one node.
 
     symmetry=False is the plain search: every vertex is a search vertex
@@ -146,11 +118,11 @@ class _Backtracker:
     apply.
 
     * Leaves by matching.  Non-root childless vertices (leaves) are not
-      searched.  The leaves of one parent that share an allowed mask form
-      a group, whose free neighborhood is the set of unused vertices next
-      to the parent's image in that mask.  Every node checks Hall's
-      condition for the groups of the placed parents: each set of groups
-      has at least as many free neighbors as leaves.  It keeps a holding,
+      searched.  The leaves of one parent form a group, whose free
+      neighborhood is the set of unused vertices next to the parent's
+      image.  Every node checks Hall's condition for the groups of the
+      placed parents: each set of groups has at least as many free
+      neighbors as leaves.  It keeps a holding,
       a partial b-matching of groups into free neighbors, from node to
       node; a node extends it greedily and, if that falls short, completes
       it by flow or finds the set of groups that violates the condition
@@ -158,39 +130,37 @@ class _Backtracker:
       neighborhoods, so a violation holds in every extension and the
       prune is exact.  Once every other vertex is placed, the holding
       gives the leaves their images.
-    * Chain order.  Interchangeable sibling vertices (equal rooted shape
-      with nothing constrained below) take ascending images.
+    * Chain order.  Interchangeable sibling vertices (equal rooted shape)
+      take ascending images.
     * Twin classes.  Host vertices are grouped into the classes of
-      graphs.TwinQuotient, cut by constraint membership, and each node
-      tries only the smallest candidate of each class.
+      graphs.TwinQuotient, and each node tries only the smallest candidate
+      of each class.
     * Orbits of the prefix stabiliser.  Before a node tries its second
       candidate, it computes orbits of the automorphisms of the host
-      quotient that fix the classes holding placed images and keep every
-      allowed mask (membership is part of the initial colour), and drops
+      quotient that fix the classes holding placed images, and drops
       every candidate whose class is not the smallest in its orbit.  Every
       permutation behind a merge is verified as an automorphism; a pair
       that is not verified stays apart, which only weakens the prune.
 
     Soundness: let the group act on embeddings by sibling subtree swaps
-    (on the tree side) and by host automorphisms keeping every allowed
-    mask (on the host side), and take, in the orbit of a given embedding,
-    the one L whose images, internal vertices in search order first, are
-    lexicographically smallest by host id.  At each node on L's path,
-    L's image survives: a smaller image for a later chain sibling would
-    be undone by swapping the two subtrees, which changes nothing before
-    the earlier sibling; and an automorphism sigma that fixes every
-    placed image, maps L(u) to a smaller host id and keeps the masks
-    gives sigma o L, equal to L before u and smaller at u.  A twin swap
-    is such an automorphism, and a candidate dropped by the orbit prune
-    has one by construction, because its class is not the smallest in
-    its orbit and the members of a class are twins.  The representative
-    kept must be the smallest host id of its orbit, not merely the first
-    one tested, or sigma o L would be larger and the argument would
-    fail.  Candidates excluded by chain order may still be orbit members:
-    the argument compares L with sigma o L, not with a candidate.  The
-    capacity and Hall prunes hold for every extendable prefix.  So L is
-    found whenever an embedding exists, and verdicts agree with the plain
-    search; only node counts differ.
+    (on the tree side) and by host automorphisms (on the host side), and
+    take, in the orbit of a given embedding, the one L whose images,
+    internal vertices in search order first, are lexicographically
+    smallest by host id.  At each node on L's path, L's image survives: a
+    smaller image for a later chain sibling would be undone by swapping
+    the two subtrees, which changes nothing before the earlier sibling;
+    and an automorphism sigma that fixes every placed image and maps L(u)
+    to a smaller host id gives sigma o L, equal to L before u and smaller
+    at u.  A twin swap is such an automorphism, and a candidate dropped
+    by the orbit prune has one by construction, because its class is not
+    the smallest in its orbit and the members of a class are twins.  The
+    representative kept must be the smallest host id of its orbit, not
+    merely the first one tested, or sigma o L would be larger and the
+    argument would fail.  Candidates excluded by chain order may still be
+    orbit members: the argument compares L with sigma o L, not with a
+    candidate.  The capacity and Hall prunes hold for every extendable
+    prefix.  So L is found whenever an embedding exists, and verdicts
+    agree with the plain search; only node counts differ.
     """
 
     def __init__(
@@ -198,14 +168,10 @@ class _Backtracker:
         tree: SimpleGraph,
         root: int,
         host: SimpleGraph,
-        allowed: Sequence[int],
         symmetry: bool = True,
     ):
         self.tree = tree
-        self.host = host
-        self.allowed = list(allowed)
         n_t = tree.n
-        self.full_mask = (1 << host.n) - 1
 
         layout = bfs_layout(tree, (root,))
         self.parent = layout.parent
@@ -228,20 +194,16 @@ class _Backtracker:
                 if not leaf[c]:
                     left -= 1
                     self.sib_rest[c] = left
-        # leaf groups, numbered in the search order of their parents
+        # leaf groups, the leaves of one parent each, numbered in the
+        # search order of their parents
         self.group_leaves: list[list[int]] = []
-        self.group_mask: list[int] = []
         self.group_start = [0] * n_t
         self.group_end = [0] * n_t
         for u in self.order:
             self.group_start[u] = len(self.group_leaves)
-            by_mask: dict[int, list[int]] = {}
-            for c in self.children[u]:
-                if leaf[c]:
-                    by_mask.setdefault(self.allowed[c], []).append(c)
-            for mask, leaves in by_mask.items():
+            leaves = [c for c in self.children[u] if leaf[c]]
+            if leaves:
                 self.group_leaves.append(leaves)
-                self.group_mask.append(mask)
             self.group_end[u] = len(self.group_leaves)
         self.demand = [len(leaves) for leaves in self.group_leaves]
         # free neighborhood of each group, before masking out used vertices
@@ -275,14 +237,8 @@ class _Backtracker:
         self.quotient: Optional[TwinQuotient] = None
         if symmetry:
             self._build_chains(layout.order, leaf)
-            quotient = host.twin_quotient
-            masks = sorted({a for a in self.allowed if a != self.full_mask})
-            if masks:
-                quotient = quotient.split(
-                    [tuple(m >> w & 1 for m in masks) for w in range(host.n)]
-                )
-            self.quotient = quotient
-            self.class_id = quotient.class_of
+            self.quotient = host.twin_quotient
+            self.class_id = self.quotient.class_of
         # per depth, the quotient's colouring with the placed classes fixed
         self.prefix_partitions: list[Optional[tuple]] = [None] * len(self.order)
         # clearing a candidate's whole class leaves one candidate per class
@@ -294,19 +250,14 @@ class _Backtracker:
     def _build_chains(self, full_order: list[int], leaf: list[bool]) -> None:
         n_t = self.tree.n
         codes = [0] * n_t
-        constrained_below = [False] * n_t
         table: dict[tuple[int, ...], int] = {}
         for v in reversed(full_order):
-            kids = self.children[v]
-            key = tuple(sorted(codes[c] for c in kids))
+            key = tuple(sorted(codes[c] for c in self.children[v]))
             codes[v] = table.setdefault(key, len(table))
-            constrained_below[v] = self.allowed[v] != self.full_mask or any(
-                constrained_below[c] for c in kids
-            )
         for v in self.order:
             last: dict[int, int] = {}
             for c in self.children[v]:
-                if leaf[c] or constrained_below[c]:
+                if leaf[c]:
                     continue
                 if codes[c] in last:
                     self.chain_prev[c] = last[codes[c]]
@@ -333,9 +284,8 @@ class _Backtracker:
                 hold[g] |= top
                 taken |= top
                 held += 1
-        around = self.host_masks[w]
         for g in range(start, end):
-            nbrs[g] = around & self.group_mask[g]
+            nbrs[g] = self.host_masks[w]
             spare = nbrs[g] & free & ~taken
             # hold the highest ids: the search tries low ids first
             got = 0
@@ -366,12 +316,8 @@ class _Backtracker:
         classes = [cls[w] for w in chosen]
         base = self.quotient.partition[0]
         # fixing classes only refines the colouring, so classes of distinct
-        # colours lie in distinct orbits; and the automorphisms that keep
-        # the masks are among the host's
-        if (
-            len({base[c] for c in classes}) == len(classes)
-            or not self.host.twin_quotient.symmetric
-        ):
+        # colours lie in distinct orbits
+        if len({base[c] for c in classes}) == len(classes) or not self.quotient.symmetric:
             return chosen[i:]
         # refined colourings with the classes of the placed images fixed,
         # one per depth, reset whenever the image above them changes
@@ -405,7 +351,6 @@ class _Backtracker:
 
         order = self.order
         parent = self.parent
-        allowed = self.allowed
         masks = self.host_masks
         deg_mask = self.deg_mask
         cap_mask = self.cap_mask
@@ -441,14 +386,13 @@ class _Backtracker:
                         self._place_leaves(images, leaves)
                     return ("found", images, nodes)
                 u = order[pos]
-                cand = allowed[u] & ~used
                 p = parent[u]
                 if p >= 0:
                     pmask = masks[images[p]]
-                    cand &= pmask
+                    cand = pmask & ~used
                 else:
                     pmask = 0
-                    cand &= cap_mask
+                    cand = cap_mask & ~used
                 cand &= deg_mask[tree_deg[u]]
                 cp = chain_prev[u]
                 if cp is not None:
@@ -588,31 +532,12 @@ def _complete_holding(
     return out
 
 
-def _allowed_masks(
-    n_tree: int, n_host: int, constraints: Optional[EmbedConstraints]
-) -> list[int]:
-    full = (1 << n_host) - 1
-    allowed = [full] * n_tree
-    if constraints is None:
-        return allowed
-    for v, images in constraints.required_images.items():
-        if not (0 <= v < n_tree):
-            raise GraphError(f"constraint on vertex {v} outside the tree")
-        mask = 0
-        for w in images:
-            if not (0 <= w < n_host):
-                raise GraphError(f"constraint image {w} outside the host")
-            mask |= 1 << w
-        allowed[v] = mask
-    return allowed
-
-
 def _ms(t0: float) -> float:
     return (time.perf_counter() - t0) * 1000.0
 
 
-def _check_witness(tree_like: TreeLike, host: SimpleGraph, mapping: dict) -> None:
-    issues = embedding_violations(tree_like, host, mapping)
+def _check_witness(tree: TreeGraph, host: SimpleGraph, mapping: dict) -> None:
+    issues = embedding_violations(tree, host, mapping)
     if issues:
         raise RuntimeError(f"solver bug: invalid witness: {issues[0]}")
 
@@ -620,7 +545,6 @@ def _check_witness(tree_like: TreeLike, host: SimpleGraph, mapping: dict) -> Non
 def exact_embed(
     tree: TreeGraph,
     host: SimpleGraph,
-    constraints: Optional[EmbedConstraints] = None,
     budget: Optional[Budget] = None,
     symmetry: bool = True,
 ) -> EmbedVerdict:
@@ -637,14 +561,13 @@ def exact_embed(
     """
     t0 = time.perf_counter()
     g = tree.graph
-    allowed = _allowed_masks(g.n, host.n, constraints)
     if g.n > host.n:
         return EmbedVerdict(
             Verdict.NOT_EMBEDDED, None, 0, _ms(t0),
             f"tree has {g.n} vertices, host only {host.n}",
         )
     root = find_separator(tree).separator if g.n > 1 else 0
-    solver = _Backtracker(g, root, host, allowed, symmetry)
+    solver = _Backtracker(g, root, host, symmetry)
     status, images, nodes = solver.run(budget)
     if status == "found":
         mapping = {v: images[v] for v in range(g.n)}
@@ -835,6 +758,15 @@ def strategy_embed(
         secondary_roots = [v for v in g.adj[hub] if v != z]
         stall_where = "heavy piece"
 
+    layout = bfs_layout(g, primary_roots, blocked=(hub,))
+    odd = sum(layout.depth[v] & 1 for v in layout.order)
+    for label, count, side in ((0, len(layout.order) - odd, larger), (1, odd, smaller)):
+        if count > len(side):
+            return unknown(
+                f"primary component: capacity certificate: color class {label} "
+                f"has {count} vertices, its side only {len(side)}"
+            )
+    # nodes, as in greedy, count the tree vertices that have an image
     images = {hub: x}
     used = {x}
 
@@ -847,26 +779,17 @@ def strategy_embed(
         allowed = [sides[d & 1] for d in layout.depth]
         return _greedy_walk(host, layout.order, parent, images, used, allowed)
 
-    layout = bfs_layout(g, primary_roots, blocked=(hub,))
-    odd = sum(layout.depth[v] & 1 for v in layout.order)
-    for label, count, side in ((0, len(layout.order) - odd, larger), (1, odd, smaller)):
-        if count > len(side):
-            return unknown(
-                f"primary component: capacity certificate: color class {label} "
-                f"has {count} vertices, its side only {len(side)}"
-            )
     stalled = grow(layout, (_mask(larger), _mask(smaller)))
-    nodes = len(images) - 1
     if stalled is not None:
         return unknown(
-            f"primary component: greedy stalled at tree vertex {stalled}", nodes
+            f"primary component: greedy stalled at tree vertex {stalled}", len(images)
         )
     in_c2 = _mask(c2)
     stalled = grow(bfs_layout(g, secondary_roots, blocked=(hub,)), (in_c2, in_c2))
     if stalled is not None:
-        return unknown(f"{stall_where} stalled at tree vertex {stalled}")
+        return unknown(f"{stall_where} stalled at tree vertex {stalled}", len(images))
     _check_witness(tree, host, images)
-    return EmbedVerdict(Verdict.EMBEDDED, images, nodes + len(images), _ms(t0))
+    return EmbedVerdict(Verdict.EMBEDDED, images, len(images), _ms(t0))
 
 
 def _mask(vertices: Sequence[int]) -> int:

@@ -75,7 +75,8 @@ def graph_from_payload(payload: Mapping) -> tuple[SimpleGraph, dict]:
             v = int(key)
         except (TypeError, ValueError):
             raise ParseError(f"tag key {key!r} is not a vertex id") from None
-        if role not in VERTEX_TAGS:
+        # a list or object role is unhashable, so test its type first
+        if not isinstance(role, str) or role not in VERTEX_TAGS:
             raise ParseError(f"unknown vertex tag {role!r} on vertex {v}")
         tags[v] = role
     meta = payload.get("meta", {})
@@ -182,9 +183,11 @@ def parse_graph_file(path: Union[str, Path]) -> tuple[SimpleGraph, dict]:
     elif suffix in (".col", ".dimacs"):
         fmt = "dimacs"
     try:
-        text = p.read_text()
+        text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {p}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{p} is not UTF-8 text: {exc}") from exc
     return parse_graph_text(text, fmt)
 
 

@@ -336,30 +336,25 @@ class TwinQuotient:
     or the same closed neighborhood N[v].  A vertex with an open twin has
     no closed twin (if N(a) = N(b) and N[a] = N[c] then c is in N(b), so b
     is in N[a] and thus in N(a) = N(b)), so keying each vertex by N(v)
-    when that is shared and by N[v] otherwise finds both kinds.  split
-    cuts the classes further by a key per vertex.
+    when that is shared and by N[v] otherwise finds both kinds.
 
     Classes are numbered in the order of their smallest member.  Closed
-    twins form a clique (clique[c], kept by the parts that split cuts) and
-    open twins an independent set, and every class is a module: a vertex
-    outside it sees all of it or none.  So adj, the quotient graph, is
-    well defined, and a permutation of the classes that keeps adj and the
-    colour (size, clique, key) lifts to an automorphism of the graph
-    mapping each class onto its image in id order.  Swapping two members
-    of one class is an automorphism fixing everything else.
+    twins form a clique (clique[c]) and open twins an independent set,
+    and every class is a module: a vertex outside it sees all of it or
+    none.  So adj, the quotient graph, is well defined, and a permutation
+    of the classes that keeps adj and the colour (size, clique) lifts to
+    an automorphism of the graph mapping each class onto its image in id
+    order.  Swapping two members of one class is an automorphism fixing
+    everything else.
     """
 
-    def __init__(
-        self, class_of: list[int], clique: list[bool], keys: list[tuple], adj: list[list[int]]
-    ):
+    def __init__(self, class_of: list[int], clique: list[bool], adj: list[list[int]]):
         self.class_of = class_of
         self.members: list[list[int]] = [[] for _ in clique]
         for v, c in enumerate(class_of):
             self.members[c].append(v)
         self.clique = clique
-        self.colour_key = [
-            (len(m), flag, key) for m, flag, key in zip(self.members, clique, keys)
-        ]
+        self.colour_key = [(len(m), flag) for m, flag in zip(self.members, clique)]
         self.adj = adj
 
     @classmethod
@@ -382,26 +377,7 @@ class TwinQuotient:
                 clique[c] = True
             class_of.append(c)
         adj = [sorted({class_of[w] for w in g.adj[r]} - {c}) for c, r in enumerate(reps)]
-        return cls(class_of, clique, [()] * len(reps), adj)
-
-    def split(self, keys: Sequence[tuple]) -> "TwinQuotient":
-        """The quotient by the classes cut by keys[v]; keys join the colour."""
-        table: dict[tuple, int] = {}
-        class_of = [
-            table.setdefault((c, keys[v]), len(table)) for v, c in enumerate(self.class_of)
-        ]
-        old = [c for c, _ in table]
-        parts: list[list[int]] = [[] for _ in self.clique]
-        for c, o in enumerate(old):
-            parts[o].append(c)
-        adj = []
-        for c, o in enumerate(old):
-            nbrs = [d for p in self.adj[o] for d in parts[p]]
-            if self.clique[o]:
-                nbrs += [d for d in parts[o] if d != c]
-            adj.append(sorted(nbrs))
-        clique = [self.clique[o] for o in old]
-        return TwinQuotient(class_of, clique, [k for _, k in table], adj)
+        return cls(class_of, clique, adj)
 
     @cached_property
     def _masks(self) -> list[int]:

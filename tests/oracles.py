@@ -23,20 +23,6 @@ def naive_embed_exists(tree_graph: SimpleGraph, host: SimpleGraph) -> bool:
     return False
 
 
-def naive_constrained_embed_exists(
-    tree_graph: SimpleGraph, host: SimpleGraph, allowed: list[frozenset[int]]
-) -> bool:
-    if tree_graph.n > host.n:
-        return False
-    edges = list(tree_graph.edges())
-    for perm in itertools.permutations(range(host.n), tree_graph.n):
-        if all(perm[v] in allowed[v] for v in range(tree_graph.n)) and all(
-            host.has_edge(perm[u], perm[v]) for u, v in edges
-        ):
-            return True
-    return False
-
-
 def brute_bipartition_exists(g: SimpleGraph) -> bool:
     """Try every 2-coloring; feasible only for small n."""
     for bits in range(1 << g.n):

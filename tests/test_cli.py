@@ -215,6 +215,23 @@ class TestCheck:
                      "--host", str(tmp_path / "no.json")])
         assert code == 2
 
+    def test_non_utf8_file_is_parse_error(self, tmp_path, capsys):
+        tree = write_graph(tmp_path / "p3.json", caterpillar(3).graph)
+        host = tmp_path / "h.json"
+        host.write_bytes(b'{"format": "\xff\xfe"}')
+        code = main(["check", "--tree", tree, "--host", str(host)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {host} is not UTF-8 text")
+
+    def test_unhashable_tag_is_parse_error(self, tmp_path, capsys):
+        tree = write_graph(tmp_path / "p3.json", caterpillar(3).graph)
+        host = tmp_path / "h.json"
+        text = graph_to_json(build_graph(2, [(0, 1)]))
+        host.write_text(text.replace('"tags": {}', '"tags": {"0": ["hub"]}'))
+        code = main(["check", "--tree", tree, "--host", str(host)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: unknown vertex tag ['hub']")
+
 
 class TestVerifyExample:
     def test_two_wing_confirmed(self, capsys):
@@ -376,3 +393,12 @@ class TestStress:
                      "--alpha", "1/2"])
         assert code == 2
         assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["abc", "nan", "inf", "1/0"])
+    def test_malformed_alpha_is_usage_error(self, tmp_path, capsys, alpha):
+        out = tmp_path / "s.jsonl"
+        code = main(["stress", "--k", "6", "--n", "16", "--trials", "1",
+                     "--alpha", alpha, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --alpha")
+        assert not out.exists()
