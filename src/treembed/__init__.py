@@ -6,7 +6,6 @@ from .decompose import (
     SeparatorResult,
     ThreeWayPartition,
     TwoWayPartition,
-    even_distance_set,
     find_separator,
     max_component_orders,
     partition_three,
@@ -74,8 +73,6 @@ from .structure import (
     ComponentFacts,
     StructureReport,
     classify_apex_structure,
-    is_small,
-    theta_sees,
     verify_broom_obstruction,
 )
 

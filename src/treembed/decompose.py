@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .graphs import GraphError, TreeGraph, bfs_layout, distance_bfs
+from .graphs import GraphError, TreeGraph, bfs_layout
 from .rational import RationalLike, as_fraction
 
 
@@ -150,12 +150,6 @@ def partition_three(sizes: Sequence[int], t: int) -> ThreeWayPartition:
         tuple(tuple(sorted(groups[s])) for s in ranked),
         tuple(sums[s] for s in ranked),
     )
-
-
-def even_distance_set(tree: TreeGraph, z: int) -> tuple[int, ...]:
-    """Vertices at positive even distance from z in the tree."""
-    dist = distance_bfs(tree.graph, z)
-    return tuple(v for v in range(tree.n) if dist[v] > 0 and dist[v] % 2 == 0)
 
 
 def split_family_by_cap(

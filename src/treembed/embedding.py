@@ -19,18 +19,14 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .decompose import (
-    even_distance_set,
-    find_separator,
-    partition_two,
-    split_family_by_cap,
-)
+from .decompose import find_separator, partition_two, split_family_by_cap
 from .graphs import (
     BfsLayout,
     FlowNetwork,
     SimpleGraph,
     TreeGraph,
     TwinQuotient,
+    _bitmask,
     bfs_layout,
     degree_stats,
     distance_bfs,
@@ -59,7 +55,6 @@ class EmbedVerdict:
     kind: Verdict
     embedding: Optional[dict[int, int]]
     nodes_explored: int = 0
-    elapsed_ms: float = 0.0
     detail: str = ""
 
 
@@ -532,10 +527,6 @@ def _complete_holding(
     return out
 
 
-def _ms(t0: float) -> float:
-    return (time.perf_counter() - t0) * 1000.0
-
-
 def _check_witness(tree: TreeGraph, host: SimpleGraph, mapping: dict) -> None:
     issues = embedding_violations(tree, host, mapping)
     if issues:
@@ -559,12 +550,10 @@ def exact_embed(
     (see _Backtracker); symmetry=False runs the plain search over every
     vertex.  The verdicts agree; only the node counts differ.
     """
-    t0 = time.perf_counter()
     g = tree.graph
     if g.n > host.n:
         return EmbedVerdict(
-            Verdict.NOT_EMBEDDED, None, 0, _ms(t0),
-            f"tree has {g.n} vertices, host only {host.n}",
+            Verdict.NOT_EMBEDDED, None, 0, f"tree has {g.n} vertices, host only {host.n}"
         )
     root = find_separator(tree).separator if g.n > 1 else 0
     solver = _Backtracker(g, root, host, symmetry)
@@ -572,40 +561,33 @@ def exact_embed(
     if status == "found":
         mapping = {v: images[v] for v in range(g.n)}
         _check_witness(tree, host, mapping)
-        return EmbedVerdict(Verdict.EMBEDDED, mapping, nodes, _ms(t0))
+        return EmbedVerdict(Verdict.EMBEDDED, mapping, nodes)
     if status == "exhausted":
-        return EmbedVerdict(
-            Verdict.NOT_EMBEDDED, None, nodes, _ms(t0), "search space exhausted"
-        )
-    return EmbedVerdict(
-        Verdict.TIMEOUT, None, nodes, _ms(t0), f"{status} budget exhausted"
-    )
+        return EmbedVerdict(Verdict.NOT_EMBEDDED, None, nodes, "search space exhausted")
+    return EmbedVerdict(Verdict.TIMEOUT, None, nodes, f"{status} budget exhausted")
 
 
 def greedy_min_degree_embed(tree: TreeGraph, host: SimpleGraph) -> EmbedVerdict:
     """Single pass greedy embedding.
 
-    Walks the tree in BFS order from its root (vertex 0 when unrooted),
-    sends the root to host vertex 0 and every child to the smallest unused
-    neighbor of its parent's image.  When delta(host) >= k this cannot
-    stall, because at most k host vertices are in use whenever a child
-    needs a slot.  A stall is reported as Unknown.
+    Walks the tree in BFS order from vertex 0, sends it to host vertex 0
+    and every child to the smallest unused neighbor of its parent's
+    image.  When delta(host) >= k this cannot stall, because at most k
+    host vertices are in use whenever a child needs a slot.  A stall is
+    reported as Unknown.
     """
-    t0 = time.perf_counter()
     g = tree.graph
     if host.n < g.n:
-        return EmbedVerdict(Verdict.UNKNOWN, None, 0, _ms(t0), "host too small")
-    root = tree.root if tree.root is not None else 0
-    layout = bfs_layout(g, (root,))
+        return EmbedVerdict(Verdict.UNKNOWN, None, 0, "host too small")
+    layout = bfs_layout(g, (0,))
     images: dict[int, int] = {}
     stalled = _greedy_walk(host, layout.order, layout.parent, images, set())
     if stalled is not None:
         return EmbedVerdict(
-            Verdict.UNKNOWN, None, len(images), _ms(t0),
-            f"greedy stalled at tree vertex {stalled}",
+            Verdict.UNKNOWN, None, len(images), f"greedy stalled at tree vertex {stalled}"
         )
     _check_witness(tree, host, images)
-    return EmbedVerdict(Verdict.EMBEDDED, images, len(images), _ms(t0))
+    return EmbedVerdict(Verdict.EMBEDDED, images, len(images))
 
 
 def _greedy_walk(
@@ -672,23 +654,22 @@ def strategy_embed(
     budget limits nothing; it is accepted so that all solvers share one
     call shape.
     """
-    t0 = time.perf_counter()
     g = tree.graph
     k = g.m
 
     def unknown(msg: str, nodes: int = 0) -> EmbedVerdict:
-        return EmbedVerdict(Verdict.UNKNOWN, None, nodes, _ms(t0), msg)
+        return EmbedVerdict(Verdict.UNKNOWN, None, nodes, msg)
 
     if host.n == 0:
         return unknown("empty host")
     if k == 0:
         mapping = {0: 0}
-        return EmbedVerdict(Verdict.EMBEDDED, mapping, 1, _ms(t0))
+        return EmbedVerdict(Verdict.EMBEDDED, mapping, 1)
     if g.n > host.n:
         return unknown("tree has more vertices than the host")
     if k == 1:
         # one edge cannot split across two components
-        return _greedy_fallback(tree, host, t0, "single edge tree")
+        return _greedy_fallback(tree, host, "single edge tree")
 
     stats = degree_stats(host)
     alpha_lo = 1 - Fraction(stats.max_degree, 2 * k)
@@ -699,28 +680,25 @@ def strategy_embed(
     x = stats.argmax
 
     report = classify_apex_structure(host, x, k, _THETA)
-    ranked = sorted(
-        report.seen_indices,
-        key=lambda i: (-report.facts[i].x_degree, report.facts[i].component.vertices[0]),
-    )
+    facts = report.facts
     primary = next(
         (
             i
-            for i in ranked
-            if report.facts[i].bipartite and report.facts[i].x_degree_smaller == 0
-            and report.facts[i].x_degree > 0
+            for i in report.seen_indices
+            if facts[i].component.bipartition is not None and facts[i].x_degree_smaller == 0
         ),
         None,
     )
-    secondary = next((i for i in ranked if i != primary), None)
+    secondary = next((i for i in report.seen_indices if i != primary), None)
     if primary is None or secondary is None:
-        return _greedy_fallback(tree, host, t0, "no two-component structure")
-    # x sees the primary component only in its larger side, and sees every
-    # component the classifier counts, so both components hold a neighbor
-    # of x for the first vertex below the hub
-    larger = report.facts[primary].larger_side
-    smaller = report.facts[primary].smaller_side
-    c2 = report.facts[secondary].component.vertices
+        return _greedy_fallback(tree, host, "no two-component structure")
+    # x sees the primary component only in its larger side, and sees at
+    # least one vertex of every component the classifier counts (theta is
+    # positive), so both components hold a neighbor of x for the first
+    # vertex below the hub
+    bipartition = facts[primary].component.bipartition
+    larger, smaller = bipartition.larger(), bipartition.smaller()
+    c2 = facts[secondary].component.vertices
 
     sep = find_separator(tree)
     z = sep.separator
@@ -732,20 +710,18 @@ def strategy_embed(
         if len(roots) != 1:
             raise RuntimeError("strategy bug: piece without a unique root")
         piece_roots.append(roots[0])
-    v0 = set(even_distance_set(tree, z))
-    sizes = [len(p) for p in pieces]
+    # V0, the vertices at positive even distance from z, counted per piece
+    weights = [sum(1 for v in piece if dist[v] & 1 == 0) for piece in pieces]
 
-    if Fraction(len(v0)) < (1 + alpha) * Fraction(k, 2):
-        split = partition_two(sizes, k)
+    if Fraction(sum(weights)) < (1 + alpha) * Fraction(k, 2):
+        split = partition_two([len(p) for p in pieces], k)
         into_primary, into_secondary = split.heavy, split.light
         star_piece = None
+    elif all(Fraction(w) <= alpha * k for w in weights):
+        into_primary, into_secondary = split_family_by_cap(weights, k, alpha)
+        star_piece = None
     else:
-        weights = [len(set(p) & v0) for p in pieces]
-        if all(Fraction(w) <= alpha * k for w in weights):
-            into_primary, into_secondary = split_family_by_cap(weights, k, alpha)
-            star_piece = None
-        else:
-            star_piece = max(range(len(pieces)), key=lambda i: (weights[i], -i))
+        star_piece = max(range(len(pieces)), key=lambda i: (weights[i], -i))
 
     if star_piece is None:
         hub = z
@@ -779,36 +755,26 @@ def strategy_embed(
         allowed = [sides[d & 1] for d in layout.depth]
         return _greedy_walk(host, layout.order, parent, images, used, allowed)
 
-    stalled = grow(layout, (_mask(larger), _mask(smaller)))
+    stalled = grow(layout, (_bitmask(larger), _bitmask(smaller)))
     if stalled is not None:
         return unknown(
             f"primary component: greedy stalled at tree vertex {stalled}", len(images)
         )
-    in_c2 = _mask(c2)
+    in_c2 = _bitmask(c2)
     stalled = grow(bfs_layout(g, secondary_roots, blocked=(hub,)), (in_c2, in_c2))
     if stalled is not None:
         return unknown(f"{stall_where} stalled at tree vertex {stalled}", len(images))
     _check_witness(tree, host, images)
-    return EmbedVerdict(Verdict.EMBEDDED, images, len(images), _ms(t0))
+    return EmbedVerdict(Verdict.EMBEDDED, images, len(images))
 
 
-def _mask(vertices: Sequence[int]) -> int:
-    out = 0
-    for v in vertices:
-        out |= 1 << v
-    return out
-
-
-def _greedy_fallback(
-    tree: TreeGraph, host: SimpleGraph, t0: float, reason: str
-) -> EmbedVerdict:
+def _greedy_fallback(tree: TreeGraph, host: SimpleGraph, reason: str) -> EmbedVerdict:
     verdict = greedy_min_degree_embed(tree, host)
     if verdict.kind is Verdict.EMBEDDED:
         verdict.detail = f"{reason}; greedy fallback succeeded"
         return verdict
     return EmbedVerdict(
-        Verdict.UNKNOWN, None, verdict.nodes_explored, _ms(t0),
-        f"{reason}; greedy fallback failed",
+        Verdict.UNKNOWN, None, verdict.nodes_explored, f"{reason}; greedy fallback failed"
     )
 
 
@@ -827,6 +793,6 @@ def auto_embed(
         return quick
     remaining = budget
     if budget is not None and budget.time_ms is not None:
-        left = budget.time_ms - _ms(t0)
+        left = budget.time_ms - (time.perf_counter() - t0) * 1000.0
         remaining = Budget(max_nodes=budget.max_nodes, time_ms=max(left, 0.0))
     return exact_embed(tree, host, budget=remaining)

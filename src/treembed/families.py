@@ -222,7 +222,7 @@ def broom_tree(ell: int, k: int) -> TreeGraph:
         for leaf in range(center + 1, center + order):
             edges.append((center, leaf))
             tags[leaf] = "leaf"
-    return build_tree(k + 1, edges, root=0, tags=tags)
+    return build_tree(k + 1, edges, tags=tags)
 
 
 def complete_bipartite(n1: int, n2: int) -> TaggedGraph:
@@ -285,7 +285,7 @@ def caterpillar(path_edges: int, leaf_counts: Optional[Sequence[int]] = None) ->
             edges.append((i, nxt))
             tags[nxt] = "leaf"
             nxt += 1
-    return build_tree(nxt, edges, root=0, tags=tags)
+    return build_tree(nxt, edges, tags=tags)
 
 
 @dataclass(frozen=True)

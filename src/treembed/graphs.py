@@ -48,13 +48,7 @@ class SimpleGraph:
     @cached_property
     def adjacency_masks(self) -> tuple[int, ...]:
         """Neighborhoods as integer bitmasks, the solver's working format."""
-        masks = []
-        for nbrs in self.adj:
-            mask = 0
-            for w in nbrs:
-                mask |= 1 << w
-            masks.append(mask)
-        return tuple(masks)
+        return tuple(map(_bitmask, self.adj))
 
     @cached_property
     def component_sizes(self) -> tuple[int, ...]:
@@ -85,6 +79,14 @@ class SimpleGraph:
             for v in self.adj[u]:
                 if u < v:
                     yield (u, v)
+
+
+def _bitmask(vertices: Iterable[int]) -> int:
+    """The set of vertices as an integer with bit v set for each v."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
 
 
 def build_graph(
@@ -135,10 +137,9 @@ def build_graph(
 
 @dataclass(frozen=True)
 class TreeGraph:
-    """A SimpleGraph validated to be a tree, with an optional root."""
+    """A SimpleGraph validated to be a tree."""
 
     graph: SimpleGraph
-    root: Optional[int] = None
 
     def __post_init__(self) -> None:
         g = self.graph
@@ -148,8 +149,6 @@ class TreeGraph:
             raise GraphError(f"tree must have n-1 edges, got {g.m} for n={g.n}")
         if any(d < 0 for d in distance_bfs(g, 0)):
             raise GraphError("tree must be connected")
-        if self.root is not None and not (0 <= self.root < g.n):
-            raise GraphError(f"root {self.root} out of range")
 
     @property
     def n(self) -> int:
@@ -163,10 +162,9 @@ class TreeGraph:
 def build_tree(
     n: int,
     edges: Iterable[tuple[int, int]],
-    root: Optional[int] = None,
     tags: Optional[Mapping[int, str]] = None,
 ) -> TreeGraph:
-    return TreeGraph(build_graph(n, edges, tags), root)
+    return TreeGraph(build_graph(n, edges, tags))
 
 
 @dataclass(frozen=True)
@@ -381,13 +379,7 @@ class TwinQuotient:
 
     @cached_property
     def _masks(self) -> list[int]:
-        out = []
-        for nbrs in self.adj:
-            mask = 0
-            for d in nbrs:
-                mask |= 1 << d
-            out.append(mask)
-        return out
+        return list(map(_bitmask, self.adj))
 
     @cached_property
     def partition(self) -> tuple[list[int], list[set[int]]]:

@@ -87,14 +87,13 @@ def random_host(
     k: int,
     alpha,
     rng: random.Random,
-    plant_hub: bool = True,
     attempts: int = 200,
 ) -> SimpleGraph:
     """Random host meeting both degree bounds for the given k and alpha.
 
     Edges appear independently with probability tuned so the expected
-    degree is about twice the minimum bound; with plant_hub, vertex 0 first
-    gets ceil(2(1-alpha)k) neighbors so the maximum degree bound holds by
+    degree is about twice the minimum bound; vertex 0 first gets
+    ceil(2(1-alpha)k) neighbors so the maximum degree bound holds by
     construction.  Hosts are resampled until degree_stats clears both
     bounds; exhausting the attempts raises GraphError, and so, before any
     draw, does a bound no host on n vertices can meet.
@@ -106,14 +105,13 @@ def random_host(
     a = as_fraction(alpha)
     d_min = ceil((1 + a) * k / 2)
     d_plant = ceil(2 * (1 - a) * k)
-    # without the planted hub the draws must still reach the max bound
     if max(d_min, d_plant) > n - 1:
         raise GraphError(
             f"degree bounds need {max(d_min, d_plant)} neighbors, only {n - 1} available"
         )
     p, rand = min(0.95, float(1 + a) * k / max(n - 1, 1)), rng.random
     for _ in range(attempts):
-        hub = set(rng.sample(range(1, n), d_plant)) if plant_hub else ()
+        hub = set(rng.sample(range(1, n), d_plant))
         # each pair u < v takes one draw in lexicographic order, a planted one
         # none; row v gets each smaller u, then its larger ids, so rows are sorted
         adj: list[list[int]] = [[] for _ in range(n)]

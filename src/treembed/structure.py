@@ -12,58 +12,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 from .families import ExtremalParams
 from .graphs import Component, GraphError, SimpleGraph, components
 from .rational import RationalLike, as_fraction
 
 
-def theta_sees(g: SimpleGraph, x: int, vertices: Iterable[int], theta: RationalLike) -> bool:
-    """True when x has at least theta * |U| neighbors inside U.
-
-    The comparison is exact: deg(x, U) is an integer and theta * |U| a
-    Fraction, so no float rounding can flip a boundary case.
-    """
-    th = as_fraction(theta)
-    if not (0 <= x < g.n):
-        raise GraphError(f"apex {x} out of range for n={g.n}")
-    u = set(vertices)
-    if x in u:
-        raise GraphError("the seen set must not contain the apex itself")
-    for v in u:
-        if not (0 <= v < g.n):
-            raise GraphError(f"vertex {v} out of range for n={g.n}")
-    into = sum(1 for v in u if g.has_edge(x, v))
-    return Fraction(into) >= th * len(u)
-
-
-def is_small(comp: Component, k: int, theta: RationalLike) -> bool:
-    """(k, theta)-smallness of a component.
-
-    A non-bipartite component is small when its order is below (1+theta)k;
-    a bipartite one when its larger side is.
-    """
-    if k < 1:
-        raise GraphError(f"k must be positive, got {k}")
-    return _order_for_smallness(comp) < (1 + as_fraction(theta)) * k
-
-
-def _order_for_smallness(comp: Component) -> int:
-    if comp.bipartition is None:
-        return comp.order
-    return len(comp.bipartition.larger())
-
-
 @dataclass(frozen=True)
 class ComponentFacts:
-    """Everything the classifier needs to know about one component of G - x."""
+    """What the classifier finds about one component of G - x: how x sees
+    it, and whether it is small.  Its order and sides are those of
+    component."""
 
     component: Component
-    order: int
-    bipartite: bool
-    larger_side: tuple[int, ...]
-    smaller_side: tuple[int, ...]
     x_degree: int
     x_degree_larger: int
     x_degree_smaller: int
@@ -76,9 +38,9 @@ class ComponentFacts:
 class StructureReport:
     """Outcome of classify_apex_structure.
 
-    primary/secondary index the two seen components, ranked by total
-    x-degree and then by smallest vertex id.  special_shaped is the
-    conjunction of the four conditions.
+    seen_indices lists the seen components ranked by total x-degree, ties
+    to the smaller least vertex; primary and secondary are its first two
+    entries.  special_shaped is the conjunction of the four conditions.
     """
 
     x: int
@@ -119,16 +81,15 @@ def classify_apex_structure(
         raise GraphError("classification needs at least one non-apex vertex")
     if k < 1:
         raise GraphError(f"k must be positive, got {k}")
-    facts = [_component_facts(g, x, k, th, comp) for comp in components(g, exclude=x)]
-    seen_indices = tuple(i for i, f in enumerate(facts) if f.seen)
-    unseen_untouched = all(
-        f.x_degree == 0 for i, f in enumerate(facts) if i not in seen_indices
-    )
-    ranked = sorted(
-        seen_indices, key=lambda i: (-facts[i].x_degree, facts[i].component.vertices[0])
-    )
-    primary = ranked[0] if len(ranked) >= 1 else None
-    secondary = ranked[1] if len(ranked) >= 2 else None
+    xs = set(g.adj[x])
+    facts = [_component_facts(xs, k, th, comp) for comp in components(g, exclude=x)]
+    seen_indices = tuple(sorted(
+        (i for i, f in enumerate(facts) if f.seen),
+        key=lambda i: (-facts[i].x_degree, facts[i].component.vertices[0]),
+    ))
+    unseen_untouched = all(f.x_degree == 0 for f in facts if not f.seen)
+    primary = seen_indices[0] if len(seen_indices) >= 1 else None
+    secondary = seen_indices[1] if len(seen_indices) >= 2 else None
     all_small = all(f.small_at_k for f in facts)
     two_seen = len(seen_indices) == 2 and unseen_untouched
     primary_shape = False
@@ -136,12 +97,12 @@ def classify_apex_structure(
     if primary is not None and secondary is not None:
         pf = facts[primary]
         primary_shape = (
-            pf.bipartite
+            pf.component.bipartition is not None
             and not pf.small_at_two_thirds_k
             and pf.x_degree_smaller == 0
         )
         sf = facts[secondary]
-        if sf.bipartite:
+        if sf.component.bipartition is not None:
             secondary_shape = sf.x_degree_smaller == 0 or sf.x_degree_larger == 0
         else:
             secondary_shape = sf.small_at_two_thirds_k
@@ -163,37 +124,26 @@ def classify_apex_structure(
 
 
 def _component_facts(
-    g: SimpleGraph,
-    x: int,
-    k: int,
-    theta: Fraction,
-    comp: Component,
+    xs: set[int], k: int, theta: Fraction, comp: Component
 ) -> ComponentFacts:
-    xs = set(g.adj[x])
+    """The facts about comp for an apex whose neighbors are xs."""
     x_degree = sum(1 for v in comp.vertices if v in xs)
+    # (k, theta)-smallness of a bipartite component is judged by its
+    # larger side, of any other by its order
+    size, x_larger, x_smaller = comp.order, 0, 0
     if comp.bipartition is not None:
         larger = comp.bipartition.larger()
-        smaller = comp.bipartition.smaller()
+        size = len(larger)
         x_larger = sum(1 for v in larger if v in xs)
-        x_smaller = sum(1 for v in smaller if v in xs)
-    else:
-        larger = ()
-        smaller = ()
-        x_larger = 0
-        x_smaller = 0
-    two_thirds = Fraction(2 * k, 3)
+        x_smaller = x_degree - x_larger
     return ComponentFacts(
         component=comp,
-        order=comp.order,
-        bipartite=comp.bipartition is not None,
-        larger_side=larger,
-        smaller_side=smaller,
         x_degree=x_degree,
         x_degree_larger=x_larger,
         x_degree_smaller=x_smaller,
         seen=Fraction(x_degree) >= theta * comp.order,
-        small_at_k=_order_for_smallness(comp) < (1 + theta) * k,
-        small_at_two_thirds_k=_order_for_smallness(comp) < (1 + theta) * two_thirds,
+        small_at_k=size < (1 + theta) * k,
+        small_at_two_thirds_k=size < (1 + theta) * Fraction(2 * k, 3),
     )
 
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treembed.decompose import (
-    even_distance_set,
     find_separator,
     max_component_orders,
     partition_three,
@@ -134,22 +133,6 @@ class TestPartitionThree:
     def test_empty_input(self):
         split = partition_three([], 6)
         assert split.groups == ((), (), ())
-
-
-class TestEvenDistanceSet:
-    def test_path(self):
-        t = caterpillar(6)
-        assert even_distance_set(t, 0) == (2, 4, 6)
-
-    def test_broom_leaves(self):
-        t = broom_tree(3, 12)
-        v0 = even_distance_set(t, 0)
-        assert len(v0) == 9
-        assert all(t.graph.degree(v) == 1 for v in v0)
-
-    def test_source_excluded(self):
-        t = caterpillar(4)
-        assert 2 not in even_distance_set(t, 2)
 
 
 class TestSplitFamilyByCap:

@@ -1,6 +1,7 @@
 """Solver behavior: soundness, completeness, budgets, and the strategy
 pipeline's routing."""
 
+import hashlib
 import itertools
 import random
 
@@ -486,6 +487,26 @@ class TestStrategyEmbed:
             elif "stalled at tree vertex" in verdict.detail:
                 reached.add("secondary stall")
         assert reached == {"pipeline", "capacity", "primary stall", "secondary stall"}
+
+    def test_grid_outputs_pinned(self):
+        # every verdict on the 27 extremal grid hosts, for trees of
+        # round(0.6k), k//2 and 2 edges, hashed: a refactor of the strategy
+        # or the classifier must leave each of them unchanged
+        rng = random.Random(20181)
+        digest = hashlib.sha256()
+        for build in (two_wing_host, wing_clique_host, matched_wing_host):
+            for ell in (3, 5, 7):
+                for c in (1, 2, 3):
+                    k = c * ell * (ell + 1)
+                    host = build(ExtremalParams(ell, c, k)).graph
+                    for edges in (round(0.6 * k), k // 2, 2):
+                        v = strategy_embed(random_tree(edges, rng), host)
+                        witness = sorted(v.embedding.items()) if v.embedding else None
+                        row = (v.kind.value, v.nodes_explored, v.detail, witness)
+                        digest.update(repr(row).encode())
+        assert digest.hexdigest() == (
+            "fe6082b26bcfe2e1727dd6935342b1c6df7fb382152f8c32ca813f9842075555"
+        )
 
 
 class TestAutoEmbed:

@@ -168,7 +168,7 @@ class TestBroomTree:
     def test_frozen_example(self):
         t = broom_tree(3, 12)
         assert t.graph.n == 13
-        assert t.root == 0
+        assert t.graph.tags[0] == "hub"
         assert t.graph.degree(0) == 3
         # star centers carry their leaves plus the handle edge
         center_degrees = sorted(t.graph.degree(v) for v in t.graph.adj[0])

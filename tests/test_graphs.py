@@ -115,8 +115,8 @@ class TestBuildTree:
         assert t.graph.n == 1
 
     def test_path_tree(self):
-        t = build_tree(4, [(0, 1), (1, 2), (2, 3)], root=0)
-        assert t.root == 0
+        t = build_tree(4, [(0, 1), (1, 2), (2, 3)])
+        assert t.edge_count == 3
 
     def test_wrong_edge_count_rejected(self):
         with pytest.raises(GraphError, match="n-1 edges"):

@@ -101,22 +101,9 @@ class TestRandomHost:
         g = random_host(30, 10, Fraction(0), random.Random(3))
         assert g.degrees[0] >= 20
 
-    def test_without_hub_planting(self):
-        # dense enough that the bounds still hold by chance
-        g = random_host(40, 6, Fraction(0), random.Random(13), plant_hub=False)
-        assert degree_stats(g).min_degree >= 3
-
     def test_unsatisfiable_rejected(self):
         with pytest.raises(GraphError, match="neighbors"):
             random_host(12, 10, Fraction(0), random.Random(0))
-
-    def test_unsatisfiable_max_bound_rejected_without_hub(self):
-        # no vertex of 5 can have the 8 neighbors the max bound asks for
-        rng = random.Random(0)
-        state = rng.getstate()
-        with pytest.raises(GraphError, match="need 8 neighbors, only 4 available"):
-            random_host(5, 4, Fraction(0), rng, plant_hub=False)
-        assert rng.getstate() == state
 
     def test_deterministic_for_fixed_seed(self):
         a = random_host(24, 10, Fraction(0), random.Random(21))
@@ -128,26 +115,28 @@ class TestRandomHost:
         g = random_host(1, 0, Fraction(0), random.Random(0))
         assert g.n == 1 and g.m == 0
 
-    @pytest.mark.parametrize("k, n, alpha, plant_hub", [
-        (4, 9, Fraction(0), True),
-        (4, 9, Fraction(1, 4), True),
-        (4, 9, Fraction(0), False),
-        (6, 14, Fraction(1, 4), False),
-        (10, 24, Fraction(0), True),
-    ])
-    def test_rows_match_build_graph(self, k, n, alpha, plant_hub):
+    # the ids are the names these tests are tracked by across versions
+    @pytest.mark.parametrize("k, n, alpha", [
+        (4, 9, Fraction(0)),
+        (4, 9, Fraction(1, 4)),
+        (10, 24, Fraction(0)),
+    ], ids=["4-9-alpha0-True", "4-9-alpha1-True", "10-24-alpha4-True"])
+    def test_rows_match_build_graph(self, k, n, alpha):
         # on (4, 9, 0) with the hub, 21 of these seeds need more than one attempt
         for seed in range(300):
-            g = random_host(n, k, alpha, random.Random(seed), plant_hub=plant_hub)
+            g = random_host(n, k, alpha, random.Random(seed))
             assert g == build_graph(n, list(g.edges()))
 
-    @pytest.mark.parametrize("n, k, alpha, plant_hub, seed, attempts, after", [
-        (9, 4, Fraction(0), True, 6, 2, 0.7463130354756679),
-        (9, 4, Fraction(0), True, 115, 4, 0.011396819172710515),
-        (70, 30, Fraction(1, 4), True, 7, 1, 0.7619223161734349),
-        (24, 10, Fraction(1, 4), False, 5, 2, 0.24484955293814814),
+    @pytest.mark.parametrize("n, k, alpha, seed, attempts, after", [
+        (9, 4, Fraction(0), 6, 2, 0.7463130354756679),
+        (9, 4, Fraction(0), 115, 4, 0.011396819172710515),
+        (70, 30, Fraction(1, 4), 7, 1, 0.7619223161734349),
+    ], ids=[
+        "9-4-alpha0-True-6-2-0.7463130354756679",
+        "9-4-alpha1-True-115-4-0.011396819172710515",
+        "70-30-alpha2-True-7-1-0.7619223161734349",
     ])
-    def test_rng_calls_frozen(self, monkeypatch, n, k, alpha, plant_hub, seed, attempts, after):
+    def test_rng_calls_frozen(self, monkeypatch, n, k, alpha, seed, attempts, after):
         # the draw after the call pins how many draws each attempt made, so a
         # host built another way cannot change the hosts that follow it
         checks = []
@@ -158,6 +147,6 @@ class TestRandomHost:
 
         monkeypatch.setattr(randgen, "degree_stats", counting_stats)
         rng = random.Random(seed)
-        random_host(n, k, alpha, rng, plant_hub=plant_hub)
+        random_host(n, k, alpha, rng)
         assert len(checks) == attempts
         assert rng.random() == after

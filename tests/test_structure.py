@@ -12,8 +12,6 @@ from treembed.families import (
 from treembed.graphs import GraphError, build_graph
 from treembed.structure import (
     classify_apex_structure,
-    is_small,
-    theta_sees,
     verify_broom_obstruction,
 )
 
@@ -28,43 +26,35 @@ def sweep_params():
 
 class TestThetaSees:
     def test_exact_threshold_counts(self):
-        g = build_graph(5, [(0, 1), (0, 2)])
-        # 2 neighbors among 4 vertices: exactly 1/2
-        assert theta_sees(g, 0, [1, 2, 3, 4], Fraction(1, 2))
-        assert not theta_sees(g, 0, [1, 2, 3, 4], Fraction(51, 100))
+        # x sees 2 of the 4 vertices of the path 1-2-3-4: exactly 1/2
+        g = build_graph(5, [(0, 1), (0, 3), (1, 2), (2, 3), (3, 4)])
+        assert classify_apex_structure(g, 0, 4, Fraction(1, 2)).seen_indices == (0,)
+        assert classify_apex_structure(g, 0, 4, Fraction(51, 100)).seen_indices == ()
 
     def test_float_threshold_is_exact(self):
-        g = build_graph(11, [(0, v) for v in range(1, 4)])
         # 3 of 10 is exactly 0.3, so seeing holds at theta = 0.3
-        assert theta_sees(g, 0, range(1, 11), 0.3)
-
-    def test_empty_set_seen(self):
-        g = build_graph(2, [(0, 1)])
-        assert theta_sees(g, 0, [], Fraction(9, 10))
-
-    def test_x_inside_rejected(self):
-        g = build_graph(3, [(0, 1)])
-        with pytest.raises(GraphError):
-            theta_sees(g, 0, [0, 1], Fraction(1, 2))
+        g = build_graph(11, [(0, 1), (0, 2), (0, 3)] + [(v, v + 1) for v in range(1, 10)])
+        report = classify_apex_structure(g, 0, 10, 0.3)
+        assert report.theta == Fraction(3, 10)
+        assert report.seen_indices == (0,)
 
 
 class TestIsSmall:
     def test_non_bipartite_uses_order(self):
-        from treembed.graphs import components
-
-        triangle = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-        comp = components(triangle)[0]
-        assert is_small(comp, 3, Fraction(1, 10))       # 3 < 3.3
-        assert not is_small(comp, 2, Fraction(1, 10))   # 3 < 2.2 fails
+        # G - 0 is one triangle: 3 < 3.3, but not 3 < 2.2
+        triangle = build_graph(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
+        assert classify_apex_structure(triangle, 0, 3, Fraction(1, 10)).facts[0].small_at_k
+        assert not classify_apex_structure(triangle, 0, 2, Fraction(1, 10)).facts[0].small_at_k
 
     def test_bipartite_uses_larger_side(self):
-        from treembed.graphs import components
-
-        star = build_graph(6, [(0, v) for v in range(1, 6)])
-        comp = components(star)[0]
-        # order 6 but larger side 5, so smallness is judged at 5
-        assert is_small(comp, 4, Fraction(3, 10))       # 5 < 5.2
-        assert not is_small(comp, 4, Fraction(1, 4))    # 5 < 5 fails
+        # G - 0 is the star K_{1,5}: order 6 but larger side 5, so smallness
+        # is judged at 5
+        star = build_graph(7, [(0, 1)] + [(1, v) for v in range(2, 7)])
+        assert classify_apex_structure(star, 0, 4, Fraction(3, 10)).facts[0].small_at_k  # 5 < 5.2
+        assert not classify_apex_structure(star, 0, 4, Fraction(1, 4)).facts[0].small_at_k  # 5 < 5
+        # and (2k/3, theta)-smallness the same way: 5 < 1.1 * 14/3, not 5 < 1.1 * 4
+        assert classify_apex_structure(star, 0, 7, Fraction(1, 10)).facts[0].small_at_two_thirds_k
+        assert not classify_apex_structure(star, 0, 6, Fraction(1, 10)).facts[0].small_at_two_thirds_k
 
 
 class TestClassifyApexStructure:
@@ -78,8 +68,8 @@ class TestClassifyApexStructure:
         assert report.exactly_two_seen
         assert report.secondary_shape
         hub_neighbors = set(tagged.graph.adj[0])
-        larger_union = set(report.facts[0].larger_side) | set(
-            report.facts[1].larger_side
+        larger_union = set(report.facts[0].component.bipartition.larger()) | set(
+            report.facts[1].component.bipartition.larger()
         )
         assert hub_neighbors == larger_union
         for fact in report.facts:
@@ -96,8 +86,8 @@ class TestClassifyApexStructure:
             assert report.exactly_two_seen
             assert report.secondary_shape
             for fact in report.facts:
-                assert fact.bipartite
-                assert fact.x_degree == len(fact.larger_side) > 0
+                assert fact.component.bipartition is not None
+                assert fact.x_degree == len(fact.component.bipartition.larger()) > 0
                 assert fact.x_degree_smaller == 0
 
     def test_wing_not_two_thirds_large_at_smallest_case(self):
@@ -112,7 +102,7 @@ class TestClassifyApexStructure:
         report = classify_apex_structure(tagged.graph, 0, 12, Fraction(1, 10))
         assert len(report.seen_indices) == 3
         assert not report.exactly_two_seen
-        assert all(not f.bipartite for f in report.facts)
+        assert all(f.component.bipartition is None for f in report.facts)
 
     def test_primary_ranked_by_x_degree(self):
         # apex joined fully to one K_2 and partially to one K_3
@@ -120,6 +110,14 @@ class TestClassifyApexStructure:
         report = classify_apex_structure(g, 0, 4, Fraction(1, 10))
         assert report.primary is not None
         assert report.facts[report.primary].x_degree == 2
+
+    def test_seen_indices_ranked_by_x_degree(self):
+        # apex joined to one vertex of a K_2 and to all of a K_3: the K_3
+        # ranks first although its least vertex is larger
+        g = build_graph(6, [(0, 1), (1, 2), (0, 3), (0, 4), (0, 5), (3, 4), (3, 5), (4, 5)])
+        report = classify_apex_structure(g, 0, 4, Fraction(1, 10))
+        assert report.seen_indices == (1, 0)
+        assert (report.primary, report.secondary) == (1, 0)
 
     def test_apex_out_of_range(self):
         g = build_graph(2, [(0, 1)])
