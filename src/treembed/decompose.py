@@ -18,11 +18,15 @@ from .rational import RationalLike, as_fraction
 
 @dataclass(frozen=True)
 class SeparatorResult:
-    """Centroid vertex, the components of T - z, and the largest order."""
+    """Centroid vertex z, the components of T - z as sorted vertex tuples
+    in order of their smallest vertex, the largest order, each component's
+    root (its neighbor of z), and every vertex's distance from z."""
 
     separator: int
     components: tuple[tuple[int, ...], ...]
     max_component_order: int
+    roots: tuple[int, ...]
+    distance: tuple[int, ...]
 
 
 def find_separator(tree: TreeGraph) -> SeparatorResult:
@@ -39,16 +43,19 @@ def find_separator(tree: TreeGraph) -> SeparatorResult:
         raise GraphError("separator needs a tree with at least one edge")
     worst = max_component_orders(tree)
     z = min(range(n), key=lambda v: (worst[v], v))
-    comps = tuple(sorted(
-        tuple(sorted(run)) for run in bfs_layout(g, g.adj[z], blocked=(z,)).trees()
-    ))
+    # one search per neighbor of z, which the run it starts lists first
+    layout = bfs_layout(g, g.adj[z], blocked=(z,))
+    rooted = sorted((tuple(sorted(run)), run[0]) for run in layout.trees())
+    comps = tuple(comp for comp, _root in rooted)
     realized = max(len(c) for c in comps)
     if realized != worst[z]:
         raise RuntimeError("separator bug: size pass disagrees with removal")
     t = n - 1
     if realized > (t + 1) // 2:
         raise RuntimeError("separator bug: centroid bound ceil(t/2) violated")
-    return SeparatorResult(z, comps, realized)
+    # depths count from each root and z's reads -1, so one more is the distance
+    distance = tuple(d + 1 for d in layout.depth)
+    return SeparatorResult(z, comps, realized, tuple(r for _comp, r in rooted), distance)
 
 
 def max_component_orders(tree: TreeGraph) -> tuple[int, ...]:

@@ -29,7 +29,6 @@ from .graphs import (
     _bitmask,
     bfs_layout,
     degree_stats,
-    distance_bfs,
 )
 from .structure import classify_apex_structure
 
@@ -581,7 +580,7 @@ def greedy_min_degree_embed(tree: TreeGraph, host: SimpleGraph) -> EmbedVerdict:
         return EmbedVerdict(Verdict.UNKNOWN, None, 0, "host too small")
     layout = bfs_layout(g, (0,))
     images: dict[int, int] = {}
-    stalled = _greedy_walk(host, layout.order, layout.parent, images, set())
+    stalled = _greedy_walk(host, layout.order, layout.parent, images)
     if stalled is not None:
         return EmbedVerdict(
             Verdict.UNKNOWN, None, len(images), f"greedy stalled at tree vertex {stalled}"
@@ -595,25 +594,27 @@ def _greedy_walk(
     order: Sequence[int],
     parent: Sequence[int],
     images: dict[int, int],
-    used: set[int],
     allowed: Optional[Sequence[int]] = None,
 ) -> Optional[int]:
     """Greedy placement along a BFS order.
 
-    Each vertex takes the smallest unused host vertex adjacent to its
-    parent's image (any host vertex when it has no parent) whose bit is set
-    in allowed[v].  images and used grow in place.  Returns the first
-    vertex left without an image, or None once all are placed.
+    Each vertex takes the smallest host vertex not yet an image that is
+    adjacent to its parent's image (any host vertex when it has no parent)
+    and whose bit is set in allowed[v].  images grows in place.  Returns
+    the first vertex left without an image, or None once all are placed.
     """
+    masks = host.adjacency_masks
+    free = ((1 << host.n) - 1) ^ _bitmask(images.values())
     for v in order:
         p = parent[v]
-        pool = host.adj[images[p]] if p >= 0 else range(host.n)
-        mask = -1 if allowed is None else allowed[v]
-        img = next((w for w in pool if w not in used and mask >> w & 1), None)
-        if img is None:
+        cand = masks[images[p]] & free if p >= 0 else free
+        if allowed is not None:
+            cand &= allowed[v]
+        if not cand:
             return v
-        images[v] = img
-        used.add(img)
+        low = cand & -cand
+        images[v] = low.bit_length() - 1
+        free ^= low
     return None
 
 
@@ -701,15 +702,7 @@ def strategy_embed(
     c2 = facts[secondary].component.vertices
 
     sep = find_separator(tree)
-    z = sep.separator
-    dist = distance_bfs(g, z)
-    pieces = sep.components
-    piece_roots = []
-    for piece in pieces:
-        roots = [v for v in piece if dist[v] == 1]
-        if len(roots) != 1:
-            raise RuntimeError("strategy bug: piece without a unique root")
-        piece_roots.append(roots[0])
+    z, pieces, piece_roots, dist = sep.separator, sep.components, sep.roots, sep.distance
     # V0, the vertices at positive even distance from z, counted per piece
     weights = [sum(1 for v in piece if dist[v] & 1 == 0) for piece in pieces]
 
@@ -744,7 +737,6 @@ def strategy_embed(
             )
     # nodes, as in greedy, count the tree vertices that have an image
     images = {hub: x}
-    used = {x}
 
     def grow(layout: BfsLayout, sides: tuple[int, int]) -> Optional[int]:
         # the subtrees hanging from the hub at the layout's roots, one after
@@ -753,7 +745,7 @@ def strategy_embed(
         # the first vertex left without an image, or None
         parent = [hub if d == 0 else p for p, d in zip(layout.parent, layout.depth)]
         allowed = [sides[d & 1] for d in layout.depth]
-        return _greedy_walk(host, layout.order, parent, images, used, allowed)
+        return _greedy_walk(host, layout.order, parent, images, allowed)
 
     stalled = grow(layout, (_bitmask(larger), _bitmask(smaller)))
     if stalled is not None:

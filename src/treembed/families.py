@@ -17,7 +17,6 @@ from .graphs import (
     GraphError,
     SimpleGraph,
     TreeGraph,
-    build_graph,
     build_tree,
     degree_stats,
 )
@@ -130,9 +129,10 @@ def two_wing_host(params: ExtremalParams) -> TaggedGraph:
     """
     a, b = params.wing_a_order, params.wing_b_order
     blocks = _block_layout(("A1", a), ("B1", b), ("A2", a), ("B2", b))
-    edges = _hub_and_wing_edges(blocks, ("A1", "B1"), ("A2", "B2"))
-    tags = _block_tags(blocks)
-    g = build_graph(1 + 2 * (a + b), edges, tags)
+    masks = _block_masks(
+        blocks, ("hub", "A1"), ("A1", "B1"), ("hub", "A2"), ("A2", "B2")
+    )
+    g = SimpleGraph.from_masks(len(masks), tuple(masks), _block_tags(blocks))
     delta, big = two_wing_degree_forms(params)
     stats = degree_stats(g)
     _require(stats.min_degree == delta, f"two-wing delta {stats.min_degree} != {delta}")
@@ -152,14 +152,10 @@ def wing_clique_host(params: ExtremalParams) -> TaggedGraph:
     """
     a, b, cq = params.wing_a_order, params.wing_b_order, params.clique_order
     blocks = _block_layout(("A1", a), ("B1", b), ("clique", cq))
-    edges = _hub_and_wing_edges(blocks, ("A1", "B1"))
-    clique = blocks["clique"]
-    edges.extend((0, v) for v in clique)
-    for i, u in enumerate(clique):
-        for v in clique[i + 1 :]:
-            edges.append((u, v))
-    tags = _block_tags(blocks)
-    g = build_graph(1 + a + b + cq, edges, tags)
+    masks = _block_masks(
+        blocks, ("hub", "A1"), ("A1", "B1"), ("hub", "clique"), ("clique", "clique")
+    )
+    g = SimpleGraph.from_masks(len(masks), tuple(masks), _block_tags(blocks))
     delta, _quoted, realized = wing_clique_degree_forms(params)
     stats = degree_stats(g)
     _require(
@@ -188,10 +184,13 @@ def matched_wing_host(params: ExtremalParams) -> TaggedGraph:
         )
     a, b = params.matched_wing_a_order, params.wing_b_order
     blocks = _block_layout(("A1", a), ("B1", b), ("A2", a), ("B2", b))
-    edges = _hub_and_wing_edges(blocks, ("A1", "B1"), ("A2", "B2"))
-    edges.extend(zip(blocks["B1"], blocks["B2"]))
-    tags = _block_tags(blocks)
-    g = build_graph(1 + 2 * (a + b), edges, tags)
+    masks = _block_masks(
+        blocks, ("hub", "A1"), ("A1", "B1"), ("hub", "A2"), ("A2", "B2")
+    )
+    for u, v in zip(blocks["B1"], blocks["B2"]):
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    g = SimpleGraph.from_masks(len(masks), tuple(masks), _block_tags(blocks))
     stats = degree_stats(g)
     for v in blocks["B1"] + blocks["B2"]:
         _require(g.degree(v) == a + 1, f"matched-wing B vertex {v} degree != |A|+1")
@@ -229,14 +228,11 @@ def complete_bipartite(n1: int, n2: int) -> TaggedGraph:
     """K_{n1,n2} with the first side tagged A1 and the second B1."""
     if n1 < 1 or n2 < 1:
         raise GraphError(f"both sides need a vertex, got ({n1}, {n2})")
-    side_a = tuple(range(n1))
-    side_b = tuple(range(n1, n1 + n2))
-    edges = [(u, v) for u in side_a for v in side_b]
-    tags = {v: "A1" for v in side_a}
-    tags.update({v: "B1" for v in side_b})
-    g = build_graph(n1 + n2, edges, tags)
+    parts = {"A1": tuple(range(n1)), "B1": tuple(range(n1, n1 + n2))}
+    masks = _block_masks(parts, ("A1", "B1"))
+    g = SimpleGraph.from_masks(n1 + n2, tuple(masks), _block_tags(parts))
     meta = {"family": "kbip", "n1": n1, "n2": n2}
-    return TaggedGraph(g, {"A1": side_a, "B1": side_b}, meta)
+    return TaggedGraph(g, parts, meta)
 
 
 def cliques_with_apex(order: int, count: int) -> TaggedGraph:
@@ -244,19 +240,11 @@ def cliques_with_apex(order: int, count: int) -> TaggedGraph:
     order.  Deleting the apex leaves the cliques as separate components."""
     if order < 1 or count < 1:
         raise GraphError(f"need positive clique order and count, got ({order}, {count})")
-    edges = []
-    parts: dict[str, tuple[int, ...]] = {"hub": (0,)}
-    tags = {0: "hub"}
-    for i in range(count):
-        block = tuple(range(1 + i * order, 1 + (i + 1) * order))
-        for v in block:
-            edges.append((0, v))
-            tags[v] = "clique"
-        for a_idx, u in enumerate(block):
-            for v in block[a_idx + 1 :]:
-                edges.append((u, v))
-    parts["clique"] = tuple(range(1, 1 + order * count))
-    g = build_graph(1 + order * count, edges, tags)
+    blocks = _block_layout(*((f"clique{i}", order) for i in range(count)))
+    joins = [(name, other) for name in blocks if name != "hub" for other in ("hub", name)]
+    masks = _block_masks(blocks, *joins)
+    parts = {"hub": (0,), "clique": tuple(range(1, 1 + order * count))}
+    g = SimpleGraph.from_masks(len(masks), tuple(masks), _block_tags(parts))
     meta = {"family": "cliques-apex", "order": order, "count": count}
     return TaggedGraph(g, parts, meta)
 
@@ -369,16 +357,25 @@ def _block_layout(*sizes: tuple[str, int]) -> dict[str, tuple[int, ...]]:
     return blocks
 
 
-def _hub_and_wing_edges(
-    blocks: Mapping[str, tuple[int, ...]], *wings: tuple[str, str]
-) -> list[tuple[int, int]]:
-    edges: list[tuple[int, int]] = []
-    for a_name, b_name in wings:
-        for u in blocks[a_name]:
-            edges.append((0, u))
-            for v in blocks[b_name]:
-                edges.append((u, v))
-    return edges
+def _block_masks(
+    blocks: Mapping[str, tuple[int, ...]], *joins: tuple[str, str]
+) -> list[int]:
+    """Adjacency masks of the graph on the blocks, runs of consecutive ids
+    covering 0..n-1: each join (a, b) links every vertex of block a to every
+    vertex of block b, and (a, a) makes block a a clique.  The vertices of a
+    block that is no clique share one mask object."""
+    span = {name: ((1 << len(vs)) - 1) << vs[0] for name, vs in blocks.items()}
+    nbrs = dict.fromkeys(blocks, 0)
+    for a, b in joins:
+        nbrs[a] |= span[b]
+        nbrs[b] |= span[a]
+    masks = [0] * sum(map(len, blocks.values()))
+    for name, vs in blocks.items():
+        mask = nbrs[name]
+        masks[vs[0] : vs[-1] + 1] = (
+            [mask ^ 1 << v for v in vs] if mask & span[name] else [mask] * len(vs)
+        )
+    return masks
 
 
 def _block_tags(blocks: Mapping[str, tuple[int, ...]]) -> dict[int, str]:

@@ -7,10 +7,10 @@ traces, and reports reproduce byte for byte across runs.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 VERTEX_TAGS = frozenset(
@@ -22,17 +22,93 @@ class GraphError(ValueError):
     """Raised for invalid graphs, trees, or construction parameters."""
 
 
-@dataclass(frozen=True)
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _members(mask: int, ids: list[int]) -> Iterator[int]:
+    """ids[v] for each bit v set in mask, ascending.  One scan of the binary
+    string: on masks of thousands of bits, peeling bits off one at a time
+    costs a big-int operation per bit.  ids is a list, as a range would
+    make an int object for every bit scanned."""
+    return compress(ids, bin(mask)[:1:-1].encode().translate(_BITS))
+
+
+def _bitmask(vertices: Iterable[int]) -> int:
+    """The set of vertices as an integer with bit v set for each v."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
 class SimpleGraph:
-    """Undirected simple graph with sorted adjacency and optional role tags."""
+    """Undirected simple graph on 0..n-1 with optional role tags.
+
+    The adjacency has two forms: adj, sorted neighbor rows, and
+    adjacency_masks, one integer bitmask per vertex.  A graph stores the
+    form it was built from and derives the other on first read, then keeps
+    it.  build_graph stores rows, which suit trees and parsed files;
+    from_masks stores masks, which the generated hosts use and the solvers
+    read, so a host that is only solved never holds rows.  Equality
+    compares n, tags and adjacency, whatever form each side holds.
+    Instances are immutable.
+    """
 
     n: int
-    adj: tuple[tuple[int, ...], ...]
-    tags: Mapping[int, str] = field(default_factory=dict)
+    tags: Mapping[int, str]
+
+    def __init__(
+        self,
+        n: int,
+        adj: tuple[tuple[int, ...], ...],
+        tags: Optional[Mapping[int, str]] = None,
+    ):
+        self.__dict__.update(n=n, adj=adj, tags={} if tags is None else tags)
+
+    @classmethod
+    def from_masks(
+        cls, n: int, masks: tuple[int, ...], tags: Optional[Mapping[int, str]] = None
+    ) -> "SimpleGraph":
+        """The graph whose vertex v has neighborhood masks[v].  The masks
+        must be symmetric and free of loops; nothing checks them, so outside
+        input goes through build_graph."""
+        g = cls.__new__(cls)
+        g.__dict__.update(n=n, adjacency_masks=masks, tags={} if tags is None else tags)
+        return g
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"SimpleGraph is immutable, cannot set {name}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SimpleGraph):
+            return NotImplemented
+        if self.n != other.n or self.tags != other.tags:
+            return False
+        if "adj" in self.__dict__ and "adj" in other.__dict__:
+            return self.adj == other.adj
+        return self.adjacency_masks == other.adjacency_masks
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"SimpleGraph(n={self.n}, m={self.m})"
+
+    @cached_property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbor rows; derived rows share one int per vertex id."""
+        ids = list(range(self.n))
+        return tuple(tuple(_members(mask, ids)) for mask in self.adjacency_masks)
+
+    @cached_property
+    def adjacency_masks(self) -> tuple[int, ...]:
+        """Neighborhoods as integer bitmasks, the solvers' working format."""
+        return tuple(map(_bitmask, self.adj))
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(nbrs) for nbrs in self.adj)
+        if "adj" in self.__dict__:
+            return tuple(map(len, self.adj))
+        return tuple(mask.bit_count() for mask in self.adjacency_masks)
 
     @cached_property
     def m(self) -> int:
@@ -46,17 +122,24 @@ class SimpleGraph:
         return tuple(frozenset(nbrs) for nbrs in self.adj)
 
     @cached_property
-    def adjacency_masks(self) -> tuple[int, ...]:
-        """Neighborhoods as integer bitmasks, the solver's working format."""
-        return tuple(map(_bitmask, self.adj))
-
-    @cached_property
     def component_sizes(self) -> tuple[int, ...]:
-        """The order of each vertex's connected component."""
+        """The order of each vertex's connected component, by a flood fill
+        over the masks."""
+        masks, ids = self.adjacency_masks, list(range(self.n))
         sizes = [0] * self.n
-        for run in bfs_layout(self, range(self.n)).trees():
-            for v in run:
-                sizes[v] = len(run)
+        left = (1 << self.n) - 1
+        while left:
+            comp = frontier = left & -left
+            while frontier:
+                reach = 0
+                for v in _members(frontier, ids):
+                    reach |= masks[v]
+                frontier = reach & ~comp
+                comp |= frontier
+            size = comp.bit_count()
+            for v in _members(comp, ids):
+                sizes[v] = size
+            left ^= comp
         return tuple(sizes)
 
     @cached_property
@@ -66,12 +149,11 @@ class SimpleGraph:
         return TwinQuotient.of_graph(self)
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.degrees[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        row = self.adj[u] if 0 <= u < self.n else ()
-        i = bisect_left(row, v)
-        return i < len(row) and row[i] == v
+        # a negative v would make the shift raise, a negative u index from the end
+        return 0 <= u < self.n and 0 <= v < self.n and bool(self.adjacency_masks[u] >> v & 1)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, ascending."""
@@ -79,14 +161,6 @@ class SimpleGraph:
             for v in self.adj[u]:
                 if u < v:
                     yield (u, v)
-
-
-def _bitmask(vertices: Iterable[int]) -> int:
-    """The set of vertices as an integer with bit v set for each v."""
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
 
 
 def build_graph(
@@ -374,7 +448,13 @@ class TwinQuotient:
             elif key != m:
                 clique[c] = True
             class_of.append(c)
-        adj = [sorted({class_of[w] for w in g.adj[r]} - {c}) for c, r in enumerate(reps)]
+        # classes are modules, so a representative sees a class other than
+        # its own exactly when it sees that class's representative
+        ids, rep_mask = list(range(g.n)), _bitmask(reps)
+        adj = [
+            sorted({class_of[w] for w in _members(masks[r] & rep_mask, ids)} - {c})
+            for c, r in enumerate(reps)
+        ]
         return cls(class_of, clique, adj)
 
     @cached_property

@@ -113,15 +113,21 @@ def random_host(
     for _ in range(attempts):
         hub = set(rng.sample(range(1, n), d_plant))
         # each pair u < v takes one draw in lexicographic order, a planted one
-        # none; row v gets each smaller u, then its larger ids, so rows are sorted
-        adj: list[list[int]] = [[] for _ in range(n)]
+        # none; an edge writes "1" at v in row u, the cheapest mark to make
+        rows = []
         for u in range(n):
-            row, planted = adj[u], hub if u == 0 else ()
+            row, planted = bytearray(b"0" * n), hub if u == 0 else ()
             for v in range(u + 1, n):
                 if v in planted or rand() < p:
-                    row.append(v)
-                    adj[v].append(u)
-        g = SimpleGraph(n, tuple(map(tuple, adj)))
+                    row[v] = 49
+            rows.append(row)
+        # u's smaller neighbors mark it in column u of the stacked rows; row
+        # and column, reversed, are base-2 numerals whose union is u's mask
+        stacked = b"".join(rows)
+        masks = tuple(
+            int(rows[u][::-1], 2) | int(stacked[u::n][::-1], 2) for u in range(n)
+        )
+        g = SimpleGraph.from_masks(n, masks)
         stats = degree_stats(g)
         if stats.min_degree >= d_min and stats.max_degree >= d_plant:
             return g

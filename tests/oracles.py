@@ -9,7 +9,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from treembed.graphs import SimpleGraph, TreeGraph
+from treembed.families import ExtremalParams
+from treembed.graphs import SimpleGraph, TreeGraph, build_graph
 
 
 def naive_embed_exists(tree_graph: SimpleGraph, host: SimpleGraph) -> bool:
@@ -119,3 +120,79 @@ def brute_hall_holds(nbrs: list[int], demand: list[int]) -> bool:
             if bin(union).count("1") < sum(demand[g] for g in subset):
                 return False
     return True
+
+
+def _blocks(*sizes: tuple[str, int]) -> dict[str, tuple[int, ...]]:
+    """Consecutive vertex blocks after a hub at 0, the generators' layout."""
+    blocks: dict[str, tuple[int, ...]] = {"hub": (0,)}
+    nxt = 1
+    for name, size in sizes:
+        blocks[name] = tuple(range(nxt, nxt + size))
+        nxt += size
+    return blocks
+
+
+def _edge_list_graph(blocks: dict[str, tuple[int, ...]], edges: list) -> SimpleGraph:
+    tags = {v: name for name, vs in blocks.items() for v in vs}
+    return build_graph(sum(map(len, blocks.values())), edges, tags)
+
+
+def _hub_and_wing_edges(blocks: dict[str, tuple[int, ...]], *wings: tuple[str, str]) -> list:
+    edges = []
+    for a_name, b_name in wings:
+        for u in blocks[a_name]:
+            edges.append((0, u))
+            for v in blocks[b_name]:
+                edges.append((u, v))
+    return edges
+
+
+def two_wing_edge_list(params: ExtremalParams) -> SimpleGraph:
+    """families.two_wing_host's graph, built edge by edge."""
+    a, b = params.wing_a_order, params.wing_b_order
+    blocks = _blocks(("A1", a), ("B1", b), ("A2", a), ("B2", b))
+    return _edge_list_graph(blocks, _hub_and_wing_edges(blocks, ("A1", "B1"), ("A2", "B2")))
+
+
+def wing_clique_edge_list(params: ExtremalParams) -> SimpleGraph:
+    """families.wing_clique_host's graph, built edge by edge."""
+    a, b, cq = params.wing_a_order, params.wing_b_order, params.clique_order
+    blocks = _blocks(("A1", a), ("B1", b), ("clique", cq))
+    edges = _hub_and_wing_edges(blocks, ("A1", "B1"))
+    clique = blocks["clique"]
+    edges.extend((0, v) for v in clique)
+    for i, u in enumerate(clique):
+        for v in clique[i + 1 :]:
+            edges.append((u, v))
+    return _edge_list_graph(blocks, edges)
+
+
+def matched_wing_edge_list(params: ExtremalParams) -> SimpleGraph:
+    """families.matched_wing_host's graph, built edge by edge."""
+    a, b = params.matched_wing_a_order, params.wing_b_order
+    blocks = _blocks(("A1", a), ("B1", b), ("A2", a), ("B2", b))
+    edges = _hub_and_wing_edges(blocks, ("A1", "B1"), ("A2", "B2"))
+    edges.extend(zip(blocks["B1"], blocks["B2"]))
+    return _edge_list_graph(blocks, edges)
+
+
+def complete_bipartite_edge_list(n1: int, n2: int) -> SimpleGraph:
+    """families.complete_bipartite's graph, built edge by edge."""
+    side_a = tuple(range(n1))
+    side_b = tuple(range(n1, n1 + n2))
+    edges = [(u, v) for u in side_a for v in side_b]
+    return _edge_list_graph({"A1": side_a, "B1": side_b}, edges)
+
+
+def cliques_with_apex_edge_list(order: int, count: int) -> SimpleGraph:
+    """families.cliques_with_apex's graph, built edge by edge."""
+    edges = []
+    for i in range(count):
+        block = tuple(range(1 + i * order, 1 + (i + 1) * order))
+        for v in block:
+            edges.append((0, v))
+        for a_idx, u in enumerate(block):
+            for v in block[a_idx + 1 :]:
+                edges.append((u, v))
+    blocks = {"hub": (0,), "clique": tuple(range(1, 1 + order * count))}
+    return _edge_list_graph(blocks, edges)

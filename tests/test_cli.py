@@ -49,6 +49,22 @@ class TestGen:
         assert g.n == 23
         assert "delta=6" in captured.err
 
+    @pytest.mark.parametrize("family, fmt, digest", [
+        ("h", "json", "dabe15fd92fe522d2f5650d719e5852bfec50b50d7689e42ee683bc8b8b32247"),
+        ("h", "dimacs", "1adf6c727a4bbd2fc64753aa219893a7680e9fa4c5d81d93911d9527ad17e160"),
+        ("g", "json", "b9ea615198f57cdebc6146a1b28790d9af693e90759b5053508ea0e0e587a756"),
+        ("g", "dimacs", "be1542f33a08942fcffd8f55e8d8549484dd5cfd0b794fa29e31673a8fe424e6"),
+        ("hprime", "json", "9e8a3028b2263c007f1b64c802c39ff5f4268ff591b4287bacaf5392449d55a1"),
+        ("hprime", "dimacs", "e676e72aeddcc01a79b88aa6f8d5c4fad4a46971676a67296df14bde70d6cc5d"),
+    ])
+    def test_output_frozen(self, capsys, family, fmt, digest):
+        # the files written when hosts were built edge by edge; a change to
+        # how hosts are stored must leave them byte for byte
+        argv = ["gen", "--family", family, "--ell", "3", "--c", "1", "--k", "12"]
+        assert main(argv + ["--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_wing_clique_host(self, tmp_path):
         out = gen(tmp_path, "g.json", "--family", "g", "--ell", "3", "--c", "1", "--k", "12")
         g, _ = graph_from_json(out.read_text())

@@ -16,7 +16,7 @@ from treembed.decompose import (
     split_family_by_cap,
 )
 from treembed.families import broom_tree, caterpillar
-from treembed.graphs import GraphError, build_tree
+from treembed.graphs import GraphError, build_tree, distance_bfs
 from treembed.randgen import random_tree
 
 from oracles import brute_max_component_orders, capped_sequences
@@ -82,6 +82,16 @@ class TestFindSeparator:
         assert result.separator == min(
             v for v in range(tree.graph.n) if brute[v] == min(brute)
         )
+
+    @settings(max_examples=60)
+    @given(random_trees())
+    def test_roots_and_distances(self, tree):
+        result = find_separator(tree)
+        z, g = result.separator, tree.graph
+        assert result.distance == distance_bfs(g, z)
+        assert len(result.roots) == len(result.components)
+        for root, comp in zip(result.roots, result.components):
+            assert root in comp and g.has_edge(z, root)
 
 
 class TestPartitionTwo:

@@ -95,10 +95,17 @@ class TestValidateEmbedding:
 
     def test_no_routine_builds_neighbor_sets(self):
         # frozenset rows cost far more memory than the bitmask rows the
-        # solvers read; only callers outside the library may build them
+        # solvers read; only callers outside the library may build them.
+        # A generated host holds masks only, and exact, auto and the
+        # witness check read nothing else, so they derive no rows either
         host = two_wing_host(ExtremalParams(3, 2, 24)).graph
-        assert exact_embed(broom_tree(3, 12), host).kind is Verdict.EMBEDDED
-        assert auto_embed(broom_tree(3, 12), host).kind is Verdict.EMBEDDED
+        verdict = exact_embed(broom_tree(3, 12), host)
+        assert verdict.kind is Verdict.EMBEDDED
+        assert validate_embedding(broom_tree(3, 12), host, verdict.embedding)
+        verdict = auto_embed(broom_tree(3, 12), host)
+        assert verdict.kind is Verdict.EMBEDDED
+        assert validate_embedding(broom_tree(3, 12), host, verdict.embedding)
+        assert "adj" not in host.__dict__
         verdict = strategy_embed(caterpillar(12), host)
         assert validate_embedding(caterpillar(12), host, verdict.embedding)
         assert "neighbor_sets" not in host.__dict__

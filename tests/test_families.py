@@ -22,6 +22,14 @@ from treembed.families import (
 )
 from treembed.graphs import GraphError, degree_stats
 
+from oracles import (
+    cliques_with_apex_edge_list,
+    complete_bipartite_edge_list,
+    matched_wing_edge_list,
+    two_wing_edge_list,
+    wing_clique_edge_list,
+)
+
 
 def valid_params(max_k=200):
     """All (ell, c) with k = c*ell*(ell+1) <= max_k."""
@@ -218,6 +226,36 @@ class TestSmallFamilies:
         t = caterpillar(2, leaf_counts=[1, 0, 2])
         assert t.graph.n == 6
         assert t.graph.m == 5
+
+
+class TestAgainstEdgeLists:
+    """The generators fill adjacency masks from vertex ranges; each host
+    must equal its edge-by-edge construction, tags and derived rows too."""
+
+    GRID = [ExtremalParams(ell, c, c * ell * (ell + 1)) for ell in (3, 5, 7) for c in (1, 2, 3)]
+    # points off the grid, where k is not c * ell * (ell + 1)
+    SMALL = [ExtremalParams(3, 1, 18), ExtremalParams(5, 1, 40), ExtremalParams(3, 2, 30)]
+
+    @pytest.mark.parametrize("params", GRID + SMALL, ids=str)
+    def test_extremal_hosts(self, params):
+        for build, reference in (
+            (two_wing_host, two_wing_edge_list),
+            (wing_clique_host, wing_clique_edge_list),
+            (matched_wing_host, matched_wing_edge_list),
+        ):
+            g, ref = build(params).graph, reference(params)
+            assert g == ref
+            assert g.adj == ref.adj
+
+    @pytest.mark.parametrize("n1, n2", [(1, 1), (1, 4), (3, 2), (5, 5)])
+    def test_complete_bipartite(self, n1, n2):
+        g, ref = complete_bipartite(n1, n2).graph, complete_bipartite_edge_list(n1, n2)
+        assert g == ref and g.adj == ref.adj
+
+    @pytest.mark.parametrize("order, count", [(1, 1), (1, 3), (2, 2), (4, 3)])
+    def test_cliques_with_apex(self, order, count):
+        g, ref = cliques_with_apex(order, count).graph, cliques_with_apex_edge_list(order, count)
+        assert g == ref and g.adj == ref.adj
 
 
 class TestSharpnessInstances:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from treembed.families import (
     ExtremalParams,
+    complete_bipartite,
     matched_wing_host,
     two_wing_host,
     wing_clique_host,
@@ -16,6 +17,7 @@ from treembed.graphs import (
     VERTEX_TAGS,
     FlowNetwork,
     GraphError,
+    SimpleGraph,
     bfs_layout,
     build_graph,
     build_tree,
@@ -107,6 +109,64 @@ class TestBuildGraph:
         g = build_graph(3, [(1, 2)])
         assert not g.has_edge(-1, 1)
         assert not g.has_edge(3, 1)
+
+
+class TestMaskForm:
+    """A graph built from masks derives its rows only when they are read,
+    and behaves like the same graph built from edges."""
+
+    def test_rows_derived_on_read(self):
+        g = build_graph(4, [(0, 1), (1, 2), (0, 3)], tags={0: "hub"})
+        h = SimpleGraph.from_masks(4, g.adjacency_masks, {0: "hub"})
+        assert (h.degrees, h.m, h.degree(1)) == (g.degrees, g.m, g.degree(1))
+        assert h == g
+        assert "adj" not in h.__dict__
+        assert h.adj == g.adj and list(h.edges()) == list(g.edges())
+
+    def test_derived_rows_share_vertex_ids(self):
+        # ids past 256 are separate int objects; one per vertex id serves
+        # every row that holds it
+        rows = complete_bipartite(300, 300).graph.adj
+        assert rows[0][0] == 300 and rows[0][0] is rows[299][0]
+
+    def test_equality_compares_content(self):
+        g = build_graph(3, [(0, 1), (1, 2)])
+        masks = g.adjacency_masks
+        assert SimpleGraph.from_masks(3, masks) == g
+        assert SimpleGraph.from_masks(3, (0b110, 0b001, 0b001)) != g
+        assert SimpleGraph.from_masks(3, masks, {1: "hub"}) != g
+        assert SimpleGraph.from_masks(4, masks + (0,)) != g
+
+    def test_has_edge(self):
+        # the cases of TestBuildGraph's has_edge tests, on the mask form
+        g = SimpleGraph.from_masks(3, build_graph(3, [(0, 1), (1, 2)]).adjacency_masks)
+        assert g.has_edge(0, 1) and g.has_edge(2, 1)
+        assert not g.has_edge(0, 2)
+        assert not g.has_edge(0, -1)
+        assert not g.has_edge(0, g.n)
+        # without its range check, v = -1 would reach a shift that raises
+        with pytest.raises(ValueError):
+            g.adjacency_masks[0] >> -1
+        g = SimpleGraph.from_masks(3, build_graph(3, [(1, 2)]).adjacency_masks)
+        assert not g.has_edge(-1, 1)
+        assert not g.has_edge(3, 1)
+        assert "adj" not in g.__dict__
+
+    def test_immutable(self):
+        g = build_graph(2, [(0, 1)])
+        with pytest.raises(AttributeError):
+            g.n = 3
+
+    @settings(max_examples=150)
+    @given(small_graphs())
+    def test_component_sizes_match_components(self, g):
+        expected = [0] * g.n
+        for comp in components(g):
+            for v in comp.vertices:
+                expected[v] = comp.order
+        h = SimpleGraph.from_masks(g.n, g.adjacency_masks)
+        assert h.component_sizes == g.component_sizes == tuple(expected)
+        assert "adj" not in h.__dict__
 
 
 class TestBuildTree:
