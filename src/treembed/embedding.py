@@ -22,7 +22,6 @@ from typing import Mapping, Optional, Sequence
 from .decompose import find_separator, partition_two, split_family_by_cap
 from .graphs import (
     BfsLayout,
-    FlowNetwork,
     SimpleGraph,
     TreeGraph,
     TwinQuotient,
@@ -116,13 +115,13 @@ class _Backtracker:
       neighborhood is the set of unused vertices next to the parent's
       image.  Every node checks Hall's condition for the groups of the
       placed parents: each set of groups has at least as many free
-      neighbors as leaves.  It keeps a holding,
-      a partial b-matching of groups into free neighbors, from node to
-      node; a node extends it greedily and, if that falls short, completes
-      it by flow or finds the set of groups that violates the condition
-      (_complete_holding).  Placing more vertices only shrinks the free
-      neighborhoods, so a violation holds in every extension and the
-      prune is exact.  Once every other vertex is placed, the holding
+      neighbors as leaves.  It keeps a holding, a partial b-matching of
+      groups into free neighbors, from node to node; a node extends it
+      greedily and, if that falls short, completes it by augmenting paths
+      over the groups or finds the set of groups that violates the
+      condition (_complete_holding).  Placing more vertices only shrinks
+      the free neighborhoods, so a violation holds in every extension and
+      the prune is exact.  Once every other vertex is placed, the holding
       gives the leaves their images.
     * Chain order.  Interchangeable sibling vertices (equal rooted shape)
       take ascending images.
@@ -461,69 +460,45 @@ def _complete_holding(
     free neighborhoods nbrs, made complete, or None when Hall's condition
     fails and no complete one exists.
 
-    Only the groups reachable from a short group by alternating paths (a
-    neighbor held by another group leads to that group) can take part in
-    an augmenting path.  When those groups reach no vertex that nobody
-    holds, they hold all of their neighbors and still want more: Hall's
-    condition fails for them.  Otherwise a flow over just those groups
-    and their neighbors, started from the current holding, completes it
-    if anything can.
+    Each missing vertex comes from an augmenting path, found by a search
+    over groups from the short group: a group reaches the neighbors it
+    does not hold, and a reached vertex held by another group leads on to
+    that group.  The first vertex nobody holds ends the path, and each
+    group on it takes the vertex its predecessor gave up.  When the
+    search reaches no such vertex, the reached groups hold all of their
+    neighbors and still want more: Hall's condition fails for them.
     """
+    hold = hold.copy()
     taken = 0
-    owner: dict[int, int] = {}
-    for g in range(len(nbrs)):
-        taken |= hold[g]
-        mask = hold[g]
-        while mask:
-            low = mask & -mask
-            owner[low] = g
-            mask ^= low
-    groups = [g for g in range(len(nbrs)) if hold[g].bit_count() < demand[g]]
-    reached = set(groups)
-    seen = 0
-    for g in groups:  # grows while it runs
-        fresh = nbrs[g] & ~seen
-        seen |= fresh
-        fresh &= taken
-        while fresh:
-            low = fresh & -fresh
-            fresh ^= low
-            if owner[low] not in reached:
-                reached.add(owner[low])
-                groups.append(owner[low])
-    if not seen & ~taken:
-        return None
-    node: dict[int, int] = {}
-    mask = seen
-    while mask:
-        low = mask & -mask
-        node[low] = 2 + len(groups) + len(node)
-        mask ^= low
-    net = FlowNetwork(2 + len(groups) + len(node))
-    sink_arc = {low: net.arc(x, 1, 1) for low, x in node.items()}
-    pairs = []
-    short = 0
-    for i, g in enumerate(groups):
-        source_arc = net.arc(0, 2 + i, demand[g])
-        short += demand[g] - hold[g].bit_count()
-        mask = nbrs[g]
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            arc = net.arc(2 + i, node[low], 1)
-            pairs.append((g, low, arc))
-            if hold[g] & low:
-                for a in (source_arc, arc, sink_arc[low]):
-                    net.push(a)
-    if net.max_flow(0, 1, short) < short:
-        return None
-    out = hold.copy()
-    for g in groups:
-        out[g] = 0
-    for g, low, arc in pairs:
-        if net.flow(arc):
-            out[g] |= low
-    return out
+    for mask in hold:
+        taken |= mask
+    groups = range(len(nbrs))
+    for s in groups:
+        while hold[s].bit_count() < demand[s]:
+            # each reached group's predecessor and the vertex it leads on by
+            came = {s: (-1, 0)}
+            queue = [s]
+            seen = 0
+            for g in queue:  # grows while it runs
+                fresh = nbrs[g] & ~seen & ~hold[g]
+                seen |= fresh
+                free = fresh & ~taken
+                if free:
+                    break
+                for h in groups:
+                    mask = hold[h] & fresh
+                    if mask and h not in came:
+                        came[h] = (g, mask & -mask)
+                        queue.append(h)
+            else:
+                return None
+            got = 1 << (free.bit_length() - 1)
+            taken |= got
+            while g >= 0:
+                pred, lost = came[g]
+                hold[g] ^= got | lost
+                g, got = pred, lost
+    return hold
 
 
 def _check_witness(tree: TreeGraph, host: SimpleGraph, mapping: dict) -> None:

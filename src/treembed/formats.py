@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, Optional, Union
 
@@ -33,17 +35,27 @@ def graph_to_payload(g: SimpleGraph, meta: Optional[Mapping] = None) -> dict:
     }
 
 
+def _edge_text(g: SimpleGraph, template: str, sep: str, base: int = 0) -> str:
+    """Every edge (u + base, v + base) filled into template, joined by sep.
+    Each row of edges is joined on its own, so the strings of at most one
+    row are alive at a time rather than one per edge of the graph."""
+    rows = groupby(g.edges(), key=itemgetter(0))
+    return sep.join(
+        sep.join(template.format(u + base, v + base) for u, v in row) for _, row in rows
+    )
+
+
 def graph_to_json(g: SimpleGraph, meta: Optional[Mapping] = None) -> str:
-    """One top-level key per line, edge pairs kept compact."""
-    payload = graph_to_payload(g, meta)
-    edges = ", ".join(f"[{u}, {v}]" for u, v in payload["edges"])
+    """One top-level key per line, edge pairs kept compact: the document
+    graph_to_payload describes, written without building its edge list."""
+    tags = {str(v): g.tags[v] for v in sorted(g.tags)}
     return (
         "{\n"
-        f'  "format": {json.dumps(payload["format"])},\n'
-        f'  "n": {payload["n"]},\n'
-        f'  "edges": [{edges}],\n'
-        f'  "tags": {json.dumps(payload["tags"])},\n'
-        f'  "meta": {json.dumps(payload["meta"])}\n'
+        f'  "format": {json.dumps(FORMAT_TAG)},\n'
+        f'  "n": {g.n},\n'
+        f'  "edges": [{_edge_text(g, "[{}, {}]", ", ")}],\n'
+        f'  "tags": {json.dumps(tags)},\n'
+        f'  "meta": {json.dumps(dict(meta) if meta else {})}\n'
         "}\n"
     )
 
@@ -99,9 +111,9 @@ def graph_from_json(text: str) -> tuple[SimpleGraph, dict]:
 
 def graph_to_dimacs(g: SimpleGraph) -> str:
     """DIMACS edge format, 1-indexed.  Tags and metadata are not carried."""
-    lines = [f"p edge {g.n} {g.m}"]
-    lines.extend(f"e {u + 1} {v + 1}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    # each edge line brings its own newline, so no edges leave the header alone
+    edges = _edge_text(g, "\ne {} {}", "", base=1)
+    return f"p edge {g.n} {g.m}{edges}\n"
 
 
 def graph_from_dimacs(text: str) -> SimpleGraph:

@@ -156,11 +156,18 @@ class SimpleGraph:
         return 0 <= u < self.n and 0 <= v < self.n and bool(self.adjacency_masks[u] >> v & 1)
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Edges as (u, v) with u < v, ascending."""
-        for u in range(self.n):
-            for v in self.adj[u]:
-                if u < v:
-                    yield (u, v)
+        """Edges as (u, v) with u < v, ascending.  A graph stored as masks
+        is read from them and does not derive its rows."""
+        if "adj" in self.__dict__:
+            for u, row in enumerate(self.adj):
+                for v in row:
+                    if u < v:
+                        yield (u, v)
+            return
+        ids = list(range(self.n))
+        for u, mask in enumerate(self.adjacency_masks):
+            for v in _members(mask >> (u + 1) << (u + 1), ids):
+                yield (u, v)
 
 
 def build_graph(
@@ -640,10 +647,8 @@ class FlowNetwork:
     """Integer-capacity flow network grown by shortest augmenting paths.
 
     Arcs come in pairs: arc a and its residual partner a ^ 1, which starts
-    at capacity zero.  max_flow augments from the flow already present, so
-    a caller may push part of a flow it knows (push) and let the search
-    finish it; reset returns every arc to zero flow.  Serves the vertex
-    cuts of vertex_connectivity and the leaf b-matching of the exact search.
+    at capacity zero.  reset returns every arc to zero flow.  Serves the
+    vertex cuts of vertex_connectivity.
     """
 
     def __init__(self, size: int):
@@ -662,12 +667,9 @@ class FlowNetwork:
         self.cap += (cap, 0)
         return idx
 
-    def push(self, arc: int, amount: int = 1) -> None:
+    def push(self, arc: int, amount: int) -> None:
         self.cap[arc] -= amount
         self.cap[arc ^ 1] += amount
-
-    def flow(self, arc: int) -> int:
-        return self.base_cap[arc] - self.cap[arc]
 
     def reset(self) -> None:
         self.cap = self.base_cap.copy()

@@ -10,7 +10,7 @@ import itertools
 from collections import deque
 
 from treembed.families import ExtremalParams
-from treembed.graphs import SimpleGraph, TreeGraph, build_graph
+from treembed.graphs import FlowNetwork, SimpleGraph, TreeGraph, build_graph
 
 
 def naive_embed_exists(tree_graph: SimpleGraph, host: SimpleGraph) -> bool:
@@ -120,6 +120,23 @@ def brute_hall_holds(nbrs: list[int], demand: list[int]) -> bool:
             if bin(union).count("1") < sum(demand[g] for g in subset):
                 return False
     return True
+
+
+def flow_hall_holds(nbrs: list[int], demand: list[int]) -> bool:
+    """Whether the groups with neighborhood bitmasks nbrs have a complete
+    b-matching, by a max flow from scratch: source -> group at capacity
+    demand, group -> neighbor and neighbor -> sink at capacity one."""
+    width = max(nbrs, default=0).bit_length()
+    groups = len(nbrs)
+    net = FlowNetwork(2 + groups + width)
+    for g, mask in enumerate(nbrs):
+        net.arc(0, 2 + g, demand[g])
+        for w in range(width):
+            if mask >> w & 1:
+                net.arc(2 + g, 2 + groups + w, 1)
+    for w in range(width):
+        net.arc(2 + groups + w, 1, 1)
+    return net.max_flow(0, 1, sum(demand)) == sum(demand)
 
 
 def _blocks(*sizes: tuple[str, int]) -> dict[str, tuple[int, ...]]:

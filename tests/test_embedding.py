@@ -32,7 +32,7 @@ from treembed.families import (
 from treembed.graphs import build_graph, build_tree
 from treembed.randgen import random_tree
 
-from oracles import brute_hall_holds, naive_embed_exists
+from oracles import brute_hall_holds, flow_hall_holds, naive_embed_exists
 
 
 def rand_graph(rng, n, p):
@@ -695,6 +695,45 @@ class TestHallCheck:
                            for h, d, m in zip(got, demand, nbrs))
                 # no vertex held twice
                 assert sum(h.bit_count() for h in got) == _or(got).bit_count()
+
+    @pytest.mark.parametrize("start", ["empty", "partial", "full"])
+    def test_complete_holding_matches_flow(self, start):
+        rng = random.Random(13)
+        decided = [0, 0]
+        for _ in range(300):
+            groups = rng.randrange(1, 13)
+            # 48-bit neighborhoods of about 24, 6 or 3 vertices, so that
+            # Hall's condition both holds and fails
+            ands = rng.choice([0, 2, 3])
+            nbrs = []
+            for _ in range(groups):
+                m = rng.getrandbits(48)
+                for _ in range(ands):
+                    m &= rng.getrandbits(48)
+                nbrs.append(m)
+            demand = [rng.randrange(1, 7) for _ in range(groups)]
+            # greedy holdings from the top: as much as each group can get
+            # ("full"), at most half of it ("partial") or nothing ("empty")
+            hold, taken = [], 0
+            for m, d in zip(nbrs, demand):
+                cap = {"empty": 0, "partial": d // 2, "full": d}[start]
+                h, spare = 0, m & ~taken
+                while spare and h.bit_count() < cap:
+                    top = 1 << (spare.bit_length() - 1)
+                    h |= top
+                    spare ^= top
+                hold.append(h)
+                taken |= h
+            before = hold.copy()
+            got = _complete_holding(nbrs, demand, hold)
+            assert hold == before
+            assert (got is not None) == flow_hall_holds(nbrs, demand)
+            decided[got is not None] += 1
+            if got is not None:
+                assert all(h.bit_count() == d and h & ~m == 0
+                           for h, d, m in zip(got, demand, nbrs))
+                assert sum(h.bit_count() for h in got) == _or(got).bit_count()
+        assert min(decided) >= 50
 
 
 def _or(masks):

@@ -52,6 +52,14 @@ class TestJson:
         assert lines[1].startswith('  "format":')
         assert lines[3].startswith('  "edges": [[0, 1], [1, 2], [2, 3]]')
 
+    def test_writers_read_masks_not_rows(self):
+        host = two_wing_host(ExtremalParams(3, 1, 12)).graph
+        rows = build_graph(host.n, list(host.edges()), tags=host.tags)
+        assert graph_to_json(host, {"k": 12}) == graph_to_json(rows, {"k": 12})
+        assert graph_to_dimacs(host) == graph_to_dimacs(rows)
+        assert json.loads(graph_to_json(host)) == graph_to_payload(rows)
+        assert "adj" not in host.__dict__
+
     def test_payload_format_tag(self):
         assert graph_to_payload(small_tagged_graph())["format"] == FORMAT_TAG
 
@@ -106,6 +114,9 @@ class TestJson:
 
 
 class TestDimacs:
+    def test_edgeless_graph(self):
+        assert graph_to_dimacs(build_graph(2, [])) == "p edge 2 0\n"
+
     def test_round_trip_drops_tags(self):
         g = small_tagged_graph()
         back = graph_from_dimacs(graph_to_dimacs(g))

@@ -152,6 +152,13 @@ class TestMaskForm:
         assert not g.has_edge(3, 1)
         assert "adj" not in g.__dict__
 
+    @settings(max_examples=150)
+    @given(small_graphs())
+    def test_edges_read_from_masks(self, g):
+        h = SimpleGraph.from_masks(g.n, g.adjacency_masks)
+        assert list(h.edges()) == list(g.edges())
+        assert "adj" not in h.__dict__
+
     def test_immutable(self):
         g = build_graph(2, [(0, 1)])
         with pytest.raises(AttributeError):
@@ -470,14 +477,14 @@ class TestTwinQuotient:
 
 
 class TestFlowNetwork:
-    def test_warm_start_and_reset(self):
+    def test_cutoff_and_reset(self):
         # two disjoint unit paths 0 -> 1 -> 3 and 0 -> 2 -> 3
         net = FlowNetwork(4)
-        arcs = [net.arc(0, 1, 1), net.arc(1, 3, 1), net.arc(0, 2, 1), net.arc(2, 3, 1)]
-        for a in arcs[:2]:
-            net.push(a)
-        assert net.max_flow(0, 3, 5) == 1
-        assert [net.flow(a) for a in arcs] == [1, 1, 1, 1]
-        net.reset()
+        for a, b in ((0, 1), (1, 3), (0, 2), (2, 3)):
+            net.arc(a, b, 1)
         assert net.max_flow(0, 3, 1) == 1
+        # a second call adds to the flow the first one left
         assert net.max_flow(0, 3, 5) == 1
+        assert net.max_flow(0, 3, 5) == 0
+        net.reset()
+        assert net.max_flow(0, 3, 5) == 2
