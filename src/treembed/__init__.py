@@ -6,6 +6,7 @@ from .decompose import (
     SeparatorResult,
     ThreeWayPartition,
     TwoWayPartition,
+    centroid,
     find_separator,
     max_component_orders,
     partition_three,

@@ -30,10 +30,8 @@ class SeparatorResult:
 
 
 def find_separator(tree: TreeGraph) -> SeparatorResult:
-    """Exact centroid: the vertex minimizing the largest component of T - z.
+    """Exact centroid (see centroid) with the components of T - z.
 
-    Every vertex is evaluated (one subtree-size pass computes the largest
-    component order for all of them); ties go to the smallest vertex id.
     The winner always satisfies max_component_order <= ceil(t/2) where t is
     the edge count.
     """
@@ -41,21 +39,28 @@ def find_separator(tree: TreeGraph) -> SeparatorResult:
     n = g.n
     if n < 2:
         raise GraphError("separator needs a tree with at least one edge")
-    worst = max_component_orders(tree)
-    z = min(range(n), key=lambda v: (worst[v], v))
+    z = centroid(tree)
     # one search per neighbor of z, which the run it starts lists first
     layout = bfs_layout(g, g.adj[z], blocked=(z,))
     rooted = sorted((tuple(sorted(run)), run[0]) for run in layout.trees())
     comps = tuple(comp for comp, _root in rooted)
     realized = max(len(c) for c in comps)
-    if realized != worst[z]:
-        raise RuntimeError("separator bug: size pass disagrees with removal")
-    t = n - 1
-    if realized > (t + 1) // 2:
+    # the vertices minimizing the largest component are those leaving none
+    # above n/2; a second one is the root of a component of exactly n/2
+    if realized > n // 2:
         raise RuntimeError("separator bug: centroid bound ceil(t/2) violated")
+    if any(2 * len(comp) == n and root < z for comp, root in rooted):
+        raise RuntimeError("separator bug: centroid tie not to the smaller id")
     # depths count from each root and z's reads -1, so one more is the distance
     distance = tuple(d + 1 for d in layout.depth)
     return SeparatorResult(z, comps, realized, tuple(r for _comp, r in rooted), distance)
+
+
+def centroid(tree: TreeGraph) -> int:
+    """The vertex z minimizing the largest component of T - z, ties to the
+    smallest id; one subtree-size pass evaluates every vertex."""
+    worst = max_component_orders(tree)
+    return worst.index(min(worst))
 
 
 def max_component_orders(tree: TreeGraph) -> tuple[int, ...]:

@@ -19,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .decompose import find_separator, partition_two, split_family_by_cap
+from .decompose import centroid, find_separator, partition_two, split_family_by_cap
 from .graphs import (
     BfsLayout,
     SimpleGraph,
@@ -78,11 +78,15 @@ def embedding_violations(
         images[w] = v
     if issues:
         return issues
-    for u, v in g.edges():
-        if not host.has_edge(mapping[u], mapping[v]):
-            issues.append(
-                f"tree edge ({u}, {v}) maps to non-edge ({mapping[u]}, {mapping[v]})"
-            )
+    # every image is a host vertex now, so each edge is one bit of a mask
+    masks = host.adjacency_masks
+    for u, row in enumerate(g.adj):
+        mask = masks[mapping[u]]
+        for v in row:
+            if u < v and not mask >> mapping[v] & 1:
+                issues.append(
+                    f"tree edge ({u}, {v}) maps to non-edge ({mapping[u]}, {mapping[v]})"
+                )
     return issues
 
 
@@ -173,7 +177,7 @@ class _Backtracker:
             if self.parent[v] >= 0:
                 self.children[self.parent[v]].append(v)
         self.child_count = [len(c) for c in self.children]
-        self.tree_deg = [tree.degree(v) for v in range(n_t)]
+        self.tree_deg = tree.degrees
 
         leaf = [
             symmetry and self.parent[v] >= 0 and not self.children[v] for v in range(n_t)
@@ -204,7 +208,8 @@ class _Backtracker:
 
         host_degs = host.degrees
         self.host_masks = host.adjacency_masks
-        by_rank = sorted(range(host.n), key=lambda w: (-host_degs[w], w))
+        # a stable sort keeps equal degrees in ascending id order
+        by_rank = sorted(range(host.n), key=host_degs.__getitem__, reverse=True)
         self.rank = [0] * host.n
         for idx, w in enumerate(by_rank):
             self.rank[w] = idx
@@ -220,10 +225,10 @@ class _Backtracker:
             self.deg_mask[d] = mask
 
         host_comp = host.component_sizes
-        self.cap_mask = 0
-        for w in range(host.n):
-            if host_comp[w] >= n_t:
-                self.cap_mask |= 1 << w
+        if min(host_comp, default=n_t) >= n_t:
+            self.cap_mask = (1 << host.n) - 1
+        else:
+            self.cap_mask = _bitmask(w for w in range(host.n) if host_comp[w] >= n_t)
 
         self.chain_prev: list[Optional[int]] = [None] * n_t
         self.class_id = list(range(host.n))
@@ -234,11 +239,13 @@ class _Backtracker:
             self.class_id = self.quotient.class_of
         # per depth, the quotient's colouring with the placed classes fixed
         self.prefix_partitions: list[Optional[tuple]] = [None] * len(self.order)
-        # clearing a candidate's whole class leaves one candidate per class
+        # clearing a candidate's whole class leaves one candidate per class;
+        # the members of a class share one complement
         class_mask = [0] * host.n
         for w, c in enumerate(self.class_id):
             class_mask[c] |= 1 << w
-        self.others = [~class_mask[c] for c in self.class_id]
+        rest = [~mask for mask in class_mask]
+        self.others = [rest[c] for c in self.class_id]
 
     def _build_chains(self, full_order: list[int], leaf: list[bool]) -> None:
         n_t = self.tree.n
@@ -279,15 +286,8 @@ class _Backtracker:
                 held += 1
         for g in range(start, end):
             nbrs[g] = self.host_masks[w]
-            spare = nbrs[g] & free & ~taken
             # hold the highest ids: the search tries low ids first
-            got = 0
-            for _ in range(self.demand[g]):
-                if not spare:
-                    break
-                top = 1 << (spare.bit_length() - 1)
-                got |= top
-                spare ^= top
+            got = _top_bits(nbrs[g] & free & ~taken, self.demand[g])
             hold[g] = got
             taken |= got
             held += got.bit_count()
@@ -453,6 +453,22 @@ class _Backtracker:
                 pos -= 1
 
 
+def _top_bits(mask: int, count: int) -> int:
+    """The count highest set bits of mask (all of them when it has fewer),
+    cut off in one shift: a binary search finds the largest s with at least
+    count bits at or above s."""
+    if mask.bit_count() <= count:
+        return mask
+    lo, hi = 0, mask.bit_length()
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if (mask >> mid).bit_count() >= count:
+            lo = mid
+        else:
+            hi = mid - 1
+    return mask >> lo << lo
+
+
 def _complete_holding(
     nbrs: Sequence[int], demand: Sequence[int], hold: list[int]
 ) -> Optional[list[int]]:
@@ -529,7 +545,7 @@ def exact_embed(
         return EmbedVerdict(
             Verdict.NOT_EMBEDDED, None, 0, f"tree has {g.n} vertices, host only {host.n}"
         )
-    root = find_separator(tree).separator if g.n > 1 else 0
+    root = centroid(tree) if g.n > 1 else 0
     solver = _Backtracker(g, root, host, symmetry)
     status, images, nodes = solver.run(budget)
     if status == "found":

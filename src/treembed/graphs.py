@@ -439,21 +439,34 @@ class TwinQuotient:
     @classmethod
     def of_graph(cls, g: SimpleGraph) -> "TwinQuotient":
         masks = g.adjacency_masks
-        counts: dict[int, int] = {}
+        # generated hosts share one mask object per block, so each distinct
+        # object is counted and hashed once, by id; equal objects then merge
+        # by value onto the id of the first, which keys their open class
+        objects: dict[int, list] = {}
         for m in masks:
-            counts[m] = counts.get(m, 0) + 1
-        table: dict[int, int] = {}
+            objects.setdefault(id(m), [m, 0])[1] += 1
+        first: dict[int, int] = {}
+        key_of: dict[int, int] = {}
+        counts: dict[int, int] = {}
+        for i, (m, count) in objects.items():
+            key = key_of[i] = first.setdefault(m, i)
+            counts[key] = counts.get(key, 0) + count
+        opened: dict[int, int] = {}
+        closed: dict[int, int] = {}
         class_of = []
         reps: list[int] = []
         clique: list[bool] = []
         for w, m in enumerate(masks):
-            key = m if counts[m] > 1 else m | 1 << w
-            c = table.setdefault(key, len(table))
+            key = key_of[id(m)]
+            if counts[key] > 1:
+                c = opened.setdefault(key, len(reps))
+            else:
+                c = closed.setdefault(m | 1 << w, len(reps))
+                if c < len(reps):
+                    clique[c] = True
             if c == len(reps):
                 reps.append(w)
                 clique.append(False)
-            elif key != m:
-                clique[c] = True
             class_of.append(c)
         # classes are modules, so a representative sees a class other than
         # its own exactly when it sees that class's representative

@@ -10,7 +10,7 @@ import itertools
 from collections import deque
 
 from treembed.families import ExtremalParams
-from treembed.graphs import FlowNetwork, SimpleGraph, TreeGraph, build_graph
+from treembed.graphs import FlowNetwork, SimpleGraph, TreeGraph, _bitmask, _members, build_graph
 
 
 def naive_embed_exists(tree_graph: SimpleGraph, host: SimpleGraph) -> bool:
@@ -137,6 +137,75 @@ def flow_hall_holds(nbrs: list[int], demand: list[int]) -> bool:
     for w in range(width):
         net.arc(2 + groups + w, 1, 1)
     return net.max_flow(0, 1, sum(demand)) == sum(demand)
+
+
+def bitwise_top_bits(mask: int, count: int) -> int:
+    """The count highest set bits of mask, peeled off one at a time."""
+    got = 0
+    for _ in range(count):
+        if not mask:
+            break
+        top = 1 << (mask.bit_length() - 1)
+        got |= top
+        mask ^= top
+    return got
+
+
+def has_edge_violations(tree: TreeGraph, host: SimpleGraph, mapping) -> list[str]:
+    """embedding_violations' checks and messages in the same order, with
+    every tree edge tested through host.has_edge."""
+    g = tree.graph
+    issues = []
+    for v in range(g.n):
+        if v not in mapping:
+            issues.append(f"vertex {v} has no image")
+    images = {}
+    for v, w in mapping.items():
+        if not (0 <= v < g.n):
+            issues.append(f"mapped vertex {v} is not a tree vertex")
+            continue
+        if not (0 <= w < host.n):
+            issues.append(f"image {w} of vertex {v} is not a host vertex")
+            continue
+        if w in images:
+            issues.append(f"vertices {images[w]} and {v} share the image {w}")
+        images[w] = v
+    if issues:
+        return issues
+    for u, v in g.edges():
+        if not host.has_edge(mapping[u], mapping[v]):
+            issues.append(
+                f"tree edge ({u}, {v}) maps to non-edge ({mapping[u]}, {mapping[v]})"
+            )
+    return issues
+
+
+def value_keyed_twins(g: SimpleGraph) -> tuple[list[int], list[bool], list[list[int]]]:
+    """TwinQuotient.of_graph's class_of, clique and adj, with every
+    vertex's mask counted and keyed by value."""
+    masks = g.adjacency_masks
+    counts: dict[int, int] = {}
+    for m in masks:
+        counts[m] = counts.get(m, 0) + 1
+    table: dict[int, int] = {}
+    class_of = []
+    reps: list[int] = []
+    clique: list[bool] = []
+    for w, m in enumerate(masks):
+        key = m if counts[m] > 1 else m | 1 << w
+        c = table.setdefault(key, len(table))
+        if c == len(reps):
+            reps.append(w)
+            clique.append(False)
+        elif key != m:
+            clique[c] = True
+        class_of.append(c)
+    ids, rep_mask = list(range(g.n)), _bitmask(reps)
+    adj = [
+        sorted({class_of[w] for w in _members(masks[r] & rep_mask, ids)} - {c})
+        for c, r in enumerate(reps)
+    ]
+    return class_of, clique, adj
 
 
 def _blocks(*sizes: tuple[str, int]) -> dict[str, tuple[int, ...]]:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treembed.decompose import (
+    centroid,
     find_separator,
     max_component_orders,
     partition_three,
@@ -82,6 +83,11 @@ class TestFindSeparator:
         assert result.separator == min(
             v for v in range(tree.graph.n) if brute[v] == min(brute)
         )
+
+    @settings(max_examples=120)
+    @given(random_trees())
+    def test_centroid_is_the_separator(self, tree):
+        assert centroid(tree) == find_separator(tree).separator
 
     @settings(max_examples=60)
     @given(random_trees())

@@ -6,6 +6,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treembed.decompose import find_separator
 from treembed.embedding import (
@@ -18,7 +20,7 @@ from treembed.embedding import (
     strategy_embed,
     validate_embedding,
 )
-from treembed.embedding import _Backtracker, _complete_holding
+from treembed.embedding import _Backtracker, _complete_holding, _top_bits
 from treembed.families import (
     ExtremalParams,
     broom_tree,
@@ -32,7 +34,13 @@ from treembed.families import (
 from treembed.graphs import build_graph, build_tree
 from treembed.randgen import random_tree
 
-from oracles import brute_hall_holds, flow_hall_holds, naive_embed_exists
+from oracles import (
+    bitwise_top_bits,
+    brute_hall_holds,
+    flow_hall_holds,
+    has_edge_violations,
+    naive_embed_exists,
+)
 
 
 def rand_graph(rng, n, p):
@@ -92,6 +100,41 @@ class TestValidateEmbedding:
         t = build_tree(2, [(0, 1)])
         issues = embedding_violations(t, complete_graph(3), {0: 0, 1: 1, 5: 2})
         assert issues == ["mapped vertex 5 is not a tree vertex"]
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(0, 2**32),
+        st.sampled_from(["valid", "missing", "tree vertex", "image", "shared", "non-edge"]),
+    )
+    def test_matches_has_edge_checker(self, seed, damage):
+        # a valid mapping into a random supergraph of its images, then one
+        # kind of damage: the same messages in the same order as a check
+        # of every edge through has_edge
+        rng = random.Random(seed)
+        tree = random_tree(rng.randrange(0, 12), rng)
+        g = tree.graph
+        n_h = g.n + rng.randrange(0, 4)
+        mapping = dict(zip(range(g.n), rng.sample(range(n_h), g.n)))
+        edges = {tuple(sorted((mapping[u], mapping[v]))) for u, v in g.edges()}
+        cut = rng.choice(sorted(edges)) if damage == "non-edge" and edges else None
+        edges |= {e for e in itertools.combinations(range(n_h), 2) if rng.random() < 0.3}
+        edges.discard(cut)
+        host = build_graph(n_h, sorted(edges))
+        v = rng.randrange(g.n)
+        if damage == "missing":
+            del mapping[v]
+        elif damage == "tree vertex":
+            mapping[rng.choice((-1, g.n))] = rng.randrange(n_h)
+        elif damage == "image":
+            mapping[v] = rng.choice((-1, n_h))
+        elif damage == "shared":
+            mapping[v] = mapping[rng.randrange(g.n)]
+        issues = embedding_violations(tree, host, mapping)
+        assert issues == has_edge_violations(tree, host, mapping)
+        if damage == "valid":
+            assert issues == []
+        elif damage != "shared" and (damage != "non-edge" or cut):
+            assert issues
 
     def test_no_routine_builds_neighbor_sets(self):
         # frozenset rows cost far more memory than the bitmask rows the
@@ -517,6 +560,32 @@ class TestStrategyEmbed:
 
 
 class TestAutoEmbed:
+    def test_grid_outputs_pinned(self):
+        # on the 27 extremal grid hosts: the broom proofs of exact_embed,
+        # and auto_embed on five random k-edge trees each (34 of the 135
+        # answered by the exact search), hashed; a change to the set-up of
+        # the search, the witness check or the separator must leave them
+        proofs, witnesses = hashlib.sha256(), hashlib.sha256()
+        rng = random.Random(20241)
+        for build in (two_wing_host, wing_clique_host, matched_wing_host):
+            for ell in (3, 5, 7):
+                for c in (1, 2, 3):
+                    k = c * ell * (ell + 1)
+                    host = build(ExtremalParams(ell, c, k)).graph
+                    v = exact_embed(broom_tree(ell, k), host)
+                    proofs.update(repr((v.kind.value, v.nodes_explored)).encode())
+                    for _ in range(5):
+                        v = auto_embed(random_tree(k, rng), host, Budget(max_nodes=20_000))
+                        witness = sorted(v.embedding.items()) if v.embedding else None
+                        row = (v.kind.value, v.nodes_explored, witness)
+                        witnesses.update(repr(row).encode())
+        assert proofs.hexdigest() == (
+            "4b62a8de1429b10796108ab4a9bc503d6423525c32b1f262e43cccd226d59743"
+        )
+        assert witnesses.hexdigest() == (
+            "d6720df23d72938ccf762f214a495a10126c5b879d26447dde457b856d75eb64"
+        )
+
     def test_greedy_short_circuit(self):
         verdict = auto_embed(broom_tree(3, 12), complete_graph(13))
         assert verdict.kind is Verdict.EMBEDDED
@@ -558,6 +627,18 @@ class TestAutoEmbed:
             auto = auto_embed(tree, host)
             want = exact_embed(tree, host)
             assert (auto.kind is Verdict.EMBEDDED) == (want.kind is Verdict.EMBEDDED)
+
+
+class TestBacktrackerSetup:
+    @pytest.mark.parametrize("build", [two_wing_host, wing_clique_host])
+    def test_one_complement_per_twin_class(self, build):
+        # the members of a twin class share one complement mask, so the
+        # complements take one n-bit int per class, not one per host vertex
+        host = build(ExtremalParams(7, 3, 168)).graph
+        solver = _Backtracker(broom_tree(7, 168).graph, 0, host)
+        quotient = host.twin_quotient
+        assert len({id(x) for x in solver.others}) == len(quotient.members)
+        assert len(quotient.members) < host.n
 
 
 class TestSeparatorRootChoice:
@@ -673,6 +754,19 @@ class TestReductionsAgainstUnreducedSearch:
 
 
 class TestHallCheck:
+    @settings(max_examples=300)
+    @given(
+        st.one_of(
+            st.integers(0, 2**200),
+            st.sets(st.integers(0, 600), max_size=40).map(
+                lambda bits: sum(1 << b for b in bits)
+            ),
+        ),
+        st.integers(0, 45),
+    )
+    def test_top_bits_matches_bitwise(self, mask, count):
+        assert _top_bits(mask, count) == bitwise_top_bits(mask, count)
+
     def test_complete_holding_decides_hall(self):
         rng = random.Random(8)
         for _ in range(400):

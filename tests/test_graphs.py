@@ -1,6 +1,7 @@
 """Core graph primitives against brute-force references."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from treembed.graphs import (
     FlowNetwork,
     GraphError,
     SimpleGraph,
+    TwinQuotient,
     bfs_layout,
     build_graph,
     build_tree,
@@ -27,11 +29,13 @@ from treembed.graphs import (
     induced_subgraph,
     vertex_connectivity,
 )
+from treembed.randgen import random_host
 
 from oracles import (
     brute_bipartition_exists,
     brute_stabiliser_orbits,
     brute_vertex_connectivity,
+    value_keyed_twins,
 )
 
 
@@ -474,6 +478,31 @@ class TestTwinQuotient:
                 found &= root[c] == smallest
             exact += found
         assert exact >= 55
+
+
+    def test_classes_keyed_by_object_match_keyed_by_value(self):
+        # generated hosts share one mask object per block; random hosts
+        # have a mask of their own per vertex; a generated host rebuilt
+        # edge by edge has equal masks in distinct objects
+        generated = [
+            build(ExtremalParams(ell, c, c * ell * (ell + 1))).graph
+            for build in (two_wing_host, wing_clique_host, matched_wing_host)
+            for ell in (3, 5)
+            for c in (1, 3)
+        ]
+        rng = random.Random(14)
+        drawn = [random_host(n, k, Fraction(alpha), rng)
+                 for n, k, alpha in ((70, 30, 0), (140, 60, 0), (140, 60, "1/4"))]
+        rebuilt = [build_graph(g.n, list(g.edges())) for g in generated]
+
+        def objects(g):
+            return len({id(m) for m in g.adjacency_masks})
+
+        assert all(objects(g) < g.n for g in generated)
+        assert all(objects(g) > len(set(g.adjacency_masks)) for g in rebuilt)
+        for g in generated + drawn + rebuilt:
+            q = TwinQuotient.of_graph(g)
+            assert (q.class_of, q.clique, q.adj) == value_keyed_twins(g)
 
 
 class TestFlowNetwork:
