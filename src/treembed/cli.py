@@ -2,8 +2,8 @@
 
 Subcommands: gen, check, verify-example, sweep, stress.  Exit codes: 0 for
 embedded or confirmed, 1 for not-embedded or a counterexample, 2 for usage
-and parse errors, 3 for inconclusive (timeout or unknown), so CI scripts
-can assert outcomes directly.
+and parse errors, 3 for inconclusive (timeout, unknown, or out of memory),
+so CI scripts can assert outcomes directly.
 
 Every command with fixed arguments and seed produces byte-identical
 primary output; wall-clock timings only appear where explicitly requested.
@@ -411,6 +411,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (GraphError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory; the run is inconclusive", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

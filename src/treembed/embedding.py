@@ -110,6 +110,11 @@ class _Backtracker:
     depth is not bounded by the interpreter's recursion.
     Each candidate tried counts as one node.
 
+    The host tables are built once per host and kept on it: rank, the
+    degree_prefix masks, component sizes and the twin quotient with its
+    class complements.  Each search builds the tree side and the capacity
+    mask, and symmetry=False its singleton complements.
+
     symmetry=False is the plain search: every vertex is a search vertex
     and only the prunes above apply.  With symmetry on, four reductions
     apply.
@@ -206,23 +211,9 @@ class _Backtracker:
         # free neighborhood of each group, before masking out used vertices
         self.group_nbrs = [0] * len(self.demand)
 
-        host_degs = host.degrees
         self.host_masks = host.adjacency_masks
-        # a stable sort keeps equal degrees in ascending id order
-        by_rank = sorted(range(host.n), key=host_degs.__getitem__, reverse=True)
-        self.rank = [0] * host.n
-        for idx, w in enumerate(by_rank):
-            self.rank[w] = idx
-        # vertices of degree at least d form a prefix of the rank order
-        self.deg_mask: dict[int, int] = {}
-        wanted = sorted(set(self.tree_deg), reverse=True)
-        mask = 0
-        for w in by_rank:
-            while wanted and host_degs[w] < wanted[0]:
-                self.deg_mask[wanted.pop(0)] = mask
-            mask |= 1 << w
-        for d in wanted:
-            self.deg_mask[d] = mask
+        self.rank = host.rank
+        self.deg_mask = {d: host.degree_prefix(d) for d in set(self.tree_deg)}
 
         host_comp = host.component_sizes
         if min(host_comp, default=n_t) >= n_t:
@@ -231,21 +222,15 @@ class _Backtracker:
             self.cap_mask = _bitmask(w for w in range(host.n) if host_comp[w] >= n_t)
 
         self.chain_prev: list[Optional[int]] = [None] * n_t
-        self.class_id = list(range(host.n))
         self.quotient: Optional[TwinQuotient] = None
         if symmetry:
             self._build_chains(layout.order, leaf)
             self.quotient = host.twin_quotient
-            self.class_id = self.quotient.class_of
+            self.others = self.quotient.complements
+        else:
+            self.others = [~(1 << w) for w in range(host.n)]
         # per depth, the quotient's colouring with the placed classes fixed
         self.prefix_partitions: list[Optional[tuple]] = [None] * len(self.order)
-        # clearing a candidate's whole class leaves one candidate per class;
-        # the members of a class share one complement
-        class_mask = [0] * host.n
-        for w, c in enumerate(self.class_id):
-            class_mask[c] |= 1 << w
-        rest = [~mask for mask in class_mask]
-        self.others = [rest[c] for c in self.class_id]
 
     def _build_chains(self, full_order: list[int], leaf: list[bool]) -> None:
         n_t = self.tree.n
@@ -305,7 +290,7 @@ class _Backtracker:
     def _orbit_filter(self, pos: int, images: list[int], chosen: list[int], i: int) -> list[int]:
         """chosen[i:] without the candidates whose class is not the
         smallest in its orbit under the stabiliser of the placed images."""
-        cls = self.class_id
+        cls = self.quotient.class_of
         classes = [cls[w] for w in chosen]
         base = self.quotient.partition[0]
         # fixing classes only refines the colouring, so classes of distinct

@@ -23,6 +23,7 @@ class GraphError(ValueError):
 
 
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _members(mask: int, ids: list[int]) -> Iterator[int]:
@@ -39,6 +40,15 @@ def _bitmask(vertices: Iterable[int]) -> int:
     for v in vertices:
         mask |= 1 << v
     return mask
+
+
+def _dense_bitmask(vertices: Iterable[int], n: int) -> int:
+    """_bitmask of vertices below n, parsed from n flags in time linear in
+    n: on a large set _bitmask costs a big-int operation per vertex."""
+    flags = bytearray(n)
+    for v in vertices:
+        flags[v] = 1
+    return int(flags[::-1].translate(_DIGITS) or b"0", 2)
 
 
 class SimpleGraph:
@@ -141,6 +151,28 @@ class SimpleGraph:
                 sizes[v] = size
             left ^= comp
         return tuple(sizes)
+
+    @cached_property
+    def rank(self) -> tuple[int, ...]:
+        """Each vertex's place in the order by descending degree, ties to
+        the smaller id: the order the exact search tries candidates in."""
+        rank = [0] * self.n
+        # a stable sort keeps equal degrees in ascending id order
+        for idx, w in enumerate(sorted(range(self.n), key=self.degrees.__getitem__, reverse=True)):
+            rank[w] = idx
+        return tuple(rank)
+
+    @cached_property
+    def _degree_prefixes(self) -> dict[int, int]:
+        return {}
+
+    def degree_prefix(self, d: int) -> int:
+        """The vertices of degree at least d, a prefix of the rank order,
+        as a bitmask; built the first time d is asked for, then kept."""
+        prefixes = self._degree_prefixes
+        if d not in prefixes:
+            prefixes[d] = _dense_bitmask((w for w, x in enumerate(self.degrees) if x >= d), self.n)
+        return prefixes[d]
 
     @cached_property
     def twin_quotient(self) -> "TwinQuotient":
@@ -439,20 +471,31 @@ class TwinQuotient:
     @classmethod
     def of_graph(cls, g: SimpleGraph) -> "TwinQuotient":
         masks = g.adjacency_masks
+
+        def setdefault(table: dict[int, list], m: int, value: int) -> int:
+            # an int hashes to its value mod 2**61 - 1, so a block's mask
+            # minus each member in turn gives at most 61 hashes; bytes do not
+            bucket = table.setdefault(hash(m.to_bytes((g.n + 7) // 8, "little")), [])
+            for other, known in bucket:
+                if other == m:
+                    return known
+            bucket.append((m, value))
+            return value
+
         # generated hosts share one mask object per block, so each distinct
         # object is counted and hashed once, by id; equal objects then merge
         # by value onto the id of the first, which keys their open class
         objects: dict[int, list] = {}
         for m in masks:
             objects.setdefault(id(m), [m, 0])[1] += 1
-        first: dict[int, int] = {}
+        first: dict[int, list] = {}
         key_of: dict[int, int] = {}
         counts: dict[int, int] = {}
         for i, (m, count) in objects.items():
-            key = key_of[i] = first.setdefault(m, i)
+            key = key_of[i] = setdefault(first, m, i)
             counts[key] = counts.get(key, 0) + count
         opened: dict[int, int] = {}
-        closed: dict[int, int] = {}
+        closed: dict[int, list] = {}
         class_of = []
         reps: list[int] = []
         clique: list[bool] = []
@@ -461,7 +504,7 @@ class TwinQuotient:
             if counts[key] > 1:
                 c = opened.setdefault(key, len(reps))
             else:
-                c = closed.setdefault(m | 1 << w, len(reps))
+                c = setdefault(closed, m | 1 << w, len(reps))
                 if c < len(reps):
                     clique[c] = True
             if c == len(reps):
@@ -471,11 +514,25 @@ class TwinQuotient:
         # classes are modules, so a representative sees a class other than
         # its own exactly when it sees that class's representative
         ids, rep_mask = list(range(g.n)), _bitmask(reps)
-        adj = [
-            sorted({class_of[w] for w in _members(masks[r] & rep_mask, ids)} - {c})
-            for c, r in enumerate(reps)
-        ]
+        adj = []
+        for c, r in enumerate(reps):
+            seen, ws = masks[r] & rep_mask, []
+            if seen.bit_count() >= 64:
+                seen, ws = 0, _members(seen, ids)
+            # fewer bits cost less read off one at a time than a scan of n
+            while seen:
+                ws.append(seen.bit_length() - 1)
+                seen ^= 1 << ws[-1]
+            adj.append(sorted({class_of[w] for w in ws} - {c}))
         return cls(class_of, clique, adj)
+
+    @cached_property
+    def complements(self) -> list[int]:
+        """Per vertex, the complement of its class as a bitmask, one object
+        per class: clearing a candidate's class leaves one per class."""
+        n = len(self.class_of)
+        rest = [~(_bitmask(m) if len(m) < 64 else _dense_bitmask(m, n)) for m in self.members]
+        return [rest[c] for c in self.class_of]
 
     @cached_property
     def _masks(self) -> list[int]:
@@ -549,8 +606,9 @@ class TwinQuotient:
                 by_cell.setdefault(col[c], []).append(c)
         for group in by_cell.values():
             rep = None
+            first = find(group[0])
             for c in reversed(group[1:]):
-                if find(c) == find(group[0]):
+                if find(c) == first:
                     continue
                 if rep is None:
                     rep = self._individualised(col, cells, group[0])
@@ -558,9 +616,19 @@ class TwinQuotient:
                 if perm is None:
                     break
                 for a in candidates:
-                    ra, rb = find(a), find(perm[a])
-                    if ra != rb:
-                        root[max(ra, rb)] = min(ra, rb)
+                    b = perm[a]
+                    if a == b:
+                        continue
+                    while root[a] != a:
+                        a = root[a]
+                    while root[b] != b:
+                        b = root[b]
+                    # a set's root is its smallest class, whatever the order
+                    if a < b:
+                        root[b] = a
+                    elif b < a:
+                        root[a] = b
+                first = find(group[0])
         return {c: find(c) for c in candidates}
 
     def _individualised(self, col: list[int], cells: list[set[int]], c: int):
@@ -578,8 +646,12 @@ class TwinQuotient:
                 return None
             perm = [0] * len(a[0])
             for x, y in zip(a_cells, b_cells):
-                for p, q in zip(sorted(x), sorted(y)):
+                if len(x) == 1:
+                    (p,), (q,) = x, y
                     perm[p] = q
+                else:
+                    for p, q in zip(sorted(x), sorted(y)):
+                        perm[p] = q
             if self._is_automorphism(perm, fixed):
                 return perm
             open_cell = next((i for i, x in enumerate(a_cells) if len(x) > 1), None)

@@ -282,3 +282,77 @@ def cliques_with_apex_edge_list(order: int, count: int) -> SimpleGraph:
                 edges.append((u, v))
     blocks = {"hub": (0,), "clique": tuple(range(1, 1 + order * count))}
     return _edge_list_graph(blocks, edges)
+
+
+def rank_and_prefixes(g: SimpleGraph, degrees) -> tuple[list[int], dict[int, int]]:
+    """The exact search's rank of each host vertex (by descending degree,
+    ties to the smaller id) and the mask of the vertices of degree at least
+    d for each d in degrees, built in one pass along the rank order."""
+    host_degs = g.degrees
+    by_rank = sorted(range(g.n), key=host_degs.__getitem__, reverse=True)
+    rank = [0] * g.n
+    for idx, w in enumerate(by_rank):
+        rank[w] = idx
+    prefix: dict[int, int] = {}
+    wanted = sorted(set(degrees), reverse=True)
+    mask = 0
+    for w in by_rank:
+        while wanted and host_degs[w] < wanted[0]:
+            prefix[wanted.pop(0)] = mask
+        mask |= 1 << w
+    for d in wanted:
+        prefix[d] = mask
+    return rank, prefix
+
+
+def stabiliser_orbits(q, partition, fixed, candidates) -> dict[int, int]:
+    """TwinQuotient.stabiliser_orbits as first written: the group's first
+    class looked up on every test, a union-find join per candidate, and
+    every cell of a match mapped through sorted."""
+    col, cells = partition
+    root = list(range(len(col)))
+
+    def find(c: int) -> int:
+        while root[c] != c:
+            c = root[c]
+        return c
+
+    by_cell: dict[int, list[int]] = {}
+    for c in sorted(set(candidates)):
+        if len(cells[col[c]]) > 1:
+            by_cell.setdefault(col[c], []).append(c)
+    for group in by_cell.values():
+        rep = None
+        for c in reversed(group[1:]):
+            if find(c) == find(group[0]):
+                continue
+            if rep is None:
+                rep = q._individualised(col, cells, group[0])
+            perm = _sorted_match(q, rep, q._individualised(col, cells, c), fixed)
+            if perm is None:
+                break
+            for a in candidates:
+                ra, rb = find(a), find(perm[a])
+                if ra != rb:
+                    root[max(ra, rb)] = min(ra, rb)
+    return {c: find(c) for c in candidates}
+
+
+def _sorted_match(q, a, b, fixed):
+    while True:
+        a_cells, b_cells = a[1], b[1]
+        if len(a_cells) != len(b_cells) or any(
+            len(x) != len(y) for x, y in zip(a_cells, b_cells)
+        ):
+            return None
+        perm = [0] * len(a[0])
+        for x, y in zip(a_cells, b_cells):
+            for p, r in zip(sorted(x), sorted(y)):
+                perm[p] = r
+        if q._is_automorphism(perm, fixed):
+            return perm
+        open_cell = next((i for i, x in enumerate(a_cells) if len(x) > 1), None)
+        if open_cell is None:
+            return None
+        a = q._individualised(*a, min(a_cells[open_cell]))
+        b = q._individualised(*b, min(b_cells[open_cell]))

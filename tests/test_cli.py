@@ -249,6 +249,31 @@ class TestCheck:
         assert capsys.readouterr().err.startswith("error: unknown vertex tag ['hub']")
 
 
+class TestOutOfMemory:
+    """A run that runs out of memory reached no verdict: it exits 3 with one
+    error line, never 1, which reads as NotEmbedded or REFUTED."""
+
+    @staticmethod
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    def test_check(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "parse_graph_file", self.no_memory)
+        code = main(["check", "--tree", "t.json", "--host", "h.json"])
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: out of memory; the run is inconclusive\n"
+
+    def test_verify_example(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "exact_embed", self.no_memory)
+        code = main(["verify-example", "--family", "h", "--ell", "3", "--c", "1"])
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: out of memory; the run is inconclusive\n"
+
+
 class TestVerifyExample:
     def test_two_wing_confirmed(self, capsys):
         code = main(["verify-example", "--family", "h", "--ell", "3", "--c", "1"])

@@ -31,9 +31,10 @@ from treembed.families import (
     two_wing_host,
     wing_clique_host,
 )
-from treembed.graphs import build_graph, build_tree
+from treembed.graphs import TwinQuotient, build_graph, build_tree
 from treembed.randgen import random_tree
 
+import oracles
 from oracles import (
     bitwise_top_bits,
     brute_hall_holds,
@@ -639,6 +640,29 @@ class TestBacktrackerSetup:
         quotient = host.twin_quotient
         assert len({id(x) for x in solver.others}) == len(quotient.members)
         assert len(quotient.members) < host.n
+        # classes of 64 or more members have their masks parsed from flags
+        assert max(map(len, quotient.members)) >= 64
+        for members in quotient.members:
+            assert solver.others[members[0]] == ~sum(1 << v for v in members)
+
+    def test_host_tables_built_once_per_host(self, monkeypatch):
+        solvers = []
+        real_init = _Backtracker.__init__
+
+        def init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            solvers.append(self)
+
+        monkeypatch.setattr(_Backtracker, "__init__", init)
+        host = matched_wing_host(ExtremalParams(5, 2, 60)).graph
+        tree = broom_tree(5, 60)
+        assert exact_embed(tree, host).kind is Verdict.NOT_EMBEDDED
+        assert exact_embed(caterpillar(12), host).kind is Verdict.EMBEDDED
+        a, b = solvers
+        assert a.rank is b.rank is host.rank
+        assert a.others is b.others
+        shared = set(a.deg_mask) & set(b.deg_mask)
+        assert shared and all(a.deg_mask[d] is b.deg_mask[d] for d in shared)
 
 
 class TestSeparatorRootChoice:
@@ -751,6 +775,45 @@ class TestReductionsAgainstUnreducedSearch:
         without = [exact_embed(t, h).nodes_explored for t, h in pairs]
         assert all(a <= b for a, b in zip(with_orbits, without))
         assert sum(with_orbits) < 0.8 * sum(without)
+
+
+class TestStabiliserOrbitsAgainstFirstVersion:
+    """stabiliser_orbits against oracles.stabiliser_orbits, its first
+    version, on every call the searches make."""
+
+    @staticmethod
+    def compare(monkeypatch, pairs):
+        real = TwinQuotient.stabiliser_orbits
+        calls = []
+
+        def checked(q, partition, fixed, candidates):
+            out = real(q, partition, fixed, candidates)
+            assert out == oracles.stabiliser_orbits(q, partition, fixed, candidates)
+            calls.append(out)
+            return out
+
+        monkeypatch.setattr(TwinQuotient, "stabiliser_orbits", checked)
+        for tree, host in pairs:
+            exact_embed(tree, host)
+        return len(calls)
+
+    def test_grid_searches(self, monkeypatch):
+        pairs = [
+            (broom_tree(ell, k), build(ExtremalParams(ell, c, k)).graph)
+            for build in (two_wing_host, wing_clique_host, matched_wing_host)
+            for ell in (3, 5, 7)
+            for c in (1, 2, 3)
+            for k in (c * ell * (ell + 1),)
+        ]
+        assert self.compare(monkeypatch, pairs) >= 100
+
+    def test_symmetric_hosts(self, monkeypatch):
+        # the orbit prune runs only where the colours leave a choice and
+        # the quotient has a symmetry, so trees up to the host's order
+        rng = random.Random(777)
+        hosts = [family(rng) for family in SYMMETRIC_HOSTS for _ in range(100)]
+        pairs = [(random_tree(rng.randrange(1, h.n), rng), h) for h in hosts]
+        assert self.compare(monkeypatch, pairs) >= 50
 
 
 class TestHallCheck:

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treembed.families import (
@@ -35,14 +35,15 @@ from oracles import (
     brute_bipartition_exists,
     brute_stabiliser_orbits,
     brute_vertex_connectivity,
+    rank_and_prefixes,
     value_keyed_twins,
 )
 
 
-def small_graphs(max_n=8):
+def small_graphs(max_n=8, min_n=1):
     @st.composite
     def strategy(draw):
-        n = draw(st.integers(min_value=1, max_value=max_n))
+        n = draw(st.integers(min_value=min_n, max_value=max_n))
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         picks = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
         return build_graph(n, picks)
@@ -178,6 +179,32 @@ class TestMaskForm:
         h = SimpleGraph.from_masks(g.n, g.adjacency_masks)
         assert h.component_sizes == g.component_sizes == tuple(expected)
         assert "adj" not in h.__dict__
+
+
+class TestRankTables:
+    """The rank order and degree-prefix masks a host keeps for the exact
+    search, against the tables each search once built for itself."""
+
+    @staticmethod
+    def check(g):
+        degrees = range(max(g.degrees, default=0) + 2)
+        rank, prefix = rank_and_prefixes(g, degrees)
+        assert g.rank == tuple(rank)
+        assert {d: g.degree_prefix(d) for d in degrees} == prefix
+
+    @settings(max_examples=200)
+    @given(small_graphs(max_n=9, min_n=0))
+    @example(build_graph(0, []))
+    @example(build_graph(1, []))
+    # ties at every degree, and an isolated vertex
+    @example(build_graph(6, [(0, 1), (2, 3), (3, 4), (4, 2)]))
+    def test_match_per_search_tables(self, g):
+        self.check(g)
+
+    def test_random_hosts(self):
+        rng = random.Random(15)
+        for n, k, alpha in ((70, 30, 0), (140, 60, 0), (140, 60, "1/4")):
+            self.check(random_host(n, k, Fraction(alpha), rng))
 
 
 class TestBuildTree:
@@ -487,7 +514,7 @@ class TestTwinQuotient:
         generated = [
             build(ExtremalParams(ell, c, c * ell * (ell + 1))).graph
             for build in (two_wing_host, wing_clique_host, matched_wing_host)
-            for ell in (3, 5)
+            for ell in (3, 5, 7)
             for c in (1, 3)
         ]
         rng = random.Random(14)
@@ -503,6 +530,23 @@ class TestTwinQuotient:
         for g in generated + drawn + rebuilt:
             q = TwinQuotient.of_graph(g)
             assert (q.class_of, q.clique, q.adj) == value_keyed_twins(g)
+        # hprime(7,3)'s A representatives see the hub and 91 B classes,
+        # past the quotient's sparse decode of fewer than 64
+        hprime = generated[-1]
+        assert max(map(len, hprime.twin_quotient.adj)) == 1 + 91
+
+    def test_masks_sharing_their_int_hash(self):
+        # a clique of 200 and an apex: each vertex's mask is the block's
+        # minus its own bit, and Python's int hash, the value mod 2**61 - 1,
+        # gives these 201 masks only 61 values
+        n = 201
+        g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+        block = (1 << n) - 1
+        assert g.adjacency_masks == tuple(block ^ 1 << w for w in range(n))
+        assert len({hash(m) for m in g.adjacency_masks}) <= 61
+        q = TwinQuotient.of_graph(g)
+        assert (q.class_of, q.clique, q.adj) == value_keyed_twins(g)
+        assert q.clique == [True]
 
 
 class TestFlowNetwork:
