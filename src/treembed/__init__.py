@@ -64,7 +64,6 @@ from .graphs import (
     components,
     degree_stats,
     distance_bfs,
-    induced_subgraph,
     vertex_connectivity,
 )
 from .randgen import random_host, random_tree, splitmix64, trial_seed

@@ -26,6 +26,7 @@ from .graphs import (
     TreeGraph,
     TwinQuotient,
     _bitmask,
+    _members,
     bfs_layout,
     degree_stats,
 )
@@ -223,12 +224,14 @@ class _Backtracker:
 
         self.chain_prev: list[Optional[int]] = [None] * n_t
         self.quotient: Optional[TwinQuotient] = None
+        self.others, self.ids = [], []
         if symmetry:
             self._build_chains(layout.order, leaf)
             self.quotient = host.twin_quotient
             self.others = self.quotient.complements
         else:
-            self.others = [~(1 << w) for w in range(host.n)]
+            # the plain search keeps every candidate: one scan decodes them
+            self.ids = list(range(host.n))
         # per depth, the quotient's colouring with the placed classes fixed
         self.prefix_partitions: list[Optional[tuple]] = [None] * len(self.order)
 
@@ -337,6 +340,7 @@ class _Backtracker:
         child_count = self.child_count
         sib_rest = self.sib_rest
         others = self.others
+        ids = self.ids
         rank = self.rank
         grouped = bool(self.demand)
         has_groups = [a != b for a, b in zip(self.group_start, self.group_end)]
@@ -375,11 +379,14 @@ class _Backtracker:
                 cp = chain_prev[u]
                 if cp is not None:
                     cand &= -(1 << (images[cp] + 1))
-                chosen = []
-                while cand:
-                    w = (cand & -cand).bit_length() - 1
-                    chosen.append(w)
-                    cand &= others[w]
+                if orbits:
+                    chosen = []
+                    while cand:
+                        w = (cand & -cand).bit_length() - 1
+                        chosen.append(w)
+                        cand &= others[w]
+                else:
+                    chosen = list(_members(cand, ids))
                 if len(chosen) > 1:
                     chosen.sort(key=rank.__getitem__)
                 i = 0

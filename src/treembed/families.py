@@ -82,9 +82,6 @@ class TaggedGraph:
     def n(self) -> int:
         return self.graph.n
 
-    def part_sizes(self) -> dict[str, int]:
-        return {name: len(vs) for name, vs in self.parts.items()}
-
 
 def two_wing_degree_forms(params: ExtremalParams) -> tuple[int, int]:
     """(min degree, max degree) the two-wing host realizes.

@@ -24,17 +24,6 @@ class ParseError(ValueError):
     """A file or payload that does not parse as a graph."""
 
 
-def graph_to_payload(g: SimpleGraph, meta: Optional[Mapping] = None) -> dict:
-    """JSON-ready dict; insertion order is the on-disk order."""
-    return {
-        "format": FORMAT_TAG,
-        "n": g.n,
-        "edges": [[u, v] for u, v in g.edges()],
-        "tags": {str(v): g.tags[v] for v in sorted(g.tags)},
-        "meta": dict(meta) if meta else {},
-    }
-
-
 def _edge_text(g: SimpleGraph, template: str, sep: str, base: int = 0) -> str:
     """Every edge (u + base, v + base) filled into template, joined by sep.
     Each row of edges is joined on its own, so the strings of at most one
@@ -46,8 +35,9 @@ def _edge_text(g: SimpleGraph, template: str, sep: str, base: int = 0) -> str:
 
 
 def graph_to_json(g: SimpleGraph, meta: Optional[Mapping] = None) -> str:
-    """One top-level key per line, edge pairs kept compact: the document
-    graph_to_payload describes, written without building its edge list."""
+    """The document of format, n, edges ([u, v] with u < v, ascending),
+    tags (keyed by str(v)) and meta; one top-level key per line, edge
+    pairs kept compact, written without building an edge list."""
     tags = {str(v): g.tags[v] for v in sorted(g.tags)}
     return (
         "{\n"
@@ -83,10 +73,14 @@ def graph_from_payload(payload: Mapping) -> tuple[SimpleGraph, dict]:
     if not isinstance(raw_tags, Mapping):
         raise ParseError("tags must be an object")
     for key, role in raw_tags.items():
+        # only the writer's spelling: int() also reads "1_0", " 1", "+1" and
+        # "01", and two spellings of one vertex would overwrite each other
         try:
             v = int(key)
         except (TypeError, ValueError):
-            raise ParseError(f"tag key {key!r} is not a vertex id") from None
+            v = None
+        if v is None or key != str(v):
+            raise ParseError(f"tag key {key!r} is not a vertex id")
         # a list or object role is unhashable, so test its type first
         if not isinstance(role, str) or role not in VERTEX_TAGS:
             raise ParseError(f"unknown vertex tag {role!r} on vertex {v}")

@@ -7,7 +7,6 @@ traces, and reports reproduce byte for byte across runs.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -325,25 +324,6 @@ class Component:
     @property
     def order(self) -> int:
         return len(self.vertices)
-
-
-def induced_subgraph(
-    g: SimpleGraph, vertices: Iterable[int]
-) -> tuple[SimpleGraph, dict[int, int]]:
-    """Subgraph on the given vertices with dense relabeling.
-
-    Returns the relabeled graph and the old-to-new id map.  Vertex order is
-    preserved by rank, so relabeling is deterministic.
-    """
-    vs = sorted(set(vertices))
-    for v in vs:
-        if not (0 <= v < g.n):
-            raise GraphError(f"vertex {v} out of range for n={g.n}")
-    index_map = {v: i for i, v in enumerate(vs)}
-    # relabeling keeps the order, so each filtered row stays sorted
-    adj = tuple(tuple(index_map[w] for w in g.adj[v] if w in index_map) for v in vs)
-    tags = {index_map[v]: g.tags[v] for v in vs if v in g.tags}
-    return SimpleGraph(len(vs), adj, tags), index_map
 
 
 class BfsLayout(NamedTuple):
@@ -728,77 +708,14 @@ def _refine(adj: list[list[int]], col: list[int], cells: list[set[int]], queue: 
                 cells.append(part)
 
 
-class FlowNetwork:
-    """Integer-capacity flow network grown by shortest augmenting paths.
-
-    Arcs come in pairs: arc a and its residual partner a ^ 1, which starts
-    at capacity zero.  reset returns every arc to zero flow.  Serves the
-    vertex cuts of vertex_connectivity.
-    """
-
-    def __init__(self, size: int):
-        self.head: list[list[int]] = [[] for _ in range(size)]
-        self.to: list[int] = []
-        self.base_cap: list[int] = []
-        self.cap: list[int] = []
-
-    def arc(self, a: int, b: int, cap: int) -> int:
-        """Add an arc a -> b and return its index."""
-        idx = len(self.to)
-        self.head[a].append(idx)
-        self.head[b].append(idx + 1)
-        self.to += (b, a)
-        self.base_cap += (cap, 0)
-        self.cap += (cap, 0)
-        return idx
-
-    def push(self, arc: int, amount: int) -> None:
-        self.cap[arc] -= amount
-        self.cap[arc ^ 1] += amount
-
-    def reset(self) -> None:
-        self.cap = self.base_cap.copy()
-
-    def max_flow(self, source: int, sink: int, cutoff: int) -> int:
-        """Augment source -> sink until no path is left or cutoff more
-        units have moved; returns the units this call added."""
-        cap, head, to = self.cap, self.head, self.to
-        added = 0
-        while added < cutoff:
-            parent_arc = [-1] * len(head)
-            parent_arc[source] = -2
-            queue = deque([source])
-            while queue and parent_arc[sink] == -1:
-                a = queue.popleft()
-                for arc in head[a]:
-                    b = to[arc]
-                    if parent_arc[b] == -1 and cap[arc] > 0:
-                        parent_arc[b] = arc
-                        queue.append(b)
-            if parent_arc[sink] == -1:
-                break
-            step = cutoff - added
-            b = sink
-            while b != source:
-                arc = parent_arc[b]
-                step = min(step, cap[arc])
-                b = to[arc ^ 1]
-            b = sink
-            while b != source:
-                arc = parent_arc[b]
-                self.push(arc, step)
-                b = to[arc ^ 1]
-            added += step
-        return added
-
-
 def vertex_connectivity(g: SimpleGraph) -> int:
     """Exact vertex connectivity.
 
     Complete graphs return n-1 by convention.  Otherwise kappa is the least
-    s-t cut over non-adjacent pairs, computed by unit-capacity flow on the
-    split digraph.  Fixing a minimum degree vertex v0, it is enough to scan
-    the pairs (v0, w) with w outside N[v0] plus the non-adjacent pairs
+    number of vertices separating a non-adjacent pair, which by Menger's
+    theorem is the most paths between them that share no inner vertex
+    (_disjoint_paths).  Fixing a minimum degree vertex v0, it is enough to
+    scan the pairs (v0, w) with w outside N[v0] plus the non-adjacent pairs
     inside N(v0): a minimum cut either misses v0, or contains it and then
     has neighbors of v0 strictly on both sides.
     """
@@ -806,36 +723,50 @@ def vertex_connectivity(g: SimpleGraph) -> int:
         raise GraphError("connectivity needs at least two vertices")
     if g.m == g.n * (g.n - 1) // 2:
         return g.n - 1
-    degs = g.degrees
-    v0 = min(range(g.n), key=lambda v: (degs[v], v))
-    closed = set(g.adj[v0]) | {v0}
-    # each vertex v becomes an arc 2v -> 2v+1 of capacity one, each edge uv
-    # the arcs u_out -> v_in and v_out -> u_in of capacity n; a max flow
-    # from s_out to t_in is then the least number of vertices separating
-    # non-adjacent s from t
-    net = FlowNetwork(2 * g.n)
-    for v in range(g.n):
-        net.arc(2 * v, 2 * v + 1, 1)
-    for u, v in g.edges():
-        net.arc(2 * u + 1, 2 * v, g.n)
-        net.arc(2 * v + 1, 2 * u, g.n)
-
-    def min_cut(s: int, t: int, cutoff: int) -> int:
-        net.reset()
-        return net.max_flow(2 * s + 1, 2 * t, cutoff)
-
+    masks, degs, ids = g.adjacency_masks, g.degrees, list(range(g.n))
+    v0 = min(ids, key=degs.__getitem__)
+    nbrs = list(_members(masks[v0], ids))
+    pairs = [(v0, w) for w in _members(~(masks[v0] | 1 << v0) & (1 << g.n) - 1, ids)]
+    pairs += [(u, w) for i, u in enumerate(nbrs) for w in nbrs[i + 1 :] if not masks[u] >> w & 1]
     best = g.n - 1
-    for w in range(g.n):
-        if w in closed:
-            continue
-        best = min(best, min_cut(v0, w, best))
+    for s, t in pairs:
+        best = min(best, _disjoint_paths(masks, ids, s, t, best))
         if best == 0:
             return 0
-    nbrs = list(g.adj[v0])
-    for i, u in enumerate(nbrs):
-        for w in nbrs[i + 1 :]:
-            if not g.has_edge(u, w):
-                best = min(best, min_cut(u, w, best))
-                if best == 0:
-                    return 0
     return best
+
+
+def _disjoint_paths(masks: Sequence[int], ids: list[int], s: int, t: int, cutoff: int) -> int:
+    """The most s-t paths that share no inner vertex, counted up to cutoff,
+    for non-adjacent s and t.
+
+    Paths are added one augmenting path at a time, over the split graph in
+    which each vertex v is entered at v_in and left at v_out, with room for
+    one path.  pred[v] is the vertex before v on its path, -1 for a vertex
+    on none.  The search runs over out-sides from s_out: y_out enters w_in
+    for every neighbor w, and y_in when y is on a path; a w_in on no path
+    leads on to w_out, one on a path back to pred[w]_out.  On the path
+    found, a step (y, w) makes y the vertex before w, or, when w is y,
+    takes y off its path.
+    """
+    pred = [-1] * len(masks)
+    for count in range(cutoff):
+        came = {s: (s, s)}
+        queue = [s]
+        seen = 1 << s
+        for y in queue:  # grows while it runs
+            fresh = (masks[y] | (pred[y] >= 0) << y) & ~seen
+            seen |= fresh
+            if fresh >> t & 1:
+                break
+            for w in _members(fresh, ids):
+                x = w if pred[w] < 0 else pred[w]
+                if x not in came:
+                    came[x] = (y, w)
+                    queue.append(x)
+        else:
+            return count
+        while y != s:
+            y, w = came[y]
+            pred[w] = -1 if w == y else y
+    return cutoff

@@ -10,7 +10,7 @@ import itertools
 from collections import deque
 
 from treembed.families import ExtremalParams
-from treembed.graphs import FlowNetwork, SimpleGraph, TreeGraph, _bitmask, _members, build_graph
+from treembed.graphs import SimpleGraph, TreeGraph, build_graph
 
 
 def naive_embed_exists(tree_graph: SimpleGraph, host: SimpleGraph) -> bool:
@@ -54,6 +54,15 @@ def brute_vertex_connectivity(g: SimpleGraph) -> int:
             if not _connected_after_removal(g, set(cut)):
                 return size
     return g.n - 1
+
+
+def induced_by_edges(g: SimpleGraph, vertices) -> tuple[SimpleGraph, dict[int, int]]:
+    """The subgraph of g on vertices, relabeled in ascending order, and the
+    old-to-new id map; built by build_graph over the kept edges and tags."""
+    vs = sorted(set(vertices))
+    index = {v: i for i, v in enumerate(vs)}
+    edges = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
+    return build_graph(len(vs), edges, {index[v]: g.tags[v] for v in vs if v in g.tags}), index
 
 
 def brute_max_component_orders(tree: TreeGraph) -> list[int]:
@@ -124,19 +133,23 @@ def brute_hall_holds(nbrs: list[int], demand: list[int]) -> bool:
 
 def flow_hall_holds(nbrs: list[int], demand: list[int]) -> bool:
     """Whether the groups with neighborhood bitmasks nbrs have a complete
-    b-matching, by a max flow from scratch: source -> group at capacity
-    demand, group -> neighbor and neighbor -> sink at capacity one."""
+    b-matching, from scratch: group g appears as demand[g] copies, and
+    each copy in turn is matched by a depth-first augmenting path."""
     width = max(nbrs, default=0).bit_length()
-    groups = len(nbrs)
-    net = FlowNetwork(2 + groups + width)
-    for g, mask in enumerate(nbrs):
-        net.arc(0, 2 + g, demand[g])
-        for w in range(width):
-            if mask >> w & 1:
-                net.arc(2 + g, 2 + groups + w, 1)
-    for w in range(width):
-        net.arc(2 + groups + w, 1, 1)
-    return net.max_flow(0, 1, sum(demand)) == sum(demand)
+    rows = [[w for w in range(width) if mask >> w & 1] for mask in nbrs]
+    copies = [g for g, d in enumerate(demand) for _ in range(d)]
+    owner: dict[int, int] = {}
+
+    def augment(c: int, visited: set[int]) -> bool:
+        for w in rows[copies[c]]:
+            if w not in visited:
+                visited.add(w)
+                if w not in owner or augment(owner[w], visited):
+                    owner[w] = c
+                    return True
+        return False
+
+    return all(augment(c, set()) for c in range(len(copies)))
 
 
 def bitwise_top_bits(mask: int, count: int) -> int:
@@ -200,9 +213,8 @@ def value_keyed_twins(g: SimpleGraph) -> tuple[list[int], list[bool], list[list[
         elif key != m:
             clique[c] = True
         class_of.append(c)
-    ids, rep_mask = list(range(g.n)), _bitmask(reps)
     adj = [
-        sorted({class_of[w] for w in _members(masks[r] & rep_mask, ids)} - {c})
+        sorted({class_of[w] for w in reps if masks[r] >> w & 1} - {c})
         for c, r in enumerate(reps)
     ]
     return class_of, clique, adj

@@ -1,6 +1,7 @@
 """Serialization round-trips and every parser rejection path."""
 
 import json
+import re
 
 import pytest
 
@@ -13,7 +14,6 @@ from treembed.formats import (
     graph_from_json,
     graph_to_dimacs,
     graph_to_json,
-    graph_to_payload,
     parse_graph_file,
     parse_graph_text,
     sniff_format,
@@ -57,15 +57,18 @@ class TestJson:
         rows = build_graph(host.n, list(host.edges()), tags=host.tags)
         assert graph_to_json(host, {"k": 12}) == graph_to_json(rows, {"k": 12})
         assert graph_to_dimacs(host) == graph_to_dimacs(rows)
-        assert json.loads(graph_to_json(host)) == graph_to_payload(rows)
+        assert json.loads(graph_to_json(host)) == {
+            "format": FORMAT_TAG,
+            "n": rows.n,
+            "edges": [[u, v] for u, v in rows.edges()],
+            "tags": {str(v): rows.tags[v] for v in sorted(rows.tags)},
+            "meta": {},
+        }
         assert "adj" not in host.__dict__
 
-    def test_payload_format_tag(self):
-        assert graph_to_payload(small_tagged_graph())["format"] == FORMAT_TAG
-
     def test_wrong_format_tag(self):
-        payload = graph_to_payload(small_tagged_graph())
-        payload["format"] = "treex-graph-v0"
+        payload = {"format": "treex-graph-v0", "n": 4, "edges": [[0, 1], [1, 2], [2, 3]],
+                   "tags": {"0": "hub", "3": "A1"}, "meta": {}}
         with pytest.raises(ParseError, match="unsupported format tag"):
             graph_from_json(json.dumps(payload))
 
@@ -110,6 +113,18 @@ class TestJson:
     def test_non_integer_tag_key(self):
         payload = {"format": FORMAT_TAG, "n": 2, "edges": [[0, 1]], "tags": {"first": "hub"}}
         with pytest.raises(ParseError, match="not a vertex id"):
+            graph_from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("key", ["1_0", " 1", "1 ", "+1", "01", "-0"])
+    def test_tag_key_spelled_otherwise_than_written(self, key):
+        payload = {"format": FORMAT_TAG, "n": 11, "edges": [], "tags": {key: "hub"}}
+        with pytest.raises(ParseError, match=re.escape(f"tag key {key!r} is not a vertex id")):
+            graph_from_json(json.dumps(payload))
+
+    def test_two_spellings_of_one_vertex(self):
+        # int() reads both as vertex 1, and the later role would win
+        payload = {"format": FORMAT_TAG, "n": 2, "edges": [], "tags": {"1": "hub", "01": "leaf"}}
+        with pytest.raises(ParseError, match="tag key '01' is not a vertex id"):
             graph_from_json(json.dumps(payload))
 
 

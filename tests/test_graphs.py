@@ -15,8 +15,6 @@ from treembed.families import (
     wing_clique_host,
 )
 from treembed.graphs import (
-    VERTEX_TAGS,
-    FlowNetwork,
     GraphError,
     SimpleGraph,
     TwinQuotient,
@@ -26,7 +24,6 @@ from treembed.graphs import (
     components,
     degree_stats,
     distance_bfs,
-    induced_subgraph,
     vertex_connectivity,
 )
 from treembed.randgen import random_host
@@ -35,6 +32,7 @@ from oracles import (
     brute_bipartition_exists,
     brute_stabiliser_orbits,
     brute_vertex_connectivity,
+    induced_by_edges,
     rank_and_prefixes,
     value_keyed_twins,
 )
@@ -274,7 +272,7 @@ class TestComponents:
             original = sum(
                 1 for u, v in g.edges() if u in inside and v in inside
             )
-            sub = induced_subgraph(g, comp.vertices)[0]
+            sub = induced_by_edges(g, comp.vertices)[0]
             assert sub.m == original
             if comp.bipartition is not None:
                 s0, s1 = set(comp.bipartition.side0), set(comp.bipartition.side1)
@@ -304,7 +302,7 @@ class TestComponents:
 
 def assert_exclude_matches_induced(g, x):
     """components(g, exclude=x) is components of G - x in original ids."""
-    rest, old_to_new = induced_subgraph(g, [v for v in range(g.n) if v != x])
+    rest, old_to_new = induced_by_edges(g, [v for v in range(g.n) if v != x])
     new_to_old = {i: v for v, i in old_to_new.items()}
     got = components(g, exclude=x)
     want = components(rest)
@@ -335,42 +333,6 @@ class TestBfsLayout:
         assert layout.parent == [-1, 0, -1, -1, -1, -1]
         assert layout.depth == [0, 1, -1, -1, -1, -1]
         assert bfs_layout(g, (2, 3), blocked=(2,)).order == [3]
-
-
-class TestInducedSubgraph:
-    def test_relabeling(self):
-        g = build_graph(5, [(1, 3), (3, 4), (0, 2)])
-        sub, index_map = induced_subgraph(g, [1, 3, 4])
-        assert sub.n == 3
-        assert index_map == {1: 0, 3: 1, 4: 2}
-        assert list(sub.edges()) == [(0, 1), (1, 2)]
-
-    def test_tags_restricted(self):
-        g = build_graph(3, [(0, 1), (1, 2)], tags={0: "hub", 2: "leaf"})
-        sub, _ = induced_subgraph(g, [1, 2])
-        assert sub.tags == {1: "leaf"}
-
-    @settings(max_examples=150)
-    @given(small_graphs(), st.data())
-    def test_matches_build_graph_over_kept_edges(self, g, data):
-        vertex = st.integers(min_value=0, max_value=g.n - 1)
-        tags = data.draw(st.dictionaries(vertex, st.sampled_from(sorted(VERTEX_TAGS))))
-        g = build_graph(g.n, list(g.edges()), tags)
-        keep = data.draw(st.lists(vertex, unique=True))
-        sub, index_map = induced_subgraph(g, keep)
-        vs = sorted(keep)
-        assert index_map == {v: i for i, v in enumerate(vs)}
-        want = build_graph(
-            len(vs),
-            [
-                (index_map[u], index_map[v])
-                for u, v in g.edges()
-                if u in index_map and v in index_map
-            ],
-            {index_map[v]: g.tags[v] for v in vs if v in g.tags},
-        )
-        assert sub == want
-        assert list(sub.tags.items()) == list(want.tags.items())
 
 
 class TestDistanceBfs:
@@ -436,6 +398,26 @@ class TestVertexConnectivity:
             ]
             g = build_graph(n, edges)
             assert vertex_connectivity(g) == brute_vertex_connectivity(g)
+
+    def test_augmenting_path_leaves_a_vertex_by_its_in_side(self):
+        # the first path from 0 to 9 is 0-1-3-6-9; the second search
+        # reaches 6 by 0-2-5, steps back along that path to 3, and gets on
+        # only by undoing 1-3 as well, to 1 and then 4-7-8-9
+        g = build_graph(10, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (3, 6),
+                             (5, 6), (6, 9), (4, 7), (7, 8), (8, 9)])
+        assert vertex_connectivity(g) == brute_vertex_connectivity(g) == 2
+
+    @pytest.mark.parametrize("c, delta", [(1, 5), (2, 13), (3, 21)])
+    def test_grid_hosts_at_ell_3(self, c, delta):
+        # the hub is a cut vertex of h and g, which gives the G - x split
+        # the apex classifier reads; hprime is as connected as its minimum
+        # degree allows
+        params = ExtremalParams(3, c, 12 * c)
+        for build, kappa in ((two_wing_host, 1), (wing_clique_host, 1), (matched_wing_host, delta)):
+            host = build(params).graph
+            assert vertex_connectivity(host) == kappa
+            assert "adj" not in host.__dict__
+        assert degree_stats(host).min_degree == delta
 
 
 class TestTwinQuotient:
@@ -547,17 +529,3 @@ class TestTwinQuotient:
         q = TwinQuotient.of_graph(g)
         assert (q.class_of, q.clique, q.adj) == value_keyed_twins(g)
         assert q.clique == [True]
-
-
-class TestFlowNetwork:
-    def test_cutoff_and_reset(self):
-        # two disjoint unit paths 0 -> 1 -> 3 and 0 -> 2 -> 3
-        net = FlowNetwork(4)
-        for a, b in ((0, 1), (1, 3), (0, 2), (2, 3)):
-            net.arc(a, b, 1)
-        assert net.max_flow(0, 3, 1) == 1
-        # a second call adds to the flow the first one left
-        assert net.max_flow(0, 3, 5) == 1
-        assert net.max_flow(0, 3, 5) == 0
-        net.reset()
-        assert net.max_flow(0, 3, 5) == 2
