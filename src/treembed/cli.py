@@ -3,7 +3,8 @@
 Subcommands: gen, check, verify-example, sweep, stress.  Exit codes: 0 for
 embedded or confirmed, 1 for not-embedded or a counterexample, 2 for usage
 and parse errors, 3 for inconclusive (timeout, unknown, or out of memory),
-so CI scripts can assert outcomes directly.
+so CI scripts can assert outcomes directly.  `main(argv)` keeps them when
+called repeatedly in one process; it builds its parser on the first call.
 
 Every command with fixed arguments and seed produces byte-identical
 primary output; wall-clock timings only appear where explicitly requested.
@@ -12,6 +13,7 @@ primary output; wall-clock timings only appear where explicitly requested.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 import time
@@ -83,6 +85,7 @@ def _flag(*names: str, **kwargs) -> argparse.ArgumentParser:
     return parent
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treembed",
@@ -109,7 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stars", help="comma list of star orders, e.g. 4,4,4")
     p.add_argument("--n1", type=int, help="first side of the complete bipartite host")
     p.add_argument("--n2", type=int, help="second side of the complete bipartite host")
-    p.set_defaults(func=run_gen)
 
     p = sub.add_parser("check", parents=[timeout], help="embed a tree file in a host file")
     p.add_argument("--tree", required=True, help="tree graph file")
@@ -119,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-nodes", type=int, default=None, dest="max_nodes")
     p.add_argument("--witness-out", default=None, dest="witness_out")
-    p.set_defaults(func=run_check)
 
     p = sub.add_parser(
         "verify-example", parents=[timeout],
@@ -128,13 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=("h", "g", "hprime"))
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
-    p.set_defaults(func=run_verify_example)
 
     p = sub.add_parser("sweep", parents=[out], help="CSV of host degree facts")
     p.add_argument("--family", choices=("h", "g", "hprime"), default="h")
     p.add_argument("--ell-list", required=True, dest="ell_list", help="e.g. 3,5,7")
     p.add_argument("--c-list", required=True, dest="c_list", help="e.g. 1,2,3")
-    p.set_defaults(func=run_sweep)
 
     p = sub.add_parser(
         "stress", parents=[seed, timeout, out], help="random embed trials, JSONL out"
@@ -150,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--timings", action="store_true",
         help="include elapsed_ms (breaks byte-identical reruns)",
     )
-    p.set_defaults(func=run_stress)
     return parser
 
 
@@ -400,14 +398,15 @@ def run_stress(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # by name when called, so a rebound cli.run_<command> is the one that runs
+    run = globals()["run_" + args.command.replace("-", "_")]
     try:
         # also rejects nan, which would leave the wall clock unarmed
         timeout_ms = getattr(args, "timeout_ms", None)
         if timeout_ms is not None and not timeout_ms >= 0:
             raise GraphError(f"--timeout-ms must be nonnegative, got {timeout_ms}")
-        return args.func(args)
+        return run(args)
     except (GraphError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

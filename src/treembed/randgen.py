@@ -7,9 +7,12 @@ private random.Random.  Nothing here touches the global RNG state.
 
 from __future__ import annotations
 
+import heapq
 import random
+from math import ceil
 
 from .graphs import GraphError, SimpleGraph, TreeGraph, build_tree, degree_stats
+from .rational import as_fraction
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -62,8 +65,6 @@ def random_tree(
 
 
 def _decode_tree(n: int, code: list[int]) -> list[tuple[int, int]]:
-    import heapq
-
     degree = [1] * n
     for v in code:
         degree[v] += 1
@@ -98,10 +99,6 @@ def random_host(
     bounds; exhausting the attempts raises GraphError, and so, before any
     draw, does a bound no host on n vertices can meet.
     """
-    from math import ceil
-
-    from .rational import as_fraction
-
     a = as_fraction(alpha)
     d_min = ceil((1 + a) * k / 2)
     d_plant = ceil(2 * (1 - a) * k)

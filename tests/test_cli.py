@@ -443,3 +443,52 @@ class TestStress:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: --alpha")
         assert not out.exists()
+
+
+class TestRepeatedCalls:
+    """main keeps one parser per process; no call may leave state for the next."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_timings_flag_does_not_carry_over(self, tmp_path):
+        args = ["stress", "--k", "5", "--n", "14", "--trials", "2", "--seed", "1"]
+        timed, plain = tmp_path / "timed.jsonl", tmp_path / "plain.jsonl"
+        assert main(args + ["--timings", "--out", str(timed)]) == 0
+        assert main(args + ["--out", str(plain)]) == 0
+        assert all("elapsed_ms" in json.loads(line) for line in timed.read_text().splitlines())
+        assert all("elapsed_ms" not in json.loads(line) for line in plain.read_text().splitlines())
+
+    def test_usage_error_then_valid_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["stress", "--k", "6"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["stress", "--k", "4", "--n", "12", "--trials", "3", "--seed", "2"]) == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 3
+        assert captured.err == ""
+
+    def test_gen_to_stdout_twice_is_identical(self, capsys):
+        argv = ["gen", "--family", "h", "--ell", "3", "--c", "1", "--k", "12"]
+        assert main(argv) == 0
+        first = capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr() == first
+
+    def test_dispatch_reads_the_module_attribute(self, tmp_path, monkeypatch):
+        argv = ["stress", "--k", "4", "--n", "12", "--trials", "1",
+                "--out", str(tmp_path / "s.jsonl")]
+        assert main(argv) == 0
+        calls = []
+
+        def stub(args):
+            calls.append(args.k)
+            return 7
+
+        monkeypatch.setattr(cli, "run_stress", stub)
+        assert main(argv) == 7
+        assert calls == [4]
+        monkeypatch.undo()
+        assert main(argv) == 0
+        assert calls == [4]
