@@ -6,11 +6,17 @@ enumeration, per-vertex BFS.  Keep these slow and obvious.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import random
 from collections import deque
+from math import ceil
 
 from treembed.families import ExtremalParams
-from treembed.graphs import SimpleGraph, TreeGraph, build_graph
+from treembed.graphs import (
+    GraphError, SimpleGraph, TreeGraph, build_graph, build_tree, degree_stats,
+)
+from treembed.rational import as_fraction
 
 
 def naive_embed_exists(tree_graph: SimpleGraph, host: SimpleGraph) -> bool:
@@ -368,3 +374,81 @@ def _sorted_match(q, a, b, fixed):
             return None
         a = q._individualised(*a, min(a_cells[open_cell]))
         b = q._individualised(*b, min(b_cells[open_cell]))
+
+
+def per_draw_random_tree(
+    k: int,
+    rng: random.Random,
+    max_degree: int | None = None,
+    attempts: int = 1000,
+) -> TreeGraph:
+    """randgen.random_tree one draw at a time: rng.randrange(n) per code
+    entry, a heap decode to an edge list, build_tree, and the degree cap
+    read from the built tree."""
+    if k < 0:
+        raise GraphError(f"edge count must be non-negative, got {k}")
+    n = k + 1
+    if max_degree is not None and max_degree < 2 and n > max_degree + 1:
+        raise GraphError(f"no tree on {n} vertices has max degree {max_degree}")
+    if n == 1:
+        return build_tree(1, [])
+    if n == 2:
+        return build_tree(2, [(0, 1)])
+    for _ in range(attempts):
+        code = [rng.randrange(n) for _ in range(n - 2)]
+        degree = [1] * n
+        for v in code:
+            degree[v] += 1
+        leaves = [v for v in range(n) if degree[v] == 1]
+        heapq.heapify(leaves)
+        edges = []
+        for v in code:
+            edges.append((heapq.heappop(leaves), v))
+            degree[v] -= 1
+            if degree[v] == 1:
+                heapq.heappush(leaves, v)
+        edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+        tree = build_tree(n, edges)
+        if max_degree is None or degree_stats(tree.graph).max_degree <= max_degree:
+            return tree
+    raise GraphError(
+        f"no tree with {k} edges and max degree {max_degree} in {attempts} attempts"
+    )
+
+
+def per_draw_random_host(
+    n: int,
+    k: int,
+    alpha,
+    rng: random.Random,
+    attempts: int = 200,
+) -> SimpleGraph:
+    """randgen.random_host one draw at a time: rng.random() < p for each
+    pair u < v in lexicographic order, the pairs (0, v) with v in the hub
+    taking no draw, and each mask read from its row and its column."""
+    a = as_fraction(alpha)
+    d_min = ceil((1 + a) * k / 2)
+    d_plant = ceil(2 * (1 - a) * k)
+    if max(d_min, d_plant) > n - 1:
+        raise GraphError(
+            f"degree bounds need {max(d_min, d_plant)} neighbors, only {n - 1} available"
+        )
+    p = min(0.95, float(1 + a) * k / max(n - 1, 1))
+    for _ in range(attempts):
+        hub = set(rng.sample(range(1, n), d_plant))
+        rows = []
+        for u in range(n):
+            row, planted = bytearray(b"0" * n), hub if u == 0 else ()
+            for v in range(u + 1, n):
+                if v in planted or rng.random() < p:
+                    row[v] = 49
+            rows.append(row)
+        stacked = b"".join(rows)
+        masks = tuple(
+            int(rows[u][::-1], 2) | int(stacked[u::n][::-1], 2) for u in range(n)
+        )
+        g = SimpleGraph.from_masks(n, masks)
+        stats = degree_stats(g)
+        if stats.min_degree >= d_min and stats.max_degree >= d_plant:
+            return g
+    raise GraphError(f"no host met the degree bounds in {attempts} attempts")

@@ -2,12 +2,17 @@
 
 import random
 from fractions import Fraction
+from math import ceil
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from treembed.graphs import GraphError, build_graph, degree_stats
 from treembed import randgen
 from treembed.randgen import random_host, random_tree, splitmix64, trial_seed
+
+from oracles import per_draw_random_host, per_draw_random_tree
 
 
 class TestSplitmix64:
@@ -150,3 +155,167 @@ class TestRandomHost:
         random_host(n, k, alpha, rng)
         assert len(checks) == attempts
         assert rng.random() == after
+
+    def test_capped_tree_decoded_once(self, monkeypatch):
+        # a code over the degree cap is redrawn from its counts, undecoded
+        decoded = []
+
+        def counting_decode(n, code, degree):
+            decoded.append(code)
+            return decode(n, code, degree)
+
+        decode = randgen._decode_rows
+        monkeypatch.setattr(randgen, "_decode_rows", counting_decode)
+        tree = random_tree(6, random.Random(5), max_degree=2, attempts=5000)
+        assert len(decoded) == 1
+        assert max(tree.graph.degrees) == 2
+
+
+def _outcome(call, seed):
+    """What call(rng) leaves behind for a fresh rng seeded with seed: its
+    result or its GraphError's message, and the rng state after it."""
+    rng = random.Random(seed)
+    try:
+        result = call(rng)
+    except GraphError as err:
+        result = str(err)
+    return result, rng.getstate()
+
+
+@st.composite
+def host_args(draw):
+    n = draw(st.integers(1, 60))
+    k = draw(st.integers(0, n - 1))
+    alpha = Fraction(draw(st.integers(0, 12)), 12)
+    return n, k, alpha, draw(st.integers(1, 4)), draw(st.integers(0, 2**32))
+
+
+class TestDrawForDraw:
+    """The bulk draws against the per-draw oracles: the same graph or the
+    same error, and the rng left in the same state."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(host_args())
+    # one vertex; p at the 0.95 cap; the hub takes every vertex, so row 0
+    # draws nothing; the attempts run out
+    @example((1, 0, Fraction(0), 1, 0))
+    @example((60, 40, Fraction(1, 2), 1, 3))
+    @example((60, 59, Fraction(1, 2), 1, 4))
+    @example((9, 4, Fraction(0), 1, 6))
+    def test_random_host(self, args):
+        n, k, alpha, attempts, seed = args
+        bulk = _outcome(lambda rng: random_host(n, k, alpha, rng, attempts).adjacency_masks, seed)
+        assert bulk == _outcome(
+            lambda rng: per_draw_random_host(n, k, alpha, rng, attempts).adjacency_masks, seed
+        )
+
+    def test_host_examples_reach_their_cases(self, monkeypatch):
+        calls = []
+
+        def recording_coins(rng, count, cut, table):
+            calls.append((count, cut))
+            return coins(rng, count, cut, table)
+
+        coins = randgen._coins
+        monkeypatch.setattr(randgen, "_coins", recording_coins)
+        capped = ceil(0.95 * 2**53)
+        random_host(60, 40, Fraction(1, 2), random.Random(3), 1)
+        assert calls[0] == (19, capped)
+        calls.clear()
+        random_host(60, 59, Fraction(1, 2), random.Random(4), 1)
+        # the hub is every other vertex: row 0 draws nothing
+        assert calls[:2] == [(0, capped), (58, capped)]
+        with pytest.raises(GraphError, match="attempts"):
+            random_host(9, 4, Fraction(0), random.Random(6), attempts=1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 60),
+        st.sampled_from([None, 1, 2, 3, 4, 5]),
+        st.integers(1, 5),
+        st.integers(0, 2**32),
+    )
+    # a path cap, drawn again until it holds; a cap that runs out
+    @example(6, 2, 5000, 5)
+    @example(60, 3, 1, 0)
+    def test_random_tree(self, k, max_degree, attempts, seed):
+        bulk = _outcome(lambda rng: random_tree(k, rng, max_degree, attempts).graph.adj, seed)
+        assert bulk == _outcome(
+            lambda rng: per_draw_random_tree(k, rng, max_degree, attempts).graph.adj, seed
+        )
+
+
+def _untemper(y: int) -> int:
+    """The Mersenne Twister state word whose tempered output is y."""
+    y ^= y >> 18
+    y ^= y << 15 & 0xEFC60000
+    x = y
+    for _ in range(4):
+        x = y ^ (x << 7 & 0x9D2C5680)
+    y = x & 0xFFFFFFFF
+    x = y
+    for _ in range(2):
+        x = y ^ x >> 11
+    return x
+
+
+def _word_stream(words: list[int]) -> random.Random:
+    """A random.Random whose next 32-bit outputs are words (at most 624):
+    its state holds them untempered, read from index 0 before any twist."""
+    state = [_untemper(w) for w in words] + [0] * (624 - len(words))
+    rng = random.Random()
+    rng.setstate((3, (*state, 0), None))
+    return rng
+
+
+def _draw_words(x: int, low: int) -> list[int]:
+    """The two words random() turns into x / 2**53; low fills the bits it
+    drops, 5 of the first word and 6 of the second."""
+    return [x >> 26 << 5 | low & 31, (x & (1 << 26) - 1) << 6 | low & 63]
+
+
+# p whose cut has 45 low bits zero, so a top byte equal to cut's is a 0;
+# p below 2**-8, so every draw with top byte 0 ties and p * 2**53 is no
+# integer; and the cap
+COIN_PS = pytest.mark.parametrize(
+    "p", [0.75, 0.001, 0.95], ids=["low-bits-zero", "top-byte-zero", "cap"]
+)
+
+
+class TestCoins:
+    @COIN_PS
+    def test_matches_random(self, p):
+        cut = ceil(p * 2**53)
+        table = randgen._coin_table(cut)
+        bulk, single = random.Random(17), random.Random(17)
+        coins = b"".join(randgen._coins(bulk, count, cut, table)
+                         for count in (1, 7, 256) + (1000,) * 100)
+        assert coins == bytes(49 if single.random() < p else 48 for _ in range(len(coins)))
+        assert bulk.getstate() == single.getstate()
+
+    def test_cases_are_the_named_ones(self):
+        assert ceil(0.75 * 2**53) & (1 << 45) - 1 == 0
+        assert ceil(0.001 * 2**53) >> 45 == 0 and 0.001 * 2**53 % 1
+        assert randgen._coin_table(ceil(0.75 * 2**53)).count(b"?") == 0
+        assert randgen._coin_table(ceil(0.95 * 2**53)).count(b"?") == 1
+
+    def test_word_stream(self):
+        source = random.Random(3)
+        words = [0, 1, 0xFFFFFFFF, 0x80000000] + [source.getrandbits(32) for _ in range(300)]
+        rng = _word_stream(words)
+        assert [rng.getrandbits(32) for _ in words] == words
+
+    @COIN_PS
+    def test_draws_next_to_cut(self, p):
+        # X one below, at and one above cut, and just across its top byte,
+        # with the dropped bits empty and full: the draws on the boundary
+        # that random ones all but never hit
+        cut = ceil(p * 2**53)
+        xs = sorted({cut + d * step for d in (-1, 0, 1) for step in (1, 1 << 26, 1 << 45)})
+        xs = [x for x in xs if 0 <= x < 2**53]
+        words = [w for x in xs for low in (0, 63) for w in _draw_words(x, low)]
+        single = _word_stream(words)
+        expected = bytes(49 if single.random() < p else 48 for _ in range(len(words) // 2))
+        coins = randgen._coins(_word_stream(words), len(words) // 2, cut, randgen._coin_table(cut))
+        assert coins == expected
+        assert b"0" in expected and b"1" in expected
