@@ -112,9 +112,10 @@ class _Backtracker:
     Each candidate tried counts as one node.
 
     The host tables are built once per host and kept on it: rank, the
-    degree_prefix masks, component sizes and the twin quotient with its
-    class complements.  Each search builds the tree side and the capacity
-    mask, and symmetry=False its singleton complements.
+    degree_prefix masks, component sizes and the twin quotient with the
+    mask of each class of two or more members (twin_masks) and the ids
+    that _members decodes candidates through.  Each search builds the tree
+    side and the capacity mask, and symmetry=False its own ids.
 
     symmetry=False is the plain search: every vertex is a search vertex
     and only the prunes above apply.  With symmetry on, four reductions
@@ -137,13 +138,15 @@ class _Backtracker:
       take ascending images.
     * Twin classes.  Host vertices are grouped into the classes of
       graphs.TwinQuotient, and each node tries only the smallest candidate
-      of each class.
+      of each class (_one_per_class).
     * Orbits of the prefix stabiliser.  Before a node tries its second
       candidate, it computes orbits of the automorphisms of the host
       quotient that fix the classes holding placed images, and drops
       every candidate whose class is not the smallest in its orbit.  Every
       permutation behind a merge is verified as an automorphism; a pair
       that is not verified stays apart, which only weakens the prune.
+      The colouring that the search below the first candidate refined
+      with its class fixed is handed to the orbit tests for reuse.
 
     Soundness: let the group act on embeddings by sibling subtree swaps
     (on the tree side) and by host automorphisms (on the host side), and
@@ -224,16 +227,16 @@ class _Backtracker:
 
         self.chain_prev: list[Optional[int]] = [None] * n_t
         self.quotient: Optional[TwinQuotient] = None
-        self.others, self.ids = [], []
         if symmetry:
             self._build_chains(layout.order, leaf)
             self.quotient = host.twin_quotient
-            self.others = self.quotient.complements
+            self.twin_masks, self.ids = self.quotient.twin_masks, self.quotient.ids
         else:
-            # the plain search keeps every candidate: one scan decodes them
-            self.ids = list(range(host.n))
-        # per depth, the quotient's colouring with the placed classes fixed
-        self.prefix_partitions: list[Optional[tuple]] = [None] * len(self.order)
+            # the plain search keeps every candidate, as if each were a class
+            self.twin_masks, self.ids = [], list(range(host.n))
+        # per depth, the quotient's colouring with the placed classes fixed;
+        # one more at the end, where no orbit test ever runs
+        self.prefix_partitions: list[Optional[tuple]] = [None] * (len(self.order) + 1)
 
     def _build_chains(self, full_order: list[int], leaf: list[bool]) -> None:
         n_t = self.tree.n
@@ -310,7 +313,9 @@ class _Backtracker:
         for t in range(j, pos):
             parts[t + 1] = self.quotient.fix(parts[t], cls[images[self.order[t]]])
         fixed = list(dict.fromkeys(cls[images[v]] for v in self.order[:pos]))
-        root = self.quotient.stabiliser_orbits(parts[pos], fixed, classes)
+        # the search below chosen[0] may have fixed its class already
+        known = None if parts[pos + 1] is None else (classes[0], parts[pos + 1])
+        root = self.quotient.stabiliser_orbits(parts[pos], fixed, classes, known)
         return [w for w in chosen[i:] if root[cls[w]] == cls[w]]
 
     def _place_leaves(self, images: list[int], state: tuple) -> None:
@@ -339,7 +344,7 @@ class _Backtracker:
         chain_prev = self.chain_prev
         child_count = self.child_count
         sib_rest = self.sib_rest
-        others = self.others
+        twin_masks = self.twin_masks
         ids = self.ids
         rank = self.rank
         grouped = bool(self.demand)
@@ -379,22 +384,16 @@ class _Backtracker:
                 cp = chain_prev[u]
                 if cp is not None:
                     cand &= -(1 << (images[cp] + 1))
-                if orbits:
-                    chosen = []
-                    while cand:
-                        w = (cand & -cand).bit_length() - 1
-                        chosen.append(w)
-                        cand &= others[w]
-                else:
-                    chosen = list(_members(cand, ids))
+                chosen = _one_per_class(cand, twin_masks, ids)
                 if len(chosen) > 1:
                     chosen.sort(key=rank.__getitem__)
                 i = 0
                 frame_leaves[pos] = leaves
                 frame_orbits[pos] = False
                 if orbits:
-                    # the image one level up has just changed
-                    prefix_partitions[pos] = None
+                    # the image one level up has just changed, and with it
+                    # every colouring that fixes it
+                    prefix_partitions[pos] = prefix_partitions[pos + 1] = None
             else:
                 u = order[pos]
                 chosen = frame_chosen[pos]
@@ -443,6 +442,27 @@ class _Backtracker:
                 if pos == 0:
                     return ("exhausted", None, nodes)
                 pos -= 1
+
+
+def _one_per_class(cand: int, twin_masks: Sequence[int], ids: list[int]) -> list[int]:
+    """The smallest member of each class that meets cand, unsorted.  Each
+    class of two or more members has its mask in twin_masks, and every
+    other class is one vertex.  ids is list(range(n)) for _members."""
+    chosen = []
+    for mask in twin_masks:
+        hit = cand & mask
+        if hit:
+            chosen.append((hit & -hit).bit_length() - 1)
+            cand ^= hit
+    # the singletons left: one scan of n bits, or one big-int step per bit
+    if cand.bit_count() >= 64:
+        chosen.extend(_members(cand, ids))
+    else:
+        while cand:
+            w = cand.bit_length() - 1
+            chosen.append(w)
+            cand ^= 1 << w
+    return chosen
 
 
 def _top_bits(mask: int, count: int) -> int:

@@ -7,6 +7,7 @@ traces, and reports reproduce byte for byte across runs.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -507,16 +508,32 @@ class TwinQuotient:
         return cls(class_of, clique, adj)
 
     @cached_property
-    def complements(self) -> list[int]:
-        """Per vertex, the complement of its class as a bitmask, one object
-        per class: clearing a candidate's class leaves one per class."""
+    def twin_masks(self) -> list[int]:
+        """The bitmask of each class of two or more members, in class
+        order: a candidate set cleared of these holds singleton classes
+        only."""
         n = len(self.class_of)
-        rest = [~(_bitmask(m) if len(m) < 64 else _dense_bitmask(m, n)) for m in self.members]
-        return [rest[c] for c in self.class_of]
+        shared = [m for m in self.members if len(m) > 1]
+        return [_bitmask(m) if len(m) < 64 else _dense_bitmask(m, n) for m in shared]
 
     @cached_property
-    def _masks(self) -> list[int]:
-        return list(map(_bitmask, self.adj))
+    def ids(self) -> list[int]:
+        """Every vertex id in order, for _members to decode masks through."""
+        return list(range(len(self.class_of)))
+
+    @cached_property
+    def _edges(self) -> tuple[list[int], list[int], set[int]]:
+        """Each quotient edge once, as the lists of its ends c < d, and the
+        set of codes c * |Q| + d of both its orientations."""
+        size = len(self.adj)
+        heads, tails, codes = [], [], set()
+        for c, nbrs in enumerate(self.adj):
+            for d in nbrs:
+                if c < d:
+                    heads.append(c)
+                    tails.append(d)
+                codes.add(c * size + d)
+        return heads, tails, codes
 
     @cached_property
     def partition(self) -> tuple[list[int], list[set[int]]]:
@@ -555,12 +572,15 @@ class TwinQuotient:
         return self._individualised(col, cells, c)
 
     def stabiliser_orbits(
-        self, partition: tuple, fixed: Sequence[int], candidates: Sequence[int]
+        self, partition: tuple, fixed: Sequence[int], candidates: Sequence[int],
+        known: Optional[tuple[int, tuple]] = None,
     ) -> dict[int, int]:
         """Orbit representatives for the automorphisms that fix each class
         in fixed: out[c], for each candidate class c, is the smallest class
         shown to share c's orbit.  partition is this quotient's colouring
-        with the classes in fixed individualised (fix).
+        with the classes in fixed individualised (fix).  known, when given,
+        is a class c and fix(partition, c), reused when c is the smallest
+        candidate of its cell.
 
         Within each colour cell, every candidate is tested against the
         cell's smallest candidate: both are individualised, the two
@@ -573,10 +593,11 @@ class TwinQuotient:
         untested or failed stays apart; it may still share an orbit.
         """
         col, cells = partition
-        root = list(range(len(col)))
+        # the classes joined to a smaller one; a class absent is a root
+        root: dict[int, int] = {}
 
         def find(c: int) -> int:
-            while root[c] != c:
+            while c in root:
                 c = root[c]
             return c
 
@@ -591,7 +612,10 @@ class TwinQuotient:
                 if find(c) == first:
                     continue
                 if rep is None:
-                    rep = self._individualised(col, cells, group[0])
+                    if known is not None and known[0] == group[0]:
+                        rep = known[1]
+                    else:
+                        rep = self._individualised(col, cells, group[0])
                 perm = self._match(rep, self._individualised(col, cells, c), fixed)
                 if perm is None:
                     break
@@ -599,9 +623,9 @@ class TwinQuotient:
                     b = perm[a]
                     if a == b:
                         continue
-                    while root[a] != a:
+                    while a in root:
                         a = root[a]
-                    while root[b] != b:
+                    while b in root:
                         b = root[b]
                     # a set's root is its smallest class, whatever the order
                     if a < b:
@@ -609,7 +633,12 @@ class TwinQuotient:
                     elif b < a:
                         root[a] = b
                 first = find(group[0])
-        return {c: find(c) for c in candidates}
+        # each class is joined to a smaller one, so in ascending order its
+        # parent already points at the root
+        for c in sorted(root):
+            parent = root[c]
+            root[c] = root.get(parent, parent)
+        return {c: root.get(c, c) for c in candidates}
 
     def _individualised(self, col: list[int], cells: list[set[int]], c: int):
         col, cells = col.copy(), cells.copy()
@@ -641,19 +670,17 @@ class TwinQuotient:
             b = self._individualised(*b, min(b_cells[open_cell]))
 
     def _is_automorphism(self, perm: list[int], fixed: Sequence[int]) -> bool:
-        key, masks = self.colour_key, self._masks
+        """Whether the permutation perm of the classes fixes each class in
+        fixed and keeps the colours and the edges.  It is a bijection, so
+        mapping every edge onto an edge maps the edges onto themselves."""
         if any(perm[c] != c for c in fixed):
             return False
-        for c, nbrs in enumerate(self.adj):
-            image = perm[c]
-            if key[image] != key[c]:
-                return False
-            mask = 0
-            for d in nbrs:
-                mask |= 1 << perm[d]
-            if mask != masks[image]:
-                return False
-        return True
+        key = self.colour_key
+        if [key[d] for d in perm] != key:
+            return False
+        heads, tails, codes = self._edges
+        size = len(perm)
+        return codes.issuperset([perm[c] * size + perm[d] for c, d in zip(heads, tails)])
 
 
 def _individualise(col: list[int], cells: list[set[int]], c: int) -> Optional[int]:
@@ -683,24 +710,32 @@ def _refine(adj: list[list[int]], col: list[int], cells: list[set[int]], queue: 
     """
     head = 0
     while head < len(queue):
-        counts: dict[int, int] = {}
-        for x in cells[queue[head]]:
-            for y in adj[x]:
-                counts[y] = counts.get(y, 0) + 1
+        cell = cells[queue[head]]
         head += 1
-        hit: dict[int, dict[int, set[int]]] = {}
+        if len(cell) == 1:
+            # one member sends each neighbor one edge: nothing to count
+            counts = dict.fromkeys(adj[next(iter(cell))], 1)
+        else:
+            counts = {}
+            for x in cell:
+                for y in adj[x]:
+                    counts[y] = counts.get(y, 0) + 1
+        hit: dict[int, dict[int, set[int]]] = defaultdict(lambda: defaultdict(set))
         for y, k in counts.items():
-            hit.setdefault(col[y], {}).setdefault(k, set()).add(y)
+            # a cell of one member cannot split
+            if len(cells[col[y]]) > 1:
+                hit[col[y]][k].add(y)
         for colour in sorted(hit):
             by_count = hit[colour]
             parts = [by_count[k] for k in sorted(by_count)]
+            sizes = list(map(len, parts))
             cell = cells[colour]
-            if sum(map(len, parts)) < len(cell):
+            if sum(sizes) < len(cell):
                 parts.insert(0, cell.difference(*parts))
+                sizes.insert(0, len(parts[0]))
             if len(parts) == 1:
                 continue
-            keep = max(range(len(parts)), key=lambda i: (len(parts[i]), -i))
-            cells[colour] = parts.pop(keep)
+            cells[colour] = parts.pop(sizes.index(max(sizes)))
             for part in parts:
                 for x in part:
                     col[x] = len(cells)

@@ -156,7 +156,7 @@ def random_host(
     ceil(2(1-alpha)k) neighbors so the maximum degree bound holds by
     construction.  Hosts are resampled until degree_stats clears both
     bounds; exhausting the attempts raises GraphError, and so, before any
-    draw, does a bound no host on n vertices can meet.
+    draw, do alpha above 1 and a bound no host on n vertices can meet.
 
     Each pair u < v but the planted ones takes the coin rng.random() < p in
     lexicographic order; _coins decides a row's coins at once from the
@@ -164,6 +164,8 @@ def random_host(
     draw-by-draw loop.
     """
     a = as_fraction(alpha)
+    if a > 1:
+        raise GraphError(f"alpha must be at most 1, got {a}")
     d_min = ceil((1 + a) * k / 2)
     d_plant = ceil(2 * (1 - a) * k)
     if max(d_min, d_plant) > n - 1:

@@ -323,10 +323,98 @@ def rank_and_prefixes(g: SimpleGraph, degrees) -> tuple[list[int], dict[int, int
     return rank, prefix
 
 
+def refine(adj, col, cells, queue) -> None:
+    """graphs._refine as first written: every queued cell's neighbor
+    counts summed member by member, and every cell hit considered for a
+    split, one member or not."""
+    head = 0
+    while head < len(queue):
+        counts: dict[int, int] = {}
+        for x in cells[queue[head]]:
+            for y in adj[x]:
+                counts[y] = counts.get(y, 0) + 1
+        head += 1
+        hit: dict[int, dict[int, set[int]]] = {}
+        for y, k in counts.items():
+            hit.setdefault(col[y], {}).setdefault(k, set()).add(y)
+        for colour in sorted(hit):
+            by_count = hit[colour]
+            parts = [by_count[k] for k in sorted(by_count)]
+            cell = cells[colour]
+            if sum(map(len, parts)) < len(cell):
+                parts.insert(0, cell.difference(*parts))
+            if len(parts) == 1:
+                continue
+            keep = max(range(len(parts)), key=lambda i: (len(parts[i]), -i))
+            cells[colour] = parts.pop(keep)
+            for part in parts:
+                for x in part:
+                    col[x] = len(cells)
+                queue.append(len(cells))
+                cells.append(part)
+
+
+def base_partition(q):
+    """TwinQuotient.partition through refine."""
+    ids = {key: i for i, key in enumerate(sorted(set(q.colour_key)))}
+    col = [ids[key] for key in q.colour_key]
+    cells = [set() for _ in ids]
+    for c, x in enumerate(col):
+        cells[x].add(c)
+    refine(q.adj, col, cells, list(range(len(cells))))
+    return col, cells
+
+
+def individualised(q, partition, c):
+    """TwinQuotient._individualised through refine: class c in a cell of
+    its own, refined again."""
+    col, cells = partition[0].copy(), partition[1].copy()
+    cell = cells[col[c]]
+    cells[col[c]] = cell - {c}
+    col[c] = len(cells)
+    cells.append({c})
+    refine(q.adj, col, cells, [col[c]])
+    return col, cells
+
+
+def is_automorphism(q, perm, fixed) -> bool:
+    """TwinQuotient._is_automorphism as first written: per class, the
+    colour of its image and the mask of its neighbors' images against the
+    image's neighbor mask."""
+    key = q.colour_key
+    masks = [sum(1 << d for d in nbrs) for nbrs in q.adj]
+    if any(perm[c] != c for c in fixed):
+        return False
+    for c, nbrs in enumerate(q.adj):
+        image = perm[c]
+        if key[image] != key[c]:
+            return False
+        mask = 0
+        for d in nbrs:
+            mask |= 1 << perm[d]
+        if mask != masks[image]:
+            return False
+    return True
+
+
+def peel_one_per_class(cand: int, q) -> list[int]:
+    """The smallest member of each class meeting cand, in ascending order,
+    as the exact search first found them: peel the lowest bit off and
+    clear its whole class with the class's complement mask."""
+    others = [~sum(1 << v for v in q.members[c]) for c in q.class_of]
+    chosen = []
+    while cand:
+        w = (cand & -cand).bit_length() - 1
+        chosen.append(w)
+        cand &= others[w]
+    return chosen
+
+
 def stabiliser_orbits(q, partition, fixed, candidates) -> dict[int, int]:
     """TwinQuotient.stabiliser_orbits as first written: the group's first
-    class looked up on every test, a union-find join per candidate, and
-    every cell of a match mapped through sorted."""
+    class looked up on every test, a union-find join per candidate over a
+    table of every class, every cell of a match mapped through sorted, and
+    each refinement and check by refine and is_automorphism."""
     col, cells = partition
     root = list(range(len(col)))
 
@@ -345,8 +433,8 @@ def stabiliser_orbits(q, partition, fixed, candidates) -> dict[int, int]:
             if find(c) == find(group[0]):
                 continue
             if rep is None:
-                rep = q._individualised(col, cells, group[0])
-            perm = _sorted_match(q, rep, q._individualised(col, cells, c), fixed)
+                rep = individualised(q, partition, group[0])
+            perm = sorted_match(q, rep, individualised(q, partition, c), fixed)
             if perm is None:
                 break
             for a in candidates:
@@ -356,7 +444,9 @@ def stabiliser_orbits(q, partition, fixed, candidates) -> dict[int, int]:
     return {c: find(c) for c in candidates}
 
 
-def _sorted_match(q, a, b, fixed):
+def sorted_match(q, a, b, fixed):
+    """TwinQuotient._match through individualised and is_automorphism: a
+    permutation taking partition a onto b, checked, or None."""
     while True:
         a_cells, b_cells = a[1], b[1]
         if len(a_cells) != len(b_cells) or any(
@@ -367,13 +457,13 @@ def _sorted_match(q, a, b, fixed):
         for x, y in zip(a_cells, b_cells):
             for p, r in zip(sorted(x), sorted(y)):
                 perm[p] = r
-        if q._is_automorphism(perm, fixed):
+        if is_automorphism(q, perm, fixed):
             return perm
         open_cell = next((i for i, x in enumerate(a_cells) if len(x) > 1), None)
         if open_cell is None:
             return None
-        a = q._individualised(*a, min(a_cells[open_cell]))
-        b = q._individualised(*b, min(b_cells[open_cell]))
+        a = individualised(q, a, min(a_cells[open_cell]))
+        b = individualised(q, b, min(b_cells[open_cell]))
 
 
 def per_draw_random_tree(
@@ -427,6 +517,8 @@ def per_draw_random_host(
     pair u < v in lexicographic order, the pairs (0, v) with v in the hub
     taking no draw, and each mask read from its row and its column."""
     a = as_fraction(alpha)
+    if a > 1:
+        raise GraphError(f"alpha must be at most 1, got {a}")
     d_min = ceil((1 + a) * k / 2)
     d_plant = ceil(2 * (1 - a) * k)
     if max(d_min, d_plant) > n - 1:

@@ -20,7 +20,7 @@ from treembed.embedding import (
     strategy_embed,
     validate_embedding,
 )
-from treembed.embedding import _Backtracker, _complete_holding, _top_bits
+from treembed.embedding import _Backtracker, _complete_holding, _one_per_class, _top_bits
 from treembed.families import (
     ExtremalParams,
     broom_tree,
@@ -632,18 +632,18 @@ class TestAutoEmbed:
 
 class TestBacktrackerSetup:
     @pytest.mark.parametrize("build", [two_wing_host, wing_clique_host])
-    def test_one_complement_per_twin_class(self, build):
-        # the members of a twin class share one complement mask, so the
-        # complements take one n-bit int per class, not one per host vertex
+    def test_one_mask_per_twin_class(self, build):
+        # one n-bit int per class of two or more members, none for the
+        # classes of one vertex and none per host vertex
         host = build(ExtremalParams(7, 3, 168)).graph
         solver = _Backtracker(broom_tree(7, 168).graph, 0, host)
         quotient = host.twin_quotient
-        assert len({id(x) for x in solver.others}) == len(quotient.members)
+        shared = [m for m in quotient.members if len(m) > 1]
+        assert solver.twin_masks is quotient.twin_masks
+        assert solver.twin_masks == [sum(1 << v for v in m) for m in shared]
         assert len(quotient.members) < host.n
         # classes of 64 or more members have their masks parsed from flags
         assert max(map(len, quotient.members)) >= 64
-        for members in quotient.members:
-            assert solver.others[members[0]] == ~sum(1 << v for v in members)
 
     def test_host_tables_built_once_per_host(self, monkeypatch):
         solvers = []
@@ -660,7 +660,8 @@ class TestBacktrackerSetup:
         assert exact_embed(caterpillar(12), host).kind is Verdict.EMBEDDED
         a, b = solvers
         assert a.rank is b.rank is host.rank
-        assert a.others is b.others
+        assert a.twin_masks is b.twin_masks is host.twin_quotient.twin_masks
+        assert a.ids is b.ids is host.twin_quotient.ids
         shared = set(a.deg_mask) & set(b.deg_mask)
         assert shared and all(a.deg_mask[d] is b.deg_mask[d] for d in shared)
 
@@ -779,15 +780,25 @@ class TestReductionsAgainstUnreducedSearch:
 
 class TestStabiliserOrbitsAgainstFirstVersion:
     """stabiliser_orbits against oracles.stabiliser_orbits, its first
-    version, on every call the searches make."""
+    version, on every call the searches make; a refinement the search
+    passes in must be the one a test would compute."""
 
     @staticmethod
     def compare(monkeypatch, pairs):
         real = TwinQuotient.stabiliser_orbits
-        calls = []
+        calls, reused = [], 0
 
-        def checked(q, partition, fixed, candidates):
-            out = real(q, partition, fixed, candidates)
+        def checked(q, partition, fixed, candidates, known=None):
+            nonlocal reused
+            if known is not None:
+                c, refined = known
+                col, cells = partition
+                if len(cells[col[c]]) == 1:
+                    assert refined == partition
+                else:
+                    assert refined == oracles.individualised(q, partition, c)
+                reused += 1
+            out = real(q, partition, fixed, candidates, known)
             assert out == oracles.stabiliser_orbits(q, partition, fixed, candidates)
             calls.append(out)
             return out
@@ -795,7 +806,7 @@ class TestStabiliserOrbitsAgainstFirstVersion:
         monkeypatch.setattr(TwinQuotient, "stabiliser_orbits", checked)
         for tree, host in pairs:
             exact_embed(tree, host)
-        return len(calls)
+        return len(calls), reused
 
     def test_grid_searches(self, monkeypatch):
         pairs = [
@@ -805,7 +816,8 @@ class TestStabiliserOrbitsAgainstFirstVersion:
             for c in (1, 2, 3)
             for k in (c * ell * (ell + 1),)
         ]
-        assert self.compare(monkeypatch, pairs) >= 100
+        calls, reused = self.compare(monkeypatch, pairs)
+        assert calls >= 100 and reused >= 20
 
     def test_symmetric_hosts(self, monkeypatch):
         # the orbit prune runs only where the colours leave a choice and
@@ -813,7 +825,137 @@ class TestStabiliserOrbitsAgainstFirstVersion:
         rng = random.Random(777)
         hosts = [family(rng) for family in SYMMETRIC_HOSTS for _ in range(100)]
         pairs = [(random_tree(rng.randrange(1, h.n), rng), h) for h in hosts]
-        assert self.compare(monkeypatch, pairs) >= 50
+        calls, reused = self.compare(monkeypatch, pairs)
+        assert calls >= 50 and reused >= 5
+
+
+def small_random_host(rng):
+    return rand_graph(rng, rng.randrange(1, 10), rng.random())
+
+
+# hosts for the properties: a seed for one of these builders
+quotient_hosts = st.builds(
+    lambda build, seed: build(random.Random(seed)),
+    st.sampled_from((small_random_host,) + SYMMETRIC_HOSTS),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def automorphism_cases(q, rng):
+    """(quotient, permutation, fixed, expected or None) to check against
+    oracles.is_automorphism: true automorphisms, found by the oracle's
+    matching of two classes of one cell; each of them with one fixed class,
+    moved or kept; each of them against the quotient with one edge more or
+    less; the swaps of two classes of distinct colours; random shuffles."""
+    size = len(q.adj)
+    base = oracles.base_partition(q)
+    found = [list(range(size))]
+    for cell in base[1]:
+        first = min(cell)
+        for c in sorted(cell - {first}):
+            perm = oracles.sorted_match(q, oracles.individualised(q, base, first),
+                                        oracles.individualised(q, base, c), ())
+            if perm is not None:
+                found.append(perm)
+    pairs = [(c, d) for c in range(size) for d in range(c + 1, size)]
+    for perm in found:
+        yield q, perm, (), True
+        c = rng.randrange(size)
+        yield q, perm, (c,), perm[c] == c
+        if pairs:
+            c, d = rng.choice(pairs)
+            adj = [set(nbrs) for nbrs in q.adj]
+            adj[c] ^= {d}
+            adj[d] ^= {c}
+            yield TwinQuotient(q.class_of, q.clique, [sorted(x) for x in adj]), perm, (), None
+    for c, d in pairs:
+        if q.colour_key[c] != q.colour_key[d]:
+            swap = list(range(size))
+            swap[c], swap[d] = d, c
+            yield q, swap, (), False
+    for _ in range(3):
+        shuffled = list(range(size))
+        rng.shuffle(shuffled)
+        yield q, shuffled, (), None
+
+
+class TestOrbitPartsAgainstFirstVersion:
+    """The quotient's refinement, its automorphism check and the search's
+    one candidate per class against their first versions in oracles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(quotient_hosts)
+    def test_refinements(self, host):
+        q = host.twin_quotient
+        assert q.partition == oracles.base_partition(q)
+        col, cells = q.partition
+        for c in range(len(col)):
+            if len(cells[col[c]]) > 1:
+                once = q._individualised(col, cells, c)
+                assert once == oracles.individualised(q, q.partition, c)
+                # and a second class on top, in the first open cell
+                rest = next((x for x in once[1] if len(x) > 1), None)
+                if rest:
+                    d = max(rest)
+                    assert q._individualised(*once, d) == oracles.individualised(q, once, d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(quotient_hosts, st.randoms(use_true_random=False))
+    def test_automorphism_checks(self, host, rng):
+        for quotient, perm, fixed, expected in automorphism_cases(host.twin_quotient, rng):
+            want = oracles.is_automorphism(quotient, perm, fixed)
+            assert expected is None or want == expected
+            assert quotient._is_automorphism(perm, fixed) == want
+
+    def test_automorphism_cases_cover_both_answers(self):
+        # the cases above are not vacuous: over the symmetric hosts the
+        # edge changes, fixed classes and shuffles each give both answers
+        rng = random.Random(31)
+        seen = set()
+        for build in SYMMETRIC_HOSTS:
+            for _ in range(10):
+                q = build(rng).twin_quotient
+                for quotient, perm, fixed, expected in automorphism_cases(q, rng):
+                    got = quotient._is_automorphism(perm, fixed)
+                    kind = "edge" if quotient is not q else "fixed" if fixed else expected
+                    seen.add((kind, got))
+        assert {("edge", True), ("edge", False), ("fixed", True), ("fixed", False),
+                (True, True), (False, False), (None, False)} <= seen
+
+    def test_colour_swap_keeping_every_edge(self):
+        # 0 sees the closed twins 1, 2 and the vertex 3: swapping the twin
+        # class with 3's keeps the quotient's one-edge star but not colours
+        q = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)]).twin_quotient
+        assert q.adj == [[1, 2], [0], [0]]
+        assert q.colour_key[1] != q.colour_key[2]
+        assert not q._is_automorphism([0, 2, 1], ())
+        assert q._is_automorphism([0, 1, 2], ())
+
+    @settings(max_examples=60, deadline=None)
+    @given(quotient_hosts, st.randoms(use_true_random=False))
+    def test_one_candidate_per_class(self, host, rng):
+        q, rank = host.twin_quotient, host.rank
+        ids = list(range(host.n))
+        for _ in range(5):
+            cand = rng.getrandbits(host.n)
+            want = sorted(oracles.peel_one_per_class(cand, q), key=rank.__getitem__)
+            assert sorted(_one_per_class(cand, q.twin_masks, ids), key=rank.__getitem__) == want
+            # the plain search keeps every vertex
+            assert sorted(_one_per_class(cand, [], ids)) == [v for v in ids if cand >> v & 1]
+
+    @pytest.mark.parametrize("build", [two_wing_host, wing_clique_host, matched_wing_host])
+    def test_one_candidate_per_class_at_scale(self, build):
+        # classes of 64 or more members, and 64 or more singletons left
+        host = build(ExtremalParams(7, 3, 168)).graph
+        q, rank = host.twin_quotient, host.rank
+        ids = list(range(host.n))
+        rng = random.Random(3)
+        masks = [(1 << host.n) - 1, rng.getrandbits(host.n)]
+        masks += [rng.getrandbits(host.n) & rng.getrandbits(host.n) & rng.getrandbits(host.n)
+                  for _ in range(4)]
+        for cand in masks:
+            want = sorted(oracles.peel_one_per_class(cand, q), key=rank.__getitem__)
+            assert sorted(_one_per_class(cand, q.twin_masks, ids), key=rank.__getitem__) == want
 
 
 class TestHallCheck:

@@ -110,6 +110,14 @@ class TestRandomHost:
         with pytest.raises(GraphError, match="neighbors"):
             random_host(12, 10, Fraction(0), random.Random(0))
 
+    def test_alpha_above_one_rejected_before_any_draw(self):
+        # 2(1 - alpha)k planted neighbors would be negative
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(GraphError, match="alpha must be at most 1, got 3/2"):
+            random_host(10, 2, Fraction(3, 2), rng)
+        assert rng.getstate() == state
+
     def test_deterministic_for_fixed_seed(self):
         a = random_host(24, 10, Fraction(0), random.Random(21))
         b = random_host(24, 10, Fraction(0), random.Random(21))
