@@ -32,6 +32,7 @@ from .families import (
     caterpillar,
     cliques_with_apex,
     complete_bipartite,
+    matched_wing_degree_forms,
     matched_wing_host,
     sharpness_instance_for_alpha,
     sharpness_instance_for_gamma,

@@ -35,6 +35,7 @@ from .families import (
     ExtremalParams,
     broom_tree,
     complete_bipartite,
+    matched_wing_degree_forms,
     matched_wing_host,
     two_wing_degree_forms,
     two_wing_host,
@@ -299,9 +300,7 @@ def run_sweep(args: argparse.Namespace) -> int:
                 delta_form, big_delta_form, _realized = wing_clique_degree_forms(params)
                 certificate = "n/a"
             else:
-                a = params.matched_wing_a_order
-                delta_form = min(a, params.wing_b_order) + 1
-                big_delta_form = 2 * a
+                delta_form, big_delta_form = matched_wing_degree_forms(params)
                 certificate = "n/a"
             row = {
                 "family": family,

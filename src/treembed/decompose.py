@@ -110,22 +110,10 @@ def partition_two(sizes: Sequence[int], t: int) -> TwoWayPartition:
     if t < 2:
         raise GraphError(f"the two-way bound needs t >= 2, got {t}")
     _check_partition_input(sizes, t)
-    order = sorted(range(len(sizes)), key=lambda i: (-sizes[i], i))
-    groups: tuple[list[int], list[int]] = ([], [])
-    sums = [0, 0]
-    for i in order:
-        side = 0 if sums[0] <= sums[1] else 1
-        groups[side].append(i)
-        sums[side] += sizes[i]
-    heavy = 0 if sums[0] >= sums[1] else 1
-    if Fraction(sums[heavy]) > Fraction(2 * t, 3):
+    (heavy, light), (heavy_sum, light_sum) = _greedy_groups(sizes, 2)
+    if Fraction(heavy_sum) > Fraction(2 * t, 3):
         raise RuntimeError("partition bug: two-way bounds violated on valid input")
-    return TwoWayPartition(
-        tuple(sorted(groups[heavy])),
-        tuple(sorted(groups[1 - heavy])),
-        sums[heavy],
-        sums[1 - heavy],
-    )
+    return TwoWayPartition(heavy, light, heavy_sum, light_sum)
 
 
 @dataclass(frozen=True)
@@ -147,21 +135,26 @@ def partition_three(sizes: Sequence[int], t: int) -> ThreeWayPartition:
     so the new sum stays at most t/3 + t/6 = t/2.
     """
     _check_partition_input(sizes, t)
-    order = sorted(range(len(sizes)), key=lambda i: (-sizes[i], i))
-    groups: tuple[list[int], ...] = ([], [], [])
-    sums = [0, 0, 0]
-    for i in order:
-        side = min(range(3), key=lambda s: (sums[s], s))
+    groups, sums = _greedy_groups(sizes, 3)
+    if sums[0] > (t + 1) // 2:
+        raise RuntimeError("partition bug: three-way cap violated on valid input")
+    return ThreeWayPartition(groups, sums)
+
+
+def _greedy_groups(sizes: Sequence[int], count: int) -> tuple[tuple, tuple[int, ...]]:
+    """The indices split into count groups, and their sums.  Sizes are
+    taken in descending order, ties to the smaller index, each into the
+    lightest group, ties to the first.  Each group lists its indices
+    ascending, and the groups are ranked by descending sum, ties to the
+    first."""
+    groups: list[list[int]] = [[] for _ in range(count)]
+    sums = [0] * count
+    for i in sorted(range(len(sizes)), key=lambda i: (-sizes[i], i)):
+        side = sums.index(min(sums))
         groups[side].append(i)
         sums[side] += sizes[i]
-    cap = (t + 1) // 2
-    if max(sums) > cap:
-        raise RuntimeError("partition bug: three-way cap violated on valid input")
-    ranked = sorted(range(3), key=lambda s: (-sums[s], s))
-    return ThreeWayPartition(
-        tuple(tuple(sorted(groups[s])) for s in ranked),
-        tuple(sums[s] for s in ranked),
-    )
+    ranked = sorted(range(count), key=lambda s: (-sums[s], s))
+    return tuple(tuple(sorted(groups[s])) for s in ranked), tuple(sums[s] for s in ranked)
 
 
 def split_family_by_cap(

@@ -111,11 +111,12 @@ class _Backtracker:
     depth is not bounded by the interpreter's recursion.
     Each candidate tried counts as one node.
 
-    The host tables are built once per host and kept on it: rank, the
-    degree_prefix masks, component sizes and the twin quotient with the
-    mask of each class of two or more members (twin_masks) and the ids
-    that _members decodes candidates through.  Each search builds the tree
-    side and the capacity mask, and symmetry=False its own ids.
+    The host tables are built once per host and kept on it: rank,
+    component sizes and the twin quotient with the mask of each class of
+    two or more members (twin_masks).  Each search builds the tree side,
+    the capacity mask and the degree masks: the vertices of degree at
+    least d, for each tree degree d, as one all-ones mask when d is at
+    most the host's minimum degree and so removes no vertex.
 
     symmetry=False is the plain search: every vertex is a search vertex
     and only the prunes above apply.  With symmetry on, four reductions
@@ -217,11 +218,14 @@ class _Backtracker:
 
         self.host_masks = host.adjacency_masks
         self.rank = host.rank
-        self.deg_mask = {d: host.degree_prefix(d) for d in set(self.tree_deg)}
+        full, degs = (1 << host.n) - 1, host.degrees
+        low = min(degs, default=0)
+        self.deg_mask = {d: full if d <= low else _bitmask(w for w, x in enumerate(degs) if x >= d)
+                         for d in set(self.tree_deg)}
 
         host_comp = host.component_sizes
         if min(host_comp, default=n_t) >= n_t:
-            self.cap_mask = (1 << host.n) - 1
+            self.cap_mask = full
         else:
             self.cap_mask = _bitmask(w for w in range(host.n) if host_comp[w] >= n_t)
 
@@ -230,10 +234,10 @@ class _Backtracker:
         if symmetry:
             self._build_chains(layout.order, leaf)
             self.quotient = host.twin_quotient
-            self.twin_masks, self.ids = self.quotient.twin_masks, self.quotient.ids
+            self.twin_masks = self.quotient.twin_masks
         else:
             # the plain search keeps every candidate, as if each were a class
-            self.twin_masks, self.ids = [], list(range(host.n))
+            self.twin_masks = []
         # per depth, the quotient's colouring with the placed classes fixed;
         # one more at the end, where no orbit test ever runs
         self.prefix_partitions: list[Optional[tuple]] = [None] * (len(self.order) + 1)
@@ -345,7 +349,6 @@ class _Backtracker:
         child_count = self.child_count
         sib_rest = self.sib_rest
         twin_masks = self.twin_masks
-        ids = self.ids
         rank = self.rank
         grouped = bool(self.demand)
         has_groups = [a != b for a, b in zip(self.group_start, self.group_end)]
@@ -384,7 +387,7 @@ class _Backtracker:
                 cp = chain_prev[u]
                 if cp is not None:
                     cand &= -(1 << (images[cp] + 1))
-                chosen = _one_per_class(cand, twin_masks, ids)
+                chosen = _one_per_class(cand, twin_masks)
                 if len(chosen) > 1:
                     chosen.sort(key=rank.__getitem__)
                 i = 0
@@ -444,10 +447,10 @@ class _Backtracker:
                 pos -= 1
 
 
-def _one_per_class(cand: int, twin_masks: Sequence[int], ids: list[int]) -> list[int]:
+def _one_per_class(cand: int, twin_masks: Sequence[int]) -> list[int]:
     """The smallest member of each class that meets cand, unsorted.  Each
     class of two or more members has its mask in twin_masks, and every
-    other class is one vertex.  ids is list(range(n)) for _members."""
+    other class is one vertex."""
     chosen = []
     for mask in twin_masks:
         hit = cand & mask
@@ -456,7 +459,7 @@ def _one_per_class(cand: int, twin_masks: Sequence[int], ids: list[int]) -> list
             cand ^= hit
     # the singletons left: one scan of n bits, or one big-int step per bit
     if cand.bit_count() >= 64:
-        chosen.extend(_members(cand, ids))
+        chosen.extend(_members(cand))
     else:
         while cand:
             w = cand.bit_length() - 1

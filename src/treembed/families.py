@@ -111,6 +111,13 @@ def wing_clique_degree_forms(params: ExtremalParams) -> tuple[int, int, int]:
     return delta, quoted, realized
 
 
+def matched_wing_degree_forms(params: ExtremalParams) -> tuple[int, int]:
+    """(min degree, max degree) the matched-wing host realizes:
+    delta = min(|A|, |B|) + 1, and Delta = 2|A|, attained by the hub."""
+    a = params.matched_wing_a_order
+    return min(a, params.wing_b_order) + 1, 2 * a
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise RuntimeError(f"generator bug: {message}")
@@ -126,17 +133,8 @@ def two_wing_host(params: ExtremalParams) -> TaggedGraph:
     """
     a, b = params.wing_a_order, params.wing_b_order
     blocks = _block_layout(("A1", a), ("B1", b), ("A2", a), ("B2", b))
-    masks = _block_masks(
-        blocks, ("hub", "A1"), ("A1", "B1"), ("hub", "A2"), ("A2", "B2")
-    )
-    g = SimpleGraph.from_masks(len(masks), tuple(masks), _block_tags(blocks))
-    delta, big = two_wing_degree_forms(params)
-    stats = degree_stats(g)
-    _require(stats.min_degree == delta, f"two-wing delta {stats.min_degree} != {delta}")
-    _require(stats.max_degree == big, f"two-wing Delta {stats.max_degree} != {big}")
-    _require(stats.argmax == 0, "two-wing max degree not at the hub")
-    meta = {"family": "h", "ell": params.ell, "c": params.c, "k": params.k}
-    return TaggedGraph(g, blocks, meta)
+    masks = _block_masks(blocks, ("hub", "A1"), ("A1", "B1"), ("hub", "A2"), ("A2", "B2"))
+    return _extremal_host("h", params, blocks, masks, *two_wing_degree_forms(params))
 
 
 def wing_clique_host(params: ExtremalParams) -> TaggedGraph:
@@ -152,19 +150,8 @@ def wing_clique_host(params: ExtremalParams) -> TaggedGraph:
     masks = _block_masks(
         blocks, ("hub", "A1"), ("A1", "B1"), ("hub", "clique"), ("clique", "clique")
     )
-    g = SimpleGraph.from_masks(len(masks), tuple(masks), _block_tags(blocks))
     delta, _quoted, realized = wing_clique_degree_forms(params)
-    stats = degree_stats(g)
-    _require(
-        stats.min_degree == delta, f"wing-clique delta {stats.min_degree} != {delta}"
-    )
-    _require(
-        stats.max_degree == realized,
-        f"wing-clique Delta {stats.max_degree} != {realized}",
-    )
-    _require(stats.argmax == 0, "wing-clique max degree not at the hub")
-    meta = {"family": "g", "ell": params.ell, "c": params.c, "k": params.k}
-    return TaggedGraph(g, blocks, meta)
+    return _extremal_host("g", params, blocks, masks, delta, realized)
 
 
 def matched_wing_host(params: ExtremalParams) -> TaggedGraph:
@@ -181,20 +168,29 @@ def matched_wing_host(params: ExtremalParams) -> TaggedGraph:
         )
     a, b = params.matched_wing_a_order, params.wing_b_order
     blocks = _block_layout(("A1", a), ("B1", b), ("A2", a), ("B2", b))
-    masks = _block_masks(
-        blocks, ("hub", "A1"), ("A1", "B1"), ("hub", "A2"), ("A2", "B2")
-    )
+    masks = _block_masks(blocks, ("hub", "A1"), ("A1", "B1"), ("hub", "A2"), ("A2", "B2"))
     for u, v in zip(blocks["B1"], blocks["B2"]):
         masks[u] |= 1 << v
         masks[v] |= 1 << u
+    host = _extremal_host("hprime", params, blocks, masks, *matched_wing_degree_forms(params))
+    for v in blocks["B1"] + blocks["B2"]:
+        _require(host.graph.degree(v) == a + 1, f"hprime B vertex {v} degree != |A|+1")
+    return host
+
+
+def _extremal_host(
+    family: str, params: ExtremalParams, blocks: Mapping[str, tuple[int, ...]],
+    masks: list[int], delta: int, big: int,
+) -> TaggedGraph:
+    """The family's host on its blocks and masks, tagged by block, once its
+    min and max degree are checked against delta and big and its max
+    degree is found at the hub."""
     g = SimpleGraph.from_masks(len(masks), tuple(masks), _block_tags(blocks))
     stats = degree_stats(g)
-    for v in blocks["B1"] + blocks["B2"]:
-        _require(g.degree(v) == a + 1, f"matched-wing B vertex {v} degree != |A|+1")
-    _require(stats.max_degree == 2 * a, f"matched-wing Delta {stats.max_degree} != {2 * a}")
-    _require(stats.argmax == 0, "matched-wing max degree not at the hub")
-    _require(stats.min_degree == min(a, b) + 1, "matched-wing delta off")
-    meta = {"family": "hprime", "ell": params.ell, "c": params.c, "k": params.k}
+    _require(stats.min_degree == delta, f"{family} delta {stats.min_degree} != {delta}")
+    _require(stats.max_degree == big, f"{family} Delta {stats.max_degree} != {big}")
+    _require(stats.argmax == 0, f"{family} max degree not at the hub")
+    meta = {"family": family, "ell": params.ell, "c": params.c, "k": params.k}
     return TaggedGraph(g, blocks, meta)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
@@ -245,27 +245,12 @@ class InstanceReport:
     elapsed_ms: Optional[float] = None
 
     def to_row(self, include_timings: bool = False) -> dict:
-        row = {
-            "instance_id": self.instance_id,
-            "family": self.family,
-            "params": self.params,
-            "n": self.n,
-            "m": self.m,
-            "min_degree": self.min_degree,
-            "max_degree": self.max_degree,
-            "k": self.k,
-            "verdict": self.verdict,
-            "counterexample": self.counterexample,
-            "witness": (
-                {str(v): w for v, w in sorted(self.witness.items())}
-                if self.witness is not None
-                else None
-            ),
-            "nodes_explored": self.nodes_explored,
-            "seed": self.seed,
-        }
-        if include_timings:
-            row["elapsed_ms"] = self.elapsed_ms
+        """The fields in declaration order, witness keys as strings."""
+        row = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.witness is not None:
+            row["witness"] = {str(v): w for v, w in sorted(self.witness.items())}
+        if not include_timings:
+            del row["elapsed_ms"]
         return row
 
     def to_jsonl(self, include_timings: bool = False) -> str:

@@ -11,7 +11,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 VERTEX_TAGS = frozenset(
     {"hub", "A1", "B1", "A2", "B2", "clique", "path", "leaf", "untagged"}
@@ -25,30 +25,43 @@ class GraphError(ValueError):
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
+# every vertex id _members has decoded, one int object each, so that the
+# rows derived from masks share them; grown to the longest mask decoded
+_IDS: list[int] = []
 
-def _members(mask: int, ids: list[int]) -> Iterator[int]:
-    """ids[v] for each bit v set in mask, ascending.  One scan of the binary
-    string: on masks of thousands of bits, peeling bits off one at a time
-    costs a big-int operation per bit.  ids is a list, as a range would
-    make an int object for every bit scanned."""
-    return compress(ids, bin(mask)[:1:-1].encode().translate(_BITS))
+
+def _members(mask: int) -> Iterable[int]:
+    """The vertices whose bits are set in mask, ascending.  Fewer than 64
+    are peeled off one at a time; more are read in one scan of the binary
+    string, as on masks of thousands of bits each peel is a big-int
+    operation.  The scan goes through a list, since a range would make an
+    int object for every bit scanned."""
+    size = mask.bit_length()
+    if size > len(_IDS):
+        _IDS.extend(range(len(_IDS), size))
+    if mask.bit_count() >= 64:
+        return compress(_IDS, bin(mask)[:1:-1].encode().translate(_BITS))
+    ws = []
+    while mask:
+        ws.append(_IDS[mask.bit_length() - 1])
+        mask ^= 1 << ws[-1]
+    return ws[::-1]
 
 
 def _bitmask(vertices: Iterable[int]) -> int:
-    """The set of vertices as an integer with bit v set for each v."""
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
-
-
-def _dense_bitmask(vertices: Iterable[int], n: int) -> int:
-    """_bitmask of vertices below n, parsed from n flags in time linear in
-    n: on a large set _bitmask costs a big-int operation per vertex."""
-    flags = bytearray(n)
+    """The set of vertices as an integer with bit v set for each v.  From
+    64 vertices on it is parsed from one flag per id, in time linear in the
+    largest: or-ing in each bit costs a big-int operation per vertex."""
+    vertices = vertices if isinstance(vertices, (list, tuple)) else list(vertices)
+    if len(vertices) < 64:
+        mask = 0
+        for v in vertices:
+            mask |= 1 << v
+        return mask
+    flags = bytearray(max(vertices) + 1)
     for v in vertices:
         flags[v] = 1
-    return int(flags[::-1].translate(_DIGITS) or b"0", 2)
+    return int(flags[::-1].translate(_DIGITS), 2)
 
 
 class SimpleGraph:
@@ -106,8 +119,7 @@ class SimpleGraph:
     @cached_property
     def adj(self) -> tuple[tuple[int, ...], ...]:
         """Sorted neighbor rows; derived rows share one int per vertex id."""
-        ids = list(range(self.n))
-        return tuple(tuple(_members(mask, ids)) for mask in self.adjacency_masks)
+        return tuple(tuple(_members(mask)) for mask in self.adjacency_masks)
 
     @cached_property
     def adjacency_masks(self) -> tuple[int, ...]:
@@ -123,7 +135,6 @@ class SimpleGraph:
     @cached_property
     def m(self) -> int:
         return sum(self.degrees) // 2
-
     @cached_property
     def neighbor_sets(self) -> tuple[frozenset[int], ...]:
         """Neighborhoods as frozensets, for callers outside the library: on
@@ -135,19 +146,19 @@ class SimpleGraph:
     def component_sizes(self) -> tuple[int, ...]:
         """The order of each vertex's connected component, by a flood fill
         over the masks."""
-        masks, ids = self.adjacency_masks, list(range(self.n))
+        masks = self.adjacency_masks
         sizes = [0] * self.n
         left = (1 << self.n) - 1
         while left:
             comp = frontier = left & -left
             while frontier:
                 reach = 0
-                for v in _members(frontier, ids):
+                for v in _members(frontier):
                     reach |= masks[v]
                 frontier = reach & ~comp
                 comp |= frontier
             size = comp.bit_count()
-            for v in _members(comp, ids):
+            for v in _members(comp):
                 sizes[v] = size
             left ^= comp
         return tuple(sizes)
@@ -161,18 +172,6 @@ class SimpleGraph:
         for idx, w in enumerate(sorted(range(self.n), key=self.degrees.__getitem__, reverse=True)):
             rank[w] = idx
         return tuple(rank)
-
-    @cached_property
-    def _degree_prefixes(self) -> dict[int, int]:
-        return {}
-
-    def degree_prefix(self, d: int) -> int:
-        """The vertices of degree at least d, a prefix of the rank order,
-        as a bitmask; built the first time d is asked for, then kept."""
-        prefixes = self._degree_prefixes
-        if d not in prefixes:
-            prefixes[d] = _dense_bitmask((w for w, x in enumerate(self.degrees) if x >= d), self.n)
-        return prefixes[d]
 
     @cached_property
     def twin_quotient(self) -> "TwinQuotient":
@@ -196,9 +195,8 @@ class SimpleGraph:
                     if u < v:
                         yield (u, v)
             return
-        ids = list(range(self.n))
         for u, mask in enumerate(self.adjacency_masks):
-            for v in _members(mask >> (u + 1) << (u + 1), ids):
+            for v in _members(mask >> (u + 1) << (u + 1)):
                 yield (u, v)
 
 
@@ -453,27 +451,34 @@ class TwinQuotient:
     def of_graph(cls, g: SimpleGraph) -> "TwinQuotient":
         masks = g.adjacency_masks
 
-        def setdefault(table: dict[int, list], m: int, value: int) -> int:
+        def closed_key(v: int) -> int:
+            return masks[v] | 1 << v
+
+        def setdefault(table: dict[int, list], key: Callable, w: int, value: int) -> int:
             # an int hashes to its value mod 2**61 - 1, so a block's mask
-            # minus each member in turn gives at most 61 hashes; bytes do not
+            # minus each member in turn gives at most 61 hashes; bytes do
+            # not.  A bucket holds (vertex, value) pairs and a hit is
+            # confirmed by building the vertex's key again, so no n-bit key
+            # outlives the vertex it was built for
+            m = key(w)
             bucket = table.setdefault(hash(m.to_bytes((g.n + 7) // 8, "little")), [])
-            for other, known in bucket:
-                if other == m:
+            for v, known in bucket:
+                if key(v) == m:
                     return known
-            bucket.append((m, value))
+            bucket.append((w, value))
             return value
 
         # generated hosts share one mask object per block, so each distinct
         # object is counted and hashed once, by id; equal objects then merge
         # by value onto the id of the first, which keys their open class
         objects: dict[int, list] = {}
-        for m in masks:
-            objects.setdefault(id(m), [m, 0])[1] += 1
+        for w, m in enumerate(masks):
+            objects.setdefault(id(m), [w, 0])[1] += 1
         first: dict[int, list] = {}
         key_of: dict[int, int] = {}
         counts: dict[int, int] = {}
-        for i, (m, count) in objects.items():
-            key = key_of[i] = setdefault(first, m, i)
+        for i, (w, count) in objects.items():
+            key = key_of[i] = setdefault(first, masks.__getitem__, w, i)
             counts[key] = counts.get(key, 0) + count
         opened: dict[int, int] = {}
         closed: dict[int, list] = {}
@@ -485,7 +490,7 @@ class TwinQuotient:
             if counts[key] > 1:
                 c = opened.setdefault(key, len(reps))
             else:
-                c = setdefault(closed, m | 1 << w, len(reps))
+                c = setdefault(closed, closed_key, w, len(reps))
                 if c < len(reps):
                     clique[c] = True
             if c == len(reps):
@@ -494,17 +499,11 @@ class TwinQuotient:
             class_of.append(c)
         # classes are modules, so a representative sees a class other than
         # its own exactly when it sees that class's representative
-        ids, rep_mask = list(range(g.n)), _bitmask(reps)
-        adj = []
-        for c, r in enumerate(reps):
-            seen, ws = masks[r] & rep_mask, []
-            if seen.bit_count() >= 64:
-                seen, ws = 0, _members(seen, ids)
-            # fewer bits cost less read off one at a time than a scan of n
-            while seen:
-                ws.append(seen.bit_length() - 1)
-                seen ^= 1 << ws[-1]
-            adj.append(sorted({class_of[w] for w in ws} - {c}))
+        rep_mask = _bitmask(reps)
+        adj = [
+            sorted({class_of[w] for w in _members(masks[r] & rep_mask)} - {c})
+            for c, r in enumerate(reps)
+        ]
         return cls(class_of, clique, adj)
 
     @cached_property
@@ -512,14 +511,7 @@ class TwinQuotient:
         """The bitmask of each class of two or more members, in class
         order: a candidate set cleared of these holds singleton classes
         only."""
-        n = len(self.class_of)
-        shared = [m for m in self.members if len(m) > 1]
-        return [_bitmask(m) if len(m) < 64 else _dense_bitmask(m, n) for m in shared]
-
-    @cached_property
-    def ids(self) -> list[int]:
-        """Every vertex id in order, for _members to decode masks through."""
-        return list(range(len(self.class_of)))
+        return [_bitmask(m) for m in self.members if len(m) > 1]
 
     @cached_property
     def _edges(self) -> tuple[list[int], list[int], set[int]]:
@@ -758,20 +750,20 @@ def vertex_connectivity(g: SimpleGraph) -> int:
         raise GraphError("connectivity needs at least two vertices")
     if g.m == g.n * (g.n - 1) // 2:
         return g.n - 1
-    masks, degs, ids = g.adjacency_masks, g.degrees, list(range(g.n))
-    v0 = min(ids, key=degs.__getitem__)
-    nbrs = list(_members(masks[v0], ids))
-    pairs = [(v0, w) for w in _members(~(masks[v0] | 1 << v0) & (1 << g.n) - 1, ids)]
+    masks, degs = g.adjacency_masks, g.degrees
+    v0 = min(range(g.n), key=degs.__getitem__)
+    nbrs = list(_members(masks[v0]))
+    pairs = [(v0, w) for w in _members(~(masks[v0] | 1 << v0) & (1 << g.n) - 1)]
     pairs += [(u, w) for i, u in enumerate(nbrs) for w in nbrs[i + 1 :] if not masks[u] >> w & 1]
     best = g.n - 1
     for s, t in pairs:
-        best = min(best, _disjoint_paths(masks, ids, s, t, best))
+        best = min(best, _disjoint_paths(masks, s, t, best))
         if best == 0:
             return 0
     return best
 
 
-def _disjoint_paths(masks: Sequence[int], ids: list[int], s: int, t: int, cutoff: int) -> int:
+def _disjoint_paths(masks: Sequence[int], s: int, t: int, cutoff: int) -> int:
     """The most s-t paths that share no inner vertex, counted up to cutoff,
     for non-adjacent s and t.
 
@@ -794,7 +786,7 @@ def _disjoint_paths(masks: Sequence[int], ids: list[int], s: int, t: int, cutoff
             seen |= fresh
             if fresh >> t & 1:
                 break
-            for w in _members(fresh, ids):
+            for w in _members(fresh):
                 x = w if pred[w] < 0 else pred[w]
                 if x not in came:
                     came[x] = (y, w)

@@ -328,6 +328,19 @@ class TestSweep:
         assert row["Delta"] == "12"
         assert row["Delta_matches"] == "False"
 
+    @pytest.mark.parametrize("family, digest", [
+        ("h", "94320406291905f40bcbbf5dd389406e831a83a3bb4b513f18dc3fd2f044a2c9"),
+        ("g", "65ff0d3cddbe415f74115fb05fb3d53b835cbb1799a3d1b118c0b57990529c96"),
+        ("hprime", "b470af5e319bd62828303120f726af130d06b97922984894a88b6cd98a7e5659"),
+    ])
+    def test_output_frozen(self, capsys, family, digest):
+        # the grid's report; the hosts' degree checks and the degree forms
+        # it prints must keep every byte
+        argv = ["sweep", "--family", family, "--ell-list", "3,5,7", "--c-list", "1,2,3"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_non_integer_list(self, capsys):
         code = main(["sweep", "--ell-list", "3,x,5", "--c-list", "1"])
         assert code == 2

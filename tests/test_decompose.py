@@ -1,5 +1,6 @@
 """Tree decomposition lemmas: separator, partitions, capped splits."""
 
+import hashlib
 import random
 from fractions import Fraction
 from math import ceil
@@ -149,6 +150,23 @@ class TestPartitionThree:
     def test_empty_input(self):
         split = partition_three([], 6)
         assert split.groups == ((), (), ())
+
+
+class TestPartitionOutputs:
+    def test_pinned(self):
+        # both splits over every admissible input up to t = 12, as computed
+        # when each had a greedy of its own
+        digest = hashlib.sha256()
+        for t in range(1, 13):
+            for sizes in capped_sequences(8, t):
+                if sum(sizes) > t:
+                    continue
+                three = partition_three(list(sizes), t)
+                two = partition_two(list(sizes), t) if t >= 2 else None
+                digest.update(repr((sizes, t, three, two)).encode())
+        assert digest.hexdigest() == (
+            "f429daab1841e6bd6db8c1063da9e4719c2c55feffc382961db9daec7ace05b7"
+        )
 
 
 class TestSplitFamilyByCap:

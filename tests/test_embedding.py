@@ -37,6 +37,7 @@ from treembed.randgen import random_tree
 import oracles
 from oracles import (
     bitwise_top_bits,
+    rank_and_prefixes,
     brute_hall_holds,
     flow_hall_holds,
     has_edge_violations,
@@ -661,9 +662,22 @@ class TestBacktrackerSetup:
         a, b = solvers
         assert a.rank is b.rank is host.rank
         assert a.twin_masks is b.twin_masks is host.twin_quotient.twin_masks
-        assert a.ids is b.ids is host.twin_quotient.ids
-        shared = set(a.deg_mask) & set(b.deg_mask)
-        assert shared and all(a.deg_mask[d] is b.deg_mask[d] for d in shared)
+
+    def test_degree_masks(self):
+        # each tree degree's mask holds the host vertices of at least that
+        # degree, the prefix of the rank order once kept on the host
+        rng = random.Random(16)
+        hosts = [two_wing_host(ExtremalParams(3, 1, 12)).graph]
+        hosts += [rand_graph(rng, rng.randrange(2, 40), rng.random()) for _ in range(40)]
+        filtered = 0
+        for host in hosts:
+            tree = random_tree(rng.randrange(0, host.n), rng).graph
+            solver = _Backtracker(tree, 0, host)
+            _rank, prefix = rank_and_prefixes(host, set(tree.degrees))
+            assert solver.deg_mask == prefix
+            filtered += any(mask != (1 << host.n) - 1 for mask in prefix.values())
+        # degrees above the host's minimum, which drop vertices, occur
+        assert filtered >= 5
 
 
 class TestSeparatorRootChoice:
@@ -935,27 +949,25 @@ class TestOrbitPartsAgainstFirstVersion:
     @given(quotient_hosts, st.randoms(use_true_random=False))
     def test_one_candidate_per_class(self, host, rng):
         q, rank = host.twin_quotient, host.rank
-        ids = list(range(host.n))
         for _ in range(5):
             cand = rng.getrandbits(host.n)
             want = sorted(oracles.peel_one_per_class(cand, q), key=rank.__getitem__)
-            assert sorted(_one_per_class(cand, q.twin_masks, ids), key=rank.__getitem__) == want
+            assert sorted(_one_per_class(cand, q.twin_masks), key=rank.__getitem__) == want
             # the plain search keeps every vertex
-            assert sorted(_one_per_class(cand, [], ids)) == [v for v in ids if cand >> v & 1]
+            assert sorted(_one_per_class(cand, [])) == [v for v in range(host.n) if cand >> v & 1]
 
     @pytest.mark.parametrize("build", [two_wing_host, wing_clique_host, matched_wing_host])
     def test_one_candidate_per_class_at_scale(self, build):
         # classes of 64 or more members, and 64 or more singletons left
         host = build(ExtremalParams(7, 3, 168)).graph
         q, rank = host.twin_quotient, host.rank
-        ids = list(range(host.n))
         rng = random.Random(3)
         masks = [(1 << host.n) - 1, rng.getrandbits(host.n)]
         masks += [rng.getrandbits(host.n) & rng.getrandbits(host.n) & rng.getrandbits(host.n)
                   for _ in range(4)]
         for cand in masks:
             want = sorted(oracles.peel_one_per_class(cand, q), key=rank.__getitem__)
-            assert sorted(_one_per_class(cand, q.twin_masks, ids), key=rank.__getitem__) == want
+            assert sorted(_one_per_class(cand, q.twin_masks), key=rank.__getitem__) == want
 
 
 class TestHallCheck:

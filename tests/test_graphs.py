@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from treembed import graphs
 from treembed.families import (
     ExtremalParams,
     complete_bipartite,
@@ -26,6 +27,7 @@ from treembed.graphs import (
     distance_bfs,
     vertex_connectivity,
 )
+from treembed.graphs import _bitmask, _members
 from treembed.randgen import random_host
 
 from oracles import (
@@ -179,16 +181,55 @@ class TestMaskForm:
         assert "adj" not in h.__dict__
 
 
+class TestMaskHelpers:
+    """_members and _bitmask against plain bit loops, on both sides of the
+    64 elements where each switches from one bit at a time to one scan."""
+
+    @staticmethod
+    def bits(mask):
+        return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+    def test_members_against_bit_loop(self):
+        rng = random.Random(5)
+        masks = [0, 1, 1 << 700, (1 << 63) - 1, (1 << 64) - 1, (1 << 65) - 1]
+        masks += [sum(1 << v for v in rng.sample(range(900), count))
+                  for count in (63, 64, 65, 400)]
+        for mask in masks:
+            assert list(_members(mask)) == self.bits(mask)
+        # masks longer than any decoded before in this process, peeled and
+        # scanned
+        for count in (40, 200):
+            mask = rng.getrandbits(count) << len(graphs._IDS) + 50 | 1
+            assert list(_members(mask)) == self.bits(mask)
+
+    def test_members_decode_one_object_per_id(self):
+        sparse, dense = 1 << 300 | 1 << 301, (1 << 400) - 1
+        assert all(a is b for a, b in zip(_members(dense), _members(dense)))
+        assert all(a is b for a, b in zip(_members(sparse), _members(sparse)))
+        assert list(_members(sparse))[0] is list(_members(dense))[300]
+
+    def test_bitmask_against_or(self):
+        rng = random.Random(6)
+        for count in (0, 1, 63, 64, 65, 300):
+            # drawn from fewer ids than the count, so most lists repeat some
+            vs = [rng.randrange(2 * count + 1) for _ in range(count)]
+            want = 0
+            for v in vs:
+                want |= 1 << v
+            by_index = dict(enumerate(vs))
+            assert _bitmask(vs) == _bitmask(tuple(vs)) == _bitmask(v for v in vs) == want
+            assert _bitmask(by_index.values()) == _bitmask(dict.fromkeys(vs).keys()) == want
+        assert _bitmask([5] * 70) == 1 << 5
+
+
 class TestRankTables:
-    """The rank order and degree-prefix masks a host keeps for the exact
-    search, against the tables each search once built for itself."""
+    """The rank order a host keeps for the exact search, against the table
+    each search once built for itself."""
 
     @staticmethod
     def check(g):
-        degrees = range(max(g.degrees, default=0) + 2)
-        rank, prefix = rank_and_prefixes(g, degrees)
+        rank, _prefix = rank_and_prefixes(g, ())
         assert g.rank == tuple(rank)
-        assert {d: g.degree_prefix(d) for d in degrees} == prefix
 
     @settings(max_examples=200)
     @given(small_graphs(max_n=9, min_n=0))
@@ -513,7 +554,7 @@ class TestTwinQuotient:
             q = TwinQuotient.of_graph(g)
             assert (q.class_of, q.clique, q.adj) == value_keyed_twins(g)
         # hprime(7,3)'s A representatives see the hub and 91 B classes,
-        # past the quotient's sparse decode of fewer than 64
+        # past _members' peel of fewer than 64
         hprime = generated[-1]
         assert max(map(len, hprime.twin_quotient.adj)) == 1 + 91
 
@@ -529,3 +570,12 @@ class TestTwinQuotient:
         q = TwinQuotient.of_graph(g)
         assert (q.class_of, q.clique, q.adj) == value_keyed_twins(g)
         assert q.clique == [True]
+
+    @pytest.mark.parametrize("build", [two_wing_host, wing_clique_host, matched_wing_host])
+    def test_every_key_colliding(self, monkeypatch, build):
+        # with one hash for every key, each hit is told apart only by
+        # building the stored vertex's key again
+        monkeypatch.setattr(graphs, "hash", lambda key: 0, raising=False)
+        g = build(ExtremalParams(5, 2, 60)).graph
+        q = TwinQuotient.of_graph(g)
+        assert (q.class_of, q.clique, q.adj) == value_keyed_twins(g)
