@@ -42,8 +42,9 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class Budget:
-    """Search limits.  max_nodes is deterministic; time_ms is wall clock and
-    therefore only suitable where reproducible verdicts are not required."""
+    """Search limits.  max_nodes caps the candidates tried and is
+    deterministic; time_ms is wall clock and therefore only suitable where
+    reproducible verdicts are not required."""
 
     max_nodes: Optional[int] = None
     time_ms: Optional[float] = None
@@ -108,8 +109,10 @@ class _Backtracker:
     unused neighbors for its children still unplaced.  The root
     additionally needs a host component large enough for the whole tree.
     The search keeps one frame per depth on an explicit stack, so tree
-    depth is not bounded by the interpreter's recursion.
-    Each candidate tried counts as one node.
+    depth is not bounded by the interpreter's recursion.  A frame is only
+    the choice point: the depth's candidates and the next one to try.  The
+    images, the used vertices and the leaf holding (below) are kept once
+    and undone on backtrack.  Each candidate tried counts as one node.
 
     The host tables are built once per host and kept on it: rank,
     component sizes and the twin quotient with the mask of each class of
@@ -127,13 +130,19 @@ class _Backtracker:
       neighborhood is the set of unused vertices next to the parent's
       image.  Every node checks Hall's condition for the groups of the
       placed parents: each set of groups has at least as many free
-      neighbors as leaves.  It keeps a holding, a partial b-matching of
-      groups into free neighbors, from node to node; a node extends it
+      neighbors as leaves.  The search keeps one holding, a b-matching
+      of the placed groups into free neighbors; a node extends it
       greedily and, if that falls short, completes it by augmenting paths
       over the groups or finds the set of groups that violates the
       condition (_complete_holding).  Placing more vertices only shrinks
       the free neighborhoods, so a violation holds in every extension and
-      the prune is exact.  Once every other vertex is placed, the holding
+      the prune is exact.  Backtracking to u clears u's groups from the
+      holding.  What is left is complete for the groups before u's: their
+      parents keep their images, and the used vertices have only shrunk,
+      so every held vertex is still a free neighbor.  Hall's condition
+      does not depend on which complete holding is kept, so neither do
+      the verdicts or the node counts; only the leaves' images in a
+      witness may differ.  Once every other vertex is placed, the holding
       gives the leaves their images.
     * Chain order.  Interchangeable sibling vertices (equal rooted shape)
       take ascending images.
@@ -258,55 +267,54 @@ class _Backtracker:
                     self.chain_prev[c] = last[codes[c]]
                 last[codes[c]] = c
 
-    def _hall(self, u: int, w: int, used: int, state: tuple) -> Optional[tuple]:
-        """Leaf holdings after placing u at w, or None when Hall's
-        condition fails.  state is (holding per group, union of the
-        holdings, vertices held, leaves of the placed groups)."""
-        hold, taken, held, need = state
+    def _hall(self, u: int, w: int, used: int, hold: list[int], taken: int) -> Optional[tuple]:
+        """The leaf holding after placing u at w, as (holding per group,
+        union of the holdings), or None when Hall's condition fails.  The
+        holding passed in is complete for the groups before u's, holds
+        nothing for the others, and is not changed."""
         start, end = self.group_start[u], self.group_end[u]
         bit = 1 << w
         hold = hold.copy()
         nbrs = self.group_nbrs
         free = ~used
+        short = False
         if taken & bit:
             g = next(g for g in range(start) if hold[g] & bit)
             hold[g] ^= bit
             taken ^= bit
-            held -= 1
             spare = nbrs[g] & free & ~taken
             if spare:
                 top = 1 << (spare.bit_length() - 1)
                 hold[g] |= top
                 taken |= top
-                held += 1
+            else:
+                short = True
         for g in range(start, end):
             nbrs[g] = self.host_masks[w]
             # hold the highest ids: the search tries low ids first
             got = _top_bits(nbrs[g] & free & ~taken, self.demand[g])
             hold[g] = got
             taken |= got
-            held += got.bit_count()
-            need += self.demand[g]
-        if held < need:
+            short = short or got.bit_count() < self.demand[g]
+        if short:
             hold = _complete_holding([nbrs[g] & free for g in range(end)], self.demand, hold)
             if hold is None:
                 return None
             taken = 0
             for g in range(end):
                 taken |= hold[g]
-            held = need
-        return (hold, taken, held, need)
+        return (hold, taken)
 
-    def _orbit_filter(self, pos: int, images: list[int], chosen: list[int], i: int) -> list[int]:
-        """chosen[i:] without the candidates whose class is not the
-        smallest in its orbit under the stabiliser of the placed images."""
+    def _orbit_filter(self, pos: int, images: list[int], chosen: list[int]) -> list[int]:
+        """chosen without the candidates after the first whose class is not
+        the smallest in its orbit under the stabiliser of the placed images."""
         cls = self.quotient.class_of
         classes = [cls[w] for w in chosen]
         base = self.quotient.partition[0]
         # fixing classes only refines the colouring, so classes of distinct
         # colours lie in distinct orbits
         if len({base[c] for c in classes}) == len(classes) or not self.quotient.symmetric:
-            return chosen[i:]
+            return chosen
         # refined colourings with the classes of the placed images fixed,
         # one per depth, reset whenever the image above them changes
         parts = self.prefix_partitions
@@ -320,10 +328,10 @@ class _Backtracker:
         # the search below chosen[0] may have fixed its class already
         known = None if parts[pos + 1] is None else (classes[0], parts[pos + 1])
         root = self.quotient.stabiliser_orbits(parts[pos], fixed, classes, known)
-        return [w for w in chosen[i:] if root[cls[w]] == cls[w]]
+        return chosen[:1] + [w for w in chosen[1:] if root[cls[w]] == cls[w]]
 
-    def _place_leaves(self, images: list[int], state: tuple) -> None:
-        for leaves, mask in zip(self.group_leaves, state[0]):
+    def _place_leaves(self, images: list[int], hold: list[int]) -> None:
+        for leaves, mask in zip(self.group_leaves, hold):
             for v in leaves:
                 low = mask & -mask
                 images[v] = low.bit_length() - 1
@@ -350,40 +358,30 @@ class _Backtracker:
         sib_rest = self.sib_rest
         twin_masks = self.twin_masks
         rank = self.rank
-        grouped = bool(self.demand)
-        has_groups = [a != b for a, b in zip(self.group_start, self.group_end)]
+        group_start, group_end = self.group_start, self.group_end
+        has_groups = [a != b for a, b in zip(group_start, group_end)]
         orbits = self.quotient is not None
         prefix_partitions = self.prefix_partitions
         n_s = len(order)
         images = [-1] * self.tree.n
-        # one frame per depth: candidates in rank order, the next one to
-        # try, the parent image's neighborhood, the leaf holdings before
-        # this depth, and whether orbits have cut the candidates yet
+        # the choice point of each depth: candidates in rank order and the
+        # next one to try; the rest of the state is kept once
         frame_chosen: list[list[int]] = [[]] * n_s
         frame_next = [0] * n_s
-        frame_pmask = [0] * n_s
-        frame_leaves: list[tuple] = [()] * n_s
-        frame_orbits = [False] * n_s
-        leaves = ([0] * len(self.demand), 0, 0, 0)
+        hold, taken = [0] * len(self.demand), 0
         used = 0
         nodes = 0
         pos = 0
         descend = True
         while True:
+            if descend and pos == n_s:
+                self._place_leaves(images, hold)
+                return ("found", images, nodes)
+            u = order[pos]
+            p = parent[u]
+            pmask = masks[images[p]] if p >= 0 else 0
             if descend:
-                if pos == n_s:
-                    if grouped:
-                        self._place_leaves(images, leaves)
-                    return ("found", images, nodes)
-                u = order[pos]
-                p = parent[u]
-                if p >= 0:
-                    pmask = masks[images[p]]
-                    cand = pmask & ~used
-                else:
-                    pmask = 0
-                    cand = cap_mask & ~used
-                cand &= deg_mask[tree_deg[u]]
+                cand = (pmask if p >= 0 else cap_mask) & ~used & deg_mask[tree_deg[u]]
                 cp = chain_prev[u]
                 if cp is not None:
                     cand &= -(1 << (images[cp] + 1))
@@ -391,53 +389,51 @@ class _Backtracker:
                 if len(chosen) > 1:
                     chosen.sort(key=rank.__getitem__)
                 i = 0
-                frame_leaves[pos] = leaves
-                frame_orbits[pos] = False
                 if orbits:
                     # the image one level up has just changed, and with it
                     # every colouring that fixes it
                     prefix_partitions[pos] = prefix_partitions[pos + 1] = None
             else:
-                u = order[pos]
                 chosen = frame_chosen[pos]
                 i = frame_next[pos]
-                pmask = frame_pmask[pos]
                 used ^= 1 << images[u]
                 images[u] = -1
-                leaves = frame_leaves[pos]
+                # the deeper groups hold nothing by now; with u's cleared,
+                # the holding is complete again for the groups before u's
+                for g in range(group_start[u], group_end[u]):
+                    taken &= ~hold[g]
+                    hold[g] = 0
             pend = child_count[u]
             rest = sib_rest[u]
             descend = False
             while i < len(chosen):
-                if i and orbits and not frame_orbits[pos]:
+                if i == 1 and orbits:
                     # the first candidate failed: cut the rest by orbits
-                    frame_orbits[pos] = True
-                    chosen = chosen[:i] + self._orbit_filter(pos, images, chosen, i)
-                    if i == len(chosen):
+                    chosen = self._orbit_filter(pos, images, chosen)
+                    if len(chosen) == 1:
                         break
-                w = chosen[i]
-                i += 1
-                nodes += 1
-                if nodes > limit:
+                if nodes >= limit:
                     return ("node", None, nodes)
                 if deadline is not None and nodes & 2047 == 0:
                     if time.perf_counter() > deadline:
                         return ("time", None, nodes)
+                w = chosen[i]
+                i += 1
+                nodes += 1
                 nxt = used | 1 << w
                 if pend and (masks[w] & ~nxt).bit_count() < pend:
                     continue
                 if rest and (pmask & ~nxt).bit_count() < rest:
                     continue
-                if grouped and (has_groups[u] or frame_leaves[pos][1] >> w & 1):
-                    after = self._hall(u, w, nxt, frame_leaves[pos])
+                if has_groups[u] or taken >> w & 1:
+                    after = self._hall(u, w, nxt, hold, taken)
                     if after is None:
                         continue
-                    leaves = after
+                    hold, taken = after
                 images[u] = w
                 used = nxt
                 frame_chosen[pos] = chosen
                 frame_next[pos] = i
-                frame_pmask[pos] = pmask
                 pos += 1
                 descend = True
                 break

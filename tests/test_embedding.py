@@ -4,6 +4,7 @@ pipeline's routing."""
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -224,7 +225,26 @@ class TestExactEmbed:
             middle_numbered_path(200), caterpillar(210).graph, budget=Budget(max_nodes=50)
         )
         assert verdict.kind is Verdict.TIMEOUT
-        assert verdict.nodes_explored == 51
+        assert verdict.nodes_explored == 50
+
+    def test_zero_node_budget_tries_nothing(self):
+        verdict = exact_embed(
+            middle_numbered_path(200), caterpillar(210).graph, budget=Budget(max_nodes=0)
+        )
+        assert verdict.kind is Verdict.TIMEOUT
+        assert verdict.nodes_explored == 0
+
+    def test_node_budget_of_exactly_the_search(self):
+        # a budget of N nodes tries N candidates: a budget of exactly the
+        # nodes a search needs leaves its verdict alone, one fewer cuts it
+        tree, host = broom_tree(3, 12), two_wing_host(ExtremalParams(3, 1, 12)).graph
+        full = exact_embed(tree, host)
+        assert full.kind is Verdict.NOT_EMBEDDED
+        n = full.nodes_explored
+        exact = exact_embed(tree, host, budget=Budget(max_nodes=n))
+        assert (exact.kind, exact.nodes_explored) == (Verdict.NOT_EMBEDDED, n)
+        short = exact_embed(tree, host, budget=Budget(max_nodes=n - 1))
+        assert (short.kind, short.nodes_explored) == (Verdict.TIMEOUT, n - 1)
 
     def test_wall_clock_budget_times_out(self):
         verdict = exact_embed(
@@ -279,6 +299,25 @@ class TestExactEmbed:
         verdict = exact_embed(broom_tree(ell, k), build(ExtremalParams(ell, c, k)).graph)
         assert verdict.kind is Verdict.NOT_EMBEDDED
         assert verdict.nodes_explored == nodes
+
+    def test_search_keeps_one_leaf_holding(self):
+        # h(61,3) places 1,116 internal vertices over 183 leaf groups; with
+        # a copy of the holding per depth the search alone peaked at 5.9 MiB,
+        # with one holding trimmed on backtrack at 2.2 MiB
+        k = 3 * 61 * 62
+        host = two_wing_host(ExtremalParams(61, 3, k)).graph
+        tree = broom_tree(61, k)
+        # the host tables are built once per host and are not the search's
+        host.rank, host.component_sizes, host.twin_quotient, host.degrees
+        tracemalloc.start()
+        try:
+            verdict = exact_embed(tree, host)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.kind is Verdict.NOT_EMBEDDED
+        assert verdict.nodes_explored == 1116
+        assert peak < 4 * 2**20
 
     def test_deep_tree_does_not_recurse(self):
         tree = caterpillar(1500)
@@ -740,8 +779,8 @@ def circulant(rng):
 SYMMETRIC_HOSTS = (prism, twin_blowup, apex_over_three_copies, circulant)
 
 
-def no_orbits(self, pos, images, chosen, i):
-    return chosen[i:]
+def no_orbits(self, pos, images, chosen):
+    return chosen
 
 
 class TestReductionsAgainstUnreducedSearch:
@@ -968,6 +1007,67 @@ class TestOrbitPartsAgainstFirstVersion:
         for cand in masks:
             want = sorted(oracles.peel_one_per_class(cand, q), key=rank.__getitem__)
             assert sorted(_one_per_class(cand, q.twin_masks), key=rank.__getitem__) == want
+
+
+class TestLeafHolding:
+    """The one leaf holding the search keeps, checked on every _hall call
+    going in and coming out: each group holds vertices of its free
+    neighborhood, no vertex is held twice, the groups of the placed parents
+    hold their whole demand and the others nothing, and taken is the union
+    of the holdings."""
+
+    @staticmethod
+    def check(solver, end, used, hold, taken):
+        nbrs, demand = solver.group_nbrs, solver.demand
+        for g, mask in enumerate(hold):
+            if g < end:
+                assert mask & ~nbrs[g] == 0 and mask & used == 0
+                assert mask.bit_count() == demand[g]
+            else:
+                assert mask == 0
+        assert taken == _or(hold)
+        assert sum(mask.bit_count() for mask in hold) == taken.bit_count()
+
+    def run_checked(self, monkeypatch, pairs):
+        real = _Backtracker._hall
+        calls = displaced = 0
+
+        def checked(solver, u, w, used, hold, taken):
+            nonlocal calls, displaced
+            calls += 1
+            displaced += taken >> w & 1
+            # used has w in it already; the holding passed in may hold w
+            self.check(solver, solver.group_start[u], used ^ 1 << w, hold, taken)
+            out = real(solver, u, w, used, hold, taken)
+            if out is not None:
+                self.check(solver, solver.group_end[u], used, *out)
+            return out
+
+        monkeypatch.setattr(_Backtracker, "_hall", checked)
+        for tree, host in pairs:
+            verdict = exact_embed(tree, host)
+            if verdict.kind is Verdict.EMBEDDED:
+                assert validate_embedding(tree, host, verdict.embedding)
+        return calls, displaced
+
+    def test_grid_brooms(self, monkeypatch):
+        pairs = [
+            (broom_tree(ell, k), build(ExtremalParams(ell, c, k)).graph)
+            for build in (two_wing_host, wing_clique_host, matched_wing_host)
+            for ell in (3, 5, 7)
+            for c in (1, 2, 3)
+            for k in (c * ell * (ell + 1),)
+        ]
+        calls, displaced = self.run_checked(monkeypatch, pairs)
+        assert calls >= 600 and displaced >= 5
+
+    def test_symmetric_and_random_hosts(self, monkeypatch):
+        rng = random.Random(515)
+        hosts = [family(rng) for family in SYMMETRIC_HOSTS for _ in range(100)]
+        hosts += [small_random_host(rng) for _ in range(400)]
+        pairs = [(random_tree(rng.randrange(1, h.n + 1), rng), h) for h in hosts]
+        calls, displaced = self.run_checked(monkeypatch, pairs)
+        assert calls >= 800 and displaced >= 100
 
 
 class TestHallCheck:
