@@ -131,19 +131,22 @@ class _Backtracker:
       image.  Every node checks Hall's condition for the groups of the
       placed parents: each set of groups has at least as many free
       neighbors as leaves.  The search keeps one holding, a b-matching
-      of the placed groups into free neighbors; a node extends it
-      greedily and, if that falls short, completes it by augmenting paths
-      over the groups or finds the set of groups that violates the
-      condition (_complete_holding).  Placing more vertices only shrinks
-      the free neighborhoods, so a violation holds in every extension and
-      the prune is exact.  Backtracking to u clears u's groups from the
-      holding.  What is left is complete for the groups before u's: their
-      parents keep their images, and the used vertices have only shrunk,
-      so every held vertex is still a free neighbor.  Hall's condition
-      does not depend on which complete holding is kept, so neither do
-      the verdicts or the node counts; only the leaves' images in a
-      witness may differ.  Once every other vertex is placed, the holding
-      gives the leaves their images.
+      of the placed groups into free neighbors.  Placing u at w leaves at
+      most these groups short: the earlier group that held w, if any, and
+      u's own groups, which hold nothing yet.  One routine,
+      _complete_holding, takes them: it gives each the highest free ids
+      nobody holds, then completes the holding by augmenting paths over
+      the groups, or finds the set of groups that violates the condition.
+      Placing more vertices only shrinks the free neighborhoods, so a
+      violation holds in every extension and the prune is exact.
+      Backtracking to u clears u's groups from the holding.  What is left
+      is complete for the groups before u's: their parents keep their
+      images, and the used vertices have only shrunk, so every held
+      vertex is still a free neighbor.  Hall's condition does not depend
+      on which complete holding is kept, so neither do the verdicts or
+      the node counts; only the leaves' images in a witness may differ.
+      Once every other vertex is placed, the holding gives the leaves
+      their images.
     * Chain order.  Interchangeable sibling vertices (equal rooted shape)
       take ascending images.
     * Twin classes.  Host vertices are grouped into the classes of
@@ -270,40 +273,17 @@ class _Backtracker:
     def _hall(self, u: int, w: int, used: int, hold: list[int], taken: int) -> Optional[tuple]:
         """The leaf holding after placing u at w, as (holding per group,
         union of the holdings), or None when Hall's condition fails.  The
-        holding passed in is complete for the groups before u's, holds
-        nothing for the others, and is not changed."""
+        holding passed in is complete for the groups before u's and holds
+        nothing for the others; only the earlier group that held w, if
+        any, and u's own groups can be short."""
         start, end = self.group_start[u], self.group_end[u]
-        bit = 1 << w
-        hold = hold.copy()
         nbrs = self.group_nbrs
-        free = ~used
-        short = False
-        if taken & bit:
-            g = next(g for g in range(start) if hold[g] & bit)
-            hold[g] ^= bit
-            taken ^= bit
-            spare = nbrs[g] & free & ~taken
-            if spare:
-                top = 1 << (spare.bit_length() - 1)
-                hold[g] |= top
-                taken |= top
-            else:
-                short = True
         for g in range(start, end):
             nbrs[g] = self.host_masks[w]
-            # hold the highest ids: the search tries low ids first
-            got = _top_bits(nbrs[g] & free & ~taken, self.demand[g])
-            hold[g] = got
-            taken |= got
-            short = short or got.bit_count() < self.demand[g]
-        if short:
-            hold = _complete_holding([nbrs[g] & free for g in range(end)], self.demand, hold)
-            if hold is None:
-                return None
-            taken = 0
-            for g in range(end):
-                taken |= hold[g]
-        return (hold, taken)
+        short = range(start, end)
+        if taken >> w & 1:
+            short = [next(g for g in range(start) if hold[g] >> w & 1), *short]
+        return _complete_holding(nbrs, ~used, self.demand, hold, taken, short, end)
 
     def _orbit_filter(self, pos: int, images: list[int], chosen: list[int]) -> list[int]:
         """chosen without the candidates after the first whose class is not
@@ -481,51 +461,59 @@ def _top_bits(mask: int, count: int) -> int:
 
 
 def _complete_holding(
-    nbrs: Sequence[int], demand: Sequence[int], hold: list[int]
-) -> Optional[list[int]]:
-    """hold, a partial b-matching of groups 0..len(nbrs)-1 into their
-    free neighborhoods nbrs, made complete, or None when Hall's condition
-    fails and no complete one exists.
+    nbrs: Sequence[int], free: int, demand: Sequence[int], hold: list[int], taken: int,
+    short: Sequence[int], end: int,
+) -> Optional[tuple[list[int], int]]:
+    """hold, a b-matching of groups 0..end-1 into their free
+    neighborhoods nbrs[g] & free with union taken, made complete, as
+    (holding, union); or None when Hall's condition fails and no complete
+    one exists.  Only the groups in short, ascending, may be short; hold
+    is not changed.
 
-    Each missing vertex comes from an augmenting path, found by a search
-    over groups from the short group: a group reaches the neighbors it
-    does not hold, and a reached vertex held by another group leads on to
-    that group.  The first vertex nobody holds ends the path, and each
-    group on it takes the vertex its predecessor gave up.  When the
-    search reaches no such vertex, the reached groups hold all of their
-    neighbors and still want more: Hall's condition fails for them.
+    Each short group first loses its vertices that are no longer free and
+    takes the highest free ids nobody holds, as many as it lacks: the
+    search tries low ids first.  Each vertex still missing comes from an
+    augmenting path, found by a search over groups from the short group: a
+    group reaches the free neighbors it does not hold, and a reached
+    vertex held by another group leads on to that group.  The first
+    vertex nobody holds ends the path, and each group on it takes the
+    vertex its predecessor gave up.  When the search reaches no such
+    vertex, the reached groups hold all of their free neighbors and still
+    want more: Hall's condition fails for them.
     """
     hold = hold.copy()
-    taken = 0
-    for mask in hold:
-        taken |= mask
-    groups = range(len(nbrs))
-    for s in groups:
+    for s in short:
+        keep = hold[s] & free
+        got = _top_bits(nbrs[s] & free & ~taken, demand[s] - keep.bit_count())
+        # the vertices no longer free (hold[s] ^ keep) leave taken, got joins
+        taken ^= hold[s] ^ keep ^ got
+        hold[s] = keep | got
+    for s in short:
         while hold[s].bit_count() < demand[s]:
             # each reached group's predecessor and the vertex it leads on by
             came = {s: (-1, 0)}
             queue = [s]
             seen = 0
             for g in queue:  # grows while it runs
-                fresh = nbrs[g] & ~seen & ~hold[g]
+                fresh = nbrs[g] & free & ~seen & ~hold[g]
                 seen |= fresh
-                free = fresh & ~taken
-                if free:
+                spare = fresh & ~taken
+                if spare:
                     break
-                for h in groups:
+                for h in range(end):
                     mask = hold[h] & fresh
                     if mask and h not in came:
                         came[h] = (g, mask & -mask)
                         queue.append(h)
             else:
                 return None
-            got = 1 << (free.bit_length() - 1)
+            got = 1 << (spare.bit_length() - 1)
             taken |= got
             while g >= 0:
                 pred, lost = came[g]
                 hold[g] ^= got | lost
                 g, got = pred, lost
-    return hold
+    return hold, taken
 
 
 def _check_witness(tree: TreeGraph, host: SimpleGraph, mapping: dict) -> None:

@@ -128,9 +128,17 @@ class SimpleGraph:
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
+        """Each vertex's degree.  From masks, a run of vertices sharing one
+        object, as each block of a generated host does, is counted once; an
+        identity test per vertex costs next to nothing on distinct masks."""
         if "adj" in self.__dict__:
             return tuple(map(len, self.adj))
-        return tuple(mask.bit_count() for mask in self.adjacency_masks)
+        degs, last, d = [], None, 0
+        for mask in self.adjacency_masks:
+            if mask is not last:
+                last, d = mask, mask.bit_count()
+            degs.append(d)
+        return tuple(degs)
 
     @cached_property
     def m(self) -> int:
@@ -546,22 +554,29 @@ class TwinQuotient:
         search is not worth its refinements (each costs time linear in the
         quotient, and a regular graph with no symmetry refines nothing
         away), and skipping it is always sound."""
-        col, cells = self.partition
-        for cell in cells:
+        part = self.partition
+        for cell in part[1]:
             if len(cell) > 1:
-                a, b = min(cell), max(cell)
-                if self._match(self._individualised(col, cells, a),
-                               self._individualised(col, cells, b), ()):
+                if self._match(self.fix(part, min(cell)), self.fix(part, max(cell)), ()):
                     return True
         return False
 
     def fix(self, partition: tuple, c: int) -> tuple:
-        """partition, a refined colouring, with class c given a colour of
-        its own and refined again; unchanged when c has one already."""
+        """partition, a refined colouring (col, cells), with class c given
+        a colour of its own and refined again: the one routine that
+        individualises a class.  partition itself is returned when c has a
+        colour of its own already, and otherwise a refined copy; partition
+        is never changed."""
         col, cells = partition
-        if len(cells[col[c]]) == 1:
+        cell = cells[col[c]]
+        if len(cell) == 1:
             return partition
-        return self._individualised(col, cells, c)
+        col, cells = col.copy(), cells.copy()
+        cells[col[c]] = cell - {c}
+        col[c] = len(cells)
+        cells.append({c})
+        _refine(self.adj, col, cells, [col[c]])
+        return col, cells
 
     def stabiliser_orbits(
         self, partition: tuple, fixed: Sequence[int], candidates: Sequence[int],
@@ -607,8 +622,8 @@ class TwinQuotient:
                     if known is not None and known[0] == group[0]:
                         rep = known[1]
                     else:
-                        rep = self._individualised(col, cells, group[0])
-                perm = self._match(rep, self._individualised(col, cells, c), fixed)
+                        rep = self.fix(partition, group[0])
+                perm = self._match(rep, self.fix(partition, c), fixed)
                 if perm is None:
                     break
                 for a in candidates:
@@ -632,11 +647,6 @@ class TwinQuotient:
             root[c] = root.get(parent, parent)
         return {c: root.get(c, c) for c in candidates}
 
-    def _individualised(self, col: list[int], cells: list[set[int]], c: int):
-        col, cells = col.copy(), cells.copy()
-        _refine(self.adj, col, cells, [_individualise(col, cells, c)])
-        return col, cells
-
     def _match(self, a, b, fixed: Sequence[int]) -> Optional[list[int]]:
         """A verified automorphism taking partition a onto partition b."""
         while True:
@@ -658,8 +668,8 @@ class TwinQuotient:
             open_cell = next((i for i, x in enumerate(a_cells) if len(x) > 1), None)
             if open_cell is None:
                 return None
-            a = self._individualised(*a, min(a_cells[open_cell]))
-            b = self._individualised(*b, min(b_cells[open_cell]))
+            a = self.fix(a, min(a_cells[open_cell]))
+            b = self.fix(b, min(b_cells[open_cell]))
 
     def _is_automorphism(self, perm: list[int], fixed: Sequence[int]) -> bool:
         """Whether the permutation perm of the classes fixes each class in
@@ -673,18 +683,6 @@ class TwinQuotient:
         heads, tails, codes = self._edges
         size = len(perm)
         return codes.issuperset([perm[c] * size + perm[d] for c, d in zip(heads, tails)])
-
-
-def _individualise(col: list[int], cells: list[set[int]], c: int) -> Optional[int]:
-    """Give class c a colour of its own; returns it, or None if c already
-    had one."""
-    cell = cells[col[c]]
-    if len(cell) == 1:
-        return None
-    cells[col[c]] = cell - {c}
-    col[c] = len(cells)
-    cells.append({c})
-    return col[c]
 
 
 def _refine(adj: list[list[int]], col: list[int], cells: list[set[int]], queue: list[int]) -> None:

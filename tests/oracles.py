@@ -366,8 +366,8 @@ def base_partition(q):
 
 
 def individualised(q, partition, c):
-    """TwinQuotient._individualised through refine: class c in a cell of
-    its own, refined again."""
+    """TwinQuotient.fix through refine, for a class c in a cell of two or
+    more: c given a cell of its own, then the copy refined again."""
     col, cells = partition[0].copy(), partition[1].copy()
     cell = cells[col[c]]
     cells[col[c]] = cell - {c}

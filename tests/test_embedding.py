@@ -942,15 +942,20 @@ class TestOrbitPartsAgainstFirstVersion:
         q = host.twin_quotient
         assert q.partition == oracles.base_partition(q)
         col, cells = q.partition
+        kept = (col.copy(), [cell.copy() for cell in cells])
         for c in range(len(col)):
             if len(cells[col[c]]) > 1:
-                once = q._individualised(col, cells, c)
+                once = q.fix(q.partition, c)
                 assert once == oracles.individualised(q, q.partition, c)
                 # and a second class on top, in the first open cell
                 rest = next((x for x in once[1] if len(x) > 1), None)
                 if rest:
                     d = max(rest)
-                    assert q._individualised(*once, d) == oracles.individualised(q, once, d)
+                    assert q.fix(once, d) == oracles.individualised(q, once, d)
+            else:
+                assert q.fix(q.partition, c) is q.partition
+        # fix refines copies: the partition passed in is left as it was
+        assert q.partition == kept
 
     @settings(max_examples=60, deadline=None)
     @given(quotient_hosts, st.randoms(use_true_random=False))
@@ -1099,13 +1104,42 @@ class TestHallCheck:
                         h |= 1 << w
                 hold.append(h)
                 taken |= h
-            got = _complete_holding(nbrs, demand, hold)
+            got = complete_all(nbrs, demand, hold, taken)
             assert (got is not None) == brute_hall_holds(nbrs, demand)
             if got is not None:
                 assert all(h.bit_count() == d and h & ~m == 0
                            for h, d, m in zip(got, demand, nbrs))
                 # no vertex held twice
                 assert sum(h.bit_count() for h in got) == _or(got).bit_count()
+
+    def test_complete_holding_after_one_vertex_is_used(self):
+        # a complete holding, then one held vertex used: only its group is
+        # short, and Hall's condition is the one on the free neighborhoods
+        rng = random.Random(21)
+        decided = [0, 0]
+        for _ in range(600):
+            groups = rng.randrange(1, 7)
+            nbrs = [rng.getrandbits(10) & rng.getrandbits(10) for _ in range(groups)]
+            demand = [rng.randrange(1, 4) for _ in range(groups)]
+            full = complete_all(nbrs, demand, [0] * groups, 0)
+            if full is None:
+                continue
+            taken = _or(full)
+            w = rng.choice([v for v in range(10) if taken >> v & 1])
+            g = next(g for g, mask in enumerate(full) if mask >> w & 1)
+            free = ~(1 << w)
+            before = full.copy()
+            got = _complete_holding(nbrs, free, demand, full, taken, [g], groups)
+            assert full == before
+            assert (got is not None) == brute_hall_holds([m & free for m in nbrs], demand)
+            decided[got is not None] += 1
+            if got is not None:
+                hold, union = got
+                assert all(h.bit_count() == d and h & ~(m & free) == 0
+                           for h, d, m in zip(hold, demand, nbrs))
+                assert union == _or(hold) and sum(h.bit_count() for h in hold) == union.bit_count()
+                assert not hold[g] >> w & 1
+        assert min(decided) >= 50
 
     @pytest.mark.parametrize("start", ["empty", "partial", "full"])
     def test_complete_holding_matches_flow(self, start):
@@ -1136,7 +1170,7 @@ class TestHallCheck:
                 hold.append(h)
                 taken |= h
             before = hold.copy()
-            got = _complete_holding(nbrs, demand, hold)
+            got = complete_all(nbrs, demand, hold, taken)
             assert hold == before
             assert (got is not None) == flow_hall_holds(nbrs, demand)
             decided[got is not None] += 1
@@ -1145,6 +1179,16 @@ class TestHallCheck:
                            for h, d, m in zip(got, demand, nbrs))
                 assert sum(h.bit_count() for h in got) == _or(got).bit_count()
         assert min(decided) >= 50
+
+
+def complete_all(nbrs, demand, hold, taken):
+    """_complete_holding with every vertex free and every group short: the
+    holding alone, once the union returned with it is checked."""
+    got = _complete_holding(nbrs, -1, demand, hold, taken, range(len(nbrs)), len(nbrs))
+    if got is None:
+        return None
+    assert got[1] == _or(got[0])
+    return got[0]
 
 
 def _or(masks):

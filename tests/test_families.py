@@ -236,8 +236,9 @@ class TestAgainstEdgeLists:
     GRID = [ExtremalParams(ell, c, c * ell * (ell + 1)) for ell in (3, 5, 7) for c in (1, 2, 3)]
     # points off the grid, where k is not c * ell * (ell + 1)
     SMALL = [ExtremalParams(3, 1, 18), ExtremalParams(5, 1, 40), ExtremalParams(3, 2, 30)]
+    LARGER = [ExtremalParams(11, c, c * 11 * 12) for c in (1, 2, 3)]
 
-    @pytest.mark.parametrize("params", GRID + SMALL, ids=str)
+    @pytest.mark.parametrize("params", GRID + SMALL + LARGER, ids=str)
     def test_extremal_hosts(self, params):
         for build, reference in (
             (two_wing_host, two_wing_edge_list),
@@ -245,6 +246,9 @@ class TestAgainstEdgeLists:
             (matched_wing_host, matched_wing_edge_list),
         ):
             g, ref = build(params).graph, reference(params)
+            # read from the masks, once per shared mask object, before the
+            # rows below are derived
+            assert g.degrees == ref.degrees
             assert g == ref
             assert g.adj == ref.adj
 

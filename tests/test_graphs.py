@@ -128,6 +128,24 @@ class TestMaskForm:
         assert "adj" not in h.__dict__
         assert h.adj == g.adj and list(h.edges()) == list(g.edges())
 
+    def test_degrees_count_a_shared_mask_once(self):
+        calls = 0
+
+        class Counted(int):
+            def bit_count(self):
+                nonlocal calls
+                calls += 1
+                return super().bit_count()
+
+        # the edgeless graph, every vertex sharing one mask object
+        empty = Counted(0)
+        g = SimpleGraph.from_masks(50, (empty,) * 50)
+        assert g.degrees == (0,) * 50
+        assert calls == 1
+        # equal masks that are distinct objects are counted one by one
+        h = SimpleGraph.from_masks(3, (Counted(0b110), Counted(0b001), Counted(0b001)))
+        assert h.degrees == (2, 1, 1) and calls == 4
+
     def test_derived_rows_share_vertex_ids(self):
         # ids past 256 are separate int objects; one per vertex id serves
         # every row that holds it
