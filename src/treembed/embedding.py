@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 from typing import Mapping, Optional, Sequence
 
 from .decompose import centroid, find_separator, partition_two, split_family_by_cap
@@ -122,7 +123,7 @@ class _Backtracker:
     most the host's minimum degree and so removes no vertex.
 
     symmetry=False is the plain search: every vertex is a search vertex
-    and only the prunes above apply.  With symmetry on, four reductions
+    and only the prunes above apply.  With symmetry on, five reductions
     apply.
 
     * Leaves by matching.  Non-root childless vertices (leaves) are not
@@ -152,14 +153,17 @@ class _Backtracker:
     * Twin classes.  Host vertices are grouped into the classes of
       graphs.TwinQuotient, and each node tries only the smallest candidate
       of each class (_one_per_class).
+    * Matched pairs.  Each family of TwinQuotient.pair_families is a mask
+      of first ends v and one offset d, the partner of v being v + d.  At
+      each node, of the family's pairs with neither end used, only the
+      lowest keeps its ends among the candidates; this runs on the
+      candidate mask, before the twin classes are read.
     * Orbits of the prefix stabiliser.  Before a node tries its second
       candidate, it computes orbits of the automorphisms of the host
       quotient that fix the classes holding placed images, and drops
       every candidate whose class is not the smallest in its orbit.  Every
       permutation behind a merge is verified as an automorphism; a pair
       that is not verified stays apart, which only weakens the prune.
-      The colouring that the search below the first candidate refined
-      with its class fixed is handed to the orbit tests for reuse.
 
     Soundness: let the group act on embeddings by sibling subtree swaps
     (on the tree side) and by host automorphisms (on the host side), and
@@ -170,16 +174,23 @@ class _Backtracker:
     the two subtrees, which changes nothing before the earlier sibling;
     and an automorphism sigma that fixes every placed image and maps L(u)
     to a smaller host id gives sigma o L, equal to L before u and smaller
-    at u.  A twin swap is such an automorphism, and a candidate dropped
-    by the orbit prune has one by construction, because its class is not
-    the smallest in its orbit and the members of a class are twins.  The
-    representative kept must be the smallest host id of its orbit, not
-    merely the first one tested, or sigma o L would be larger and the
-    argument would fail.  Candidates excluded by chain order may still be
-    orbit members: the argument compares L with sigma o L, not with a
-    candidate.  The capacity and Hall prunes hold for every extendable
-    prefix.  So L is found whenever an embedding exists, and verdicts
-    agree with the plain search; only node counts differ.
+    at u.  A twin swap is such an automorphism.  So is the swap of a
+    dropped pair (v', v' + d) with the lowest pair (v, v + d) of its
+    family, end for end: it is an automorphism (TwinQuotient.pair_families),
+    it fixes every used vertex because neither pair has a used end, and
+    with one offset per family v < v' gives v + d < v' + d, so it maps
+    both dropped ends to smaller ids.  Held leaves do not count as used:
+    their images come after the internal vertices in the order, so
+    moving them cannot make sigma o L larger.  A candidate dropped by the
+    orbit prune has such an automorphism by construction, because its
+    class is not the smallest in its orbit and the members of a class are
+    twins.  The representative kept must be the smallest host id of its
+    orbit, not merely the first one tested, or sigma o L would be larger
+    and the argument would fail.  Candidates excluded by chain order may
+    still be orbit members: the argument compares L with sigma o L, not
+    with a candidate.  The capacity and Hall prunes hold for every
+    extendable prefix.  So L is found whenever an embedding exists, and
+    verdicts agree with the plain search; only node counts differ.
     """
 
     def __init__(
@@ -247,12 +258,10 @@ class _Backtracker:
             self._build_chains(layout.order, leaf)
             self.quotient = host.twin_quotient
             self.twin_masks = self.quotient.twin_masks
+            self.pair_families = self.quotient.pair_families
         else:
             # the plain search keeps every candidate, as if each were a class
-            self.twin_masks = []
-        # per depth, the quotient's colouring with the placed classes fixed;
-        # one more at the end, where no orbit test ever runs
-        self.prefix_partitions: list[Optional[tuple]] = [None] * (len(self.order) + 1)
+            self.twin_masks = self.pair_families = []
 
     def _build_chains(self, full_order: list[int], leaf: list[bool]) -> None:
         n_t = self.tree.n
@@ -288,26 +297,17 @@ class _Backtracker:
     def _orbit_filter(self, pos: int, images: list[int], chosen: list[int]) -> list[int]:
         """chosen without the candidates after the first whose class is not
         the smallest in its orbit under the stabiliser of the placed images."""
-        cls = self.quotient.class_of
+        q = self.quotient
+        cls = q.class_of
         classes = [cls[w] for w in chosen]
-        base = self.quotient.partition[0]
+        base = q.partition[0]
         # fixing classes only refines the colouring, so classes of distinct
         # colours lie in distinct orbits
-        if len({base[c] for c in classes}) == len(classes) or not self.quotient.symmetric:
+        if len({base[c] for c in classes}) == len(classes) or not q.symmetric:
             return chosen
-        # refined colourings with the classes of the placed images fixed,
-        # one per depth, reset whenever the image above them changes
-        parts = self.prefix_partitions
-        parts[0] = self.quotient.partition
-        j = pos
-        while parts[j] is None:
-            j -= 1
-        for t in range(j, pos):
-            parts[t + 1] = self.quotient.fix(parts[t], cls[images[self.order[t]]])
         fixed = list(dict.fromkeys(cls[images[v]] for v in self.order[:pos]))
-        # the search below chosen[0] may have fixed its class already
-        known = None if parts[pos + 1] is None else (classes[0], parts[pos + 1])
-        root = self.quotient.stabiliser_orbits(parts[pos], fixed, classes, known)
+        # the colouring with the classes of the placed images fixed
+        root = q.stabiliser_orbits(reduce(q.fix, fixed, q.partition), fixed, classes)
         return chosen[:1] + [w for w in chosen[1:] if root[cls[w]] == cls[w]]
 
     def _place_leaves(self, images: list[int], hold: list[int]) -> None:
@@ -337,11 +337,11 @@ class _Backtracker:
         child_count = self.child_count
         sib_rest = self.sib_rest
         twin_masks = self.twin_masks
+        pair_families = self.pair_families
         rank = self.rank
         group_start, group_end = self.group_start, self.group_end
         has_groups = [a != b for a, b in zip(group_start, group_end)]
         orbits = self.quotient is not None
-        prefix_partitions = self.prefix_partitions
         n_s = len(order)
         images = [-1] * self.tree.n
         # the choice point of each depth: candidates in rank order and the
@@ -365,14 +365,16 @@ class _Backtracker:
                 cp = chain_prev[u]
                 if cp is not None:
                     cand &= -(1 << (images[cp] + 1))
+                for first, d in pair_families:
+                    # the pairs with neither end used, but the lowest
+                    drop = first & ~(used | used >> d)
+                    drop &= drop - 1
+                    if drop:
+                        cand &= ~(drop | drop << d)
                 chosen = _one_per_class(cand, twin_masks)
                 if len(chosen) > 1:
                     chosen.sort(key=rank.__getitem__)
                 i = 0
-                if orbits:
-                    # the image one level up has just changed, and with it
-                    # every colouring that fixes it
-                    prefix_partitions[pos] = prefix_partitions[pos + 1] = None
             else:
                 chosen = frame_chosen[pos]
                 i = frame_next[pos]
@@ -482,13 +484,22 @@ def _complete_holding(
     want more: Hall's condition fails for them.
     """
     hold = hold.copy()
+    lacking = []
     for s in short:
-        keep = hold[s] & free
-        got = _top_bits(nbrs[s] & free & ~taken, demand[s] - keep.bit_count())
-        # the vertices no longer free (hold[s] ^ keep) leave taken, got joins
-        taken ^= hold[s] ^ keep ^ got
-        hold[s] = keep | got
-    for s in short:
+        if hold[s]:
+            keep = hold[s] & free
+            got = _top_bits(nbrs[s] & free & ~taken, demand[s] - keep.bit_count())
+            # the vertices no longer free (hold[s] ^ keep) leave taken, got joins
+            taken ^= hold[s] ^ keep ^ got
+            hold[s] = keep | got
+        else:
+            hold[s] = got = _top_bits(nbrs[s] & free & ~taken, demand[s])
+            taken |= got
+        if hold[s].bit_count() < demand[s]:
+            lacking.append(s)
+    # an augmenting path changes no count but its first group's, so a group
+    # complete now stays complete
+    for s in lacking:
         while hold[s].bit_count() < demand[s]:
             # each reached group's predecessor and the vertex it leads on by
             came = {s: (-1, 0)}

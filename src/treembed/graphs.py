@@ -522,6 +522,37 @@ class TwinQuotient:
         return [_bitmask(m) for m in self.members if len(m) > 1]
 
     @cached_property
+    def pair_families(self) -> list[tuple[int, int]]:
+        """The families of matched pairs, as (mask of the first ends,
+        offset), in the order of their first pairs.  A pair is two
+        singleton classes v < u, each the other's only singleton neighbour.
+        Pairs with the same classes of two or more members next to v, the
+        same next to u, and the same offset u - v form a family when there
+        are two or more of them.  Swapping two pairs of a family, end for
+        end, is an automorphism: an end and its image see their partners
+        and the same other classes, all modules, and no other singleton
+        sees any of the four."""
+        members, adj = self.members, self.adj
+        single = [len(m) == 1 for m in members]
+
+        def mates(c: int) -> list[int]:
+            return [d for d in adj[c] if single[d]]
+
+        def rest(c: int) -> tuple[int, ...]:
+            return tuple(d for d in adj[c] if not single[d])
+
+        families: dict[tuple, list[int]] = {}
+        for c in compress(range(len(members)), single):
+            ends = mates(c)
+            # classes are numbered by their smallest members, so c < d
+            # makes v < u
+            if len(ends) == 1 and ends[0] > c and mates(ends[0]) == [c]:
+                d = ends[0]
+                v, u = members[c][0], members[d][0]
+                families.setdefault((rest(c), rest(d), u - v), []).append(v)
+        return [(_bitmask(vs), key[2]) for key, vs in families.items() if len(vs) > 1]
+
+    @cached_property
     def _edges(self) -> tuple[list[int], list[int], set[int]]:
         """Each quotient edge once, as the lists of its ends c < d, and the
         set of codes c * |Q| + d of both its orientations."""
@@ -579,15 +610,12 @@ class TwinQuotient:
         return col, cells
 
     def stabiliser_orbits(
-        self, partition: tuple, fixed: Sequence[int], candidates: Sequence[int],
-        known: Optional[tuple[int, tuple]] = None,
+        self, partition: tuple, fixed: Sequence[int], candidates: Sequence[int]
     ) -> dict[int, int]:
         """Orbit representatives for the automorphisms that fix each class
         in fixed: out[c], for each candidate class c, is the smallest class
         shown to share c's orbit.  partition is this quotient's colouring
-        with the classes in fixed individualised (fix).  known, when given,
-        is a class c and fix(partition, c), reused when c is the smallest
-        candidate of its cell.
+        with the classes in fixed individualised (fix).
 
         Within each colour cell, every candidate is tested against the
         cell's smallest candidate: both are individualised, the two
@@ -619,10 +647,7 @@ class TwinQuotient:
                 if find(c) == first:
                     continue
                 if rep is None:
-                    if known is not None and known[0] == group[0]:
-                        rep = known[1]
-                    else:
-                        rep = self.fix(partition, group[0])
+                    rep = self.fix(partition, group[0])
                 perm = self._match(rep, self.fix(partition, c), fixed)
                 if perm is None:
                     break

@@ -124,6 +124,83 @@ def brute_stabiliser_orbits(g: SimpleGraph, fixed: set[int]) -> list[set[int]]:
     return orbit
 
 
+def brute_pair_families(g: SimpleGraph) -> list[tuple[list[int], int]]:
+    """TwinQuotient.pair_families from their definition over vertices, as
+    (first ends, offset), sorted: pairs of singleton twin classes v < u,
+    each the other's only singleton neighbour, grouped by the vertices
+    outside singleton classes that v sees, those u sees, and u - v."""
+    class_of = value_keyed_twins(g)[0]
+    single = {v for v in range(g.n) if class_of.count(class_of[v]) == 1}
+    nbrs = [set(row) for row in g.adj]
+    families: dict[tuple, list[int]] = {}
+    for v in sorted(single):
+        mates = nbrs[v] & single
+        if len(mates) == 1:
+            (u,) = mates
+            if u > v and nbrs[u] & single == {v}:
+                key = (frozenset(nbrs[v] - single), frozenset(nbrs[u] - single), u - v)
+                families.setdefault(key, []).append(v)
+    return sorted((vs, key[2]) for key, vs in families.items() if len(vs) > 1)
+
+
+def pair_swap_keeps_edges(g: SimpleGraph, edges: set, a: int, b: int, d: int) -> bool:
+    """Whether swapping a with b and a + d with b + d maps the edge set
+    onto itself: every edge at the four moved vertices must map onto an
+    edge, and the other edges stay put."""
+    perm = {a: b, b: a, a + d: b + d, b + d: a + d}
+    return all(
+        tuple(sorted((perm.get(x, x), perm.get(y, y)))) in edges
+        for x in perm
+        for y in g.adj[x]
+    )
+
+
+def planted_pairs_host(rng: random.Random) -> SimpleGraph:
+    """Blocks of twins with families of matched pairs planted on them.  A
+    family's first ends take one run of ids and their partners the next,
+    in order (one offset) or shuffled (mixed offsets, which split it).
+    The partners may see the same blocks as the first ends, which makes
+    each pair a class of closed twins, and one extra vertex may give an
+    end a second singleton neighbour, so that it is in no pair."""
+    n = 0
+
+    def run(count: int) -> list[int]:
+        nonlocal n
+        n += count
+        return list(range(n - count, n))
+
+    edges: set[tuple[int, int]] = set()
+
+    def join(v: int, blocks: list[list[int]]) -> None:
+        edges.update(tuple(sorted((v, w))) for blk in blocks for w in blk)
+
+    blocks = [run(rng.randrange(2, 4)) for _ in range(rng.randrange(1, 4))]
+    for blk in blocks:
+        if rng.random() < 0.5:
+            edges.update(itertools.combinations(blk, 2))
+    for x, y in itertools.combinations(blocks, 2):
+        if rng.random() < 0.3:
+            edges.update((u, v) for u in x for v in y)
+    ends = []
+    for _ in range(rng.randrange(1, 3)):
+        firsts = run(rng.randrange(2, 7))
+        partners = run(len(firsts))
+        if rng.random() < 0.5:
+            rng.shuffle(partners)
+        near = rng.sample(blocks, rng.randrange(len(blocks) + 1))
+        far = near if rng.random() < 0.2 else rng.sample(blocks, rng.randrange(len(blocks) + 1))
+        for v, u in zip(firsts, partners):
+            edges.add((v, u))
+            join(v, near)
+            join(u, far)
+        ends += firsts + partners
+    if rng.random() < 0.5:
+        (z,) = run(1)
+        edges.add((rng.choice(ends), z))
+        join(z, rng.sample(blocks, 1))
+    return build_graph(n, sorted(edges))
+
+
 def brute_hall_holds(nbrs: list[int], demand: list[int]) -> bool:
     """Hall's condition for groups with neighborhood bitmasks nbrs and
     demands, over every nonempty subset."""

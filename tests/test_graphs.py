@@ -32,9 +32,12 @@ from treembed.randgen import random_host
 
 from oracles import (
     brute_bipartition_exists,
+    brute_pair_families,
     brute_stabiliser_orbits,
     brute_vertex_connectivity,
     induced_by_edges,
+    pair_swap_keeps_edges,
+    planted_pairs_host,
     rank_and_prefixes,
     value_keyed_twins,
 )
@@ -503,6 +506,62 @@ class TestTwinQuotient:
         assert len(b_classes) == 64
         root = q.stabiliser_orbits(q.partition, [], b_classes)
         assert set(root.values()) == {b_classes[0]}
+
+    @staticmethod
+    def families(g):
+        return sorted((list(_members(first)), d) for first, d in g.twin_quotient.pair_families)
+
+    def test_pair_families_against_brute_force(self):
+        # every swap of two pairs of a family is an automorphism, read on
+        # the edge set
+        rng = random.Random(23)
+        hosts = [planted_pairs_host(rng) for _ in range(300)]
+        hosts += [
+            matched_wing_host(ExtremalParams(ell, c, c * ell * (ell + 1))).graph
+            for ell in (3, 5, 7)
+            for c in (1, 2, 3)
+        ]
+        found = 0
+        for g in hosts:
+            families = self.families(g)
+            assert families == brute_pair_families(g)
+            edges = set(g.edges())
+            for firsts, d in families:
+                for i, a in enumerate(firsts):
+                    for b in firsts[i + 1 :]:
+                        assert pair_swap_keeps_edges(g, edges, a, b, d)
+            found += bool(families)
+        assert found >= 100
+        # hprime's B1[j] B2[j] are one family at the offset of B2 from B1
+        host = matched_wing_host(ExtremalParams(5, 2, 60))
+        b1, b2 = host.parts["B1"], host.parts["B2"]
+        assert self.families(host.graph) == [(list(b1), b2[0] - b1[0])]
+
+    def test_pair_families_split_by_offset(self):
+        # a block 0 1 and three pairs on it: partners at offsets 3, 3 and 4,
+        # with 7 a vertex seeing the block only
+        pairs = [(2, 5), (3, 6), (4, 8)]
+        edges = pairs + [(v, x) for v, _ in pairs for x in (0, 1)] + [(0, 7), (1, 7)]
+        g = build_graph(9, edges)
+        assert self.families(g) == brute_pair_families(g) == [([2, 3], 3)]
+
+    def test_pair_ends_seeing_the_same_blocks_are_twins(self):
+        # each pair is a class of closed twins, so there is no singleton
+        pairs = [(2, 4), (3, 5)]
+        edges = pairs + [(v, x) for pair in pairs for v in pair for x in (0, 1)]
+        g = build_graph(6, edges)
+        q = g.twin_quotient
+        assert [q.members[q.class_of[v]] for v in (2, 3)] == [[2, 4], [3, 5]]
+        assert self.families(g) == brute_pair_families(g) == []
+
+    def test_end_with_a_second_singleton_neighbour_is_in_no_pair(self):
+        # pairs 2-5, 3-6 and 4-7 on the blocks 0 1 and 8 9; 10 sees 4 and
+        # the block 8 9, so 4 has two singleton neighbours
+        pairs = [(2, 5), (3, 6), (4, 7)]
+        edges = pairs + [(v, x) for v, _ in pairs for x in (0, 1)]
+        edges += [(u, x) for _, u in pairs for x in (8, 9)] + [(4, 10), (8, 10), (9, 10)]
+        g = build_graph(11, edges)
+        assert self.families(g) == brute_pair_families(g) == [([2, 3], 3)]
 
     def test_symmetry_found_or_absent(self):
         assert matched_wing_host(ExtremalParams(3, 1, 12)).graph.twin_quotient.symmetric
