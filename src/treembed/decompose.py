@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .graphs import GraphError, TreeGraph, bfs_layout
+from .graphs import GraphError, SimpleGraph, TreeGraph, bfs_layout
 from .rational import RationalLike, as_fraction
 
 
@@ -58,30 +58,51 @@ def find_separator(tree: TreeGraph) -> SeparatorResult:
 
 def centroid(tree: TreeGraph) -> int:
     """The vertex z minimizing the largest component of T - z, ties to the
-    smallest id; one subtree-size pass evaluates every vertex."""
-    worst = max_component_orders(tree)
-    return worst.index(min(worst))
+    smallest id: one subtree-size pass from vertex 0, then a walk into the
+    child holding more than n/2 vertices while there is one.  The walk
+    stops at a centroid, as the part through its parent holds fewer than
+    n/2; a second centroid is a child holding exactly n/2."""
+    g = tree.graph
+    n = g.n
+    if n < 2:
+        raise GraphError("needs a tree with at least one edge")
+    size, parent = _subtree_sizes(g)
+    z = 0
+    while True:
+        heavy = next((c for c in g.adj[z] if parent[c] == z and 2 * size[c] >= n), None)
+        if heavy is None:
+            return z
+        if 2 * size[heavy] == n:
+            return min(z, heavy)
+        z = heavy
 
 
 def max_component_orders(tree: TreeGraph) -> tuple[int, ...]:
     """For every vertex v, the largest component order of T - v.
 
-    Exposed so optimality of find_separator can be checked directly.
+    No solver calls this; it is kept so the choice of centroid can be
+    checked against every vertex's value directly.
     """
     g = tree.graph
     if g.n < 2:
         raise GraphError("needs a tree with at least one edge")
+    size, parent = _subtree_sizes(g)
+    worst = [g.n - s for s in size]
+    for v, p in enumerate(parent):
+        if p >= 0:
+            worst[p] = max(worst[p], size[v])
+    return tuple(worst)
+
+
+def _subtree_sizes(g: SimpleGraph) -> tuple[list[int], list[int]]:
+    """Each vertex's subtree order and parent, rooted at vertex 0."""
     order, parent, _ = bfs_layout(g, (0,))
     size = [1] * g.n
-    worst = [0] * g.n
     for v in reversed(order):
         p = parent[v]
         if p >= 0:
             size[p] += size[v]
-            worst[p] = max(worst[p], size[v])
-    for v in range(g.n):
-        worst[v] = max(worst[v], g.n - size[v])
-    return tuple(worst)
+    return size, parent
 
 
 @dataclass(frozen=True)

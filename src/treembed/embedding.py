@@ -164,6 +164,13 @@ class _Backtracker:
       every candidate whose class is not the smallest in its orbit.  Every
       permutation behind a merge is verified as an automorphism; a pair
       that is not verified stays apart, which only weakens the prune.
+      The test runs only when two free candidate classes (holding no
+      placed image) share a colour of the quotient's base colouring:
+      every automorphism in the stabiliser fixes each placed class, so a
+      placed class is an orbit of its own, and the stabiliser's orbits
+      refine the base colours, so free classes of distinct colours lie
+      in distinct orbits.  Skipping the test then keeps every candidate,
+      as the test would.
 
     Soundness: let the group act on embeddings by sibling subtree swaps
     (on the tree side) and by host automorphisms (on the host side), and
@@ -265,11 +272,15 @@ class _Backtracker:
 
     def _build_chains(self, full_order: list[int], leaf: list[bool]) -> None:
         n_t = self.tree.n
+        # a childless vertex keeps code 0, the code of the empty key: the
+        # first vertex in reversed BFS order is childless, so keying every
+        # vertex gives the same codes
         codes = [0] * n_t
-        table: dict[tuple[int, ...], int] = {}
+        table: dict[tuple[int, ...], int] = {(): 0}
         for v in reversed(full_order):
-            key = tuple(sorted(codes[c] for c in self.children[v]))
-            codes[v] = table.setdefault(key, len(table))
+            if self.children[v]:
+                key = tuple(sorted(codes[c] for c in self.children[v]))
+                codes[v] = table.setdefault(key, len(table))
         for v in self.order:
             last: dict[int, int] = {}
             for c in self.children[v]:
@@ -306,6 +317,10 @@ class _Backtracker:
         if len({base[c] for c in classes}) == len(classes) or not q.symmetric:
             return chosen
         fixed = list(dict.fromkeys(cls[images[v]] for v in self.order[:pos]))
+        # and a fixed class is an orbit of its own: only free ones can clash
+        free = set(classes).difference(fixed)
+        if len({base[c] for c in free}) == len(free):
+            return chosen
         # the colouring with the classes of the placed images fixed
         root = q.stabiliser_orbits(reduce(q.fix, fixed, q.partition), fixed, classes)
         return chosen[:1] + [w for w in chosen[1:] if root[cls[w]] == cls[w]]

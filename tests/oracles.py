@@ -96,6 +96,38 @@ def brute_max_component_orders(tree: TreeGraph) -> list[int]:
     return result
 
 
+def keyed_chain_prev(g: SimpleGraph, root: int) -> list:
+    """_Backtracker.chain_prev as first built, with the leaves matched: a
+    BFS from root over ascending neighbors, every vertex, leaves too, coded
+    by the sorted codes of its children, and each searched child (one with
+    children of its own) chained to the previous searched child of its
+    parent with the same code, or None."""
+    parent = [-1] * g.n
+    order, seen = [root], {root}
+    for u in order:  # grows while it runs
+        for w in sorted(g.adj[u]):
+            if w not in seen:
+                seen.add(w)
+                parent[w] = u
+                order.append(w)
+    children = [[] for _ in range(g.n)]
+    for v in order[1:]:
+        children[parent[v]].append(v)
+    codes = [0] * g.n
+    table = {}
+    for v in reversed(order):
+        codes[v] = table.setdefault(tuple(sorted(codes[c] for c in children[v])), len(table))
+    searched = [v == root or bool(children[v]) for v in range(g.n)]
+    prev = [None] * g.n
+    for v in order:
+        last = {}
+        for c in children[v]:
+            if searched[c]:
+                prev[c] = last.get(codes[c])
+                last[codes[c]] = c
+    return prev
+
+
 def capped_sequences(max_len: int, total: int):
     """All tuples of positive integers, length <= max_len, sum <= total,
     every entry <= ceil(total/2).  The partition lemma input space."""

@@ -101,6 +101,47 @@ class TestFindSeparator:
             assert root in comp and g.has_edge(z, root)
 
 
+def smallest_argmin(tree):
+    worst = brute_max_component_orders(tree)
+    return worst.index(min(worst))
+
+
+class TestCentroid:
+    """centroid walks from vertex 0 to a centroid and takes the smaller id
+    of two; the oracle evaluates every vertex by brute force."""
+
+    def test_random_trees(self):
+        rng = random.Random(8080)
+        for _ in range(2000):
+            tree = random_tree(rng.randrange(1, 40), rng)
+            assert centroid(tree) == smallest_argmin(tree)
+
+    def test_paths_in_both_labellings(self):
+        # ids along the path, and ids folded in from both ends alternately
+        # (0, 2, 4, ..., 5, 3, 1), so that vertex 0 sits at either end of
+        # the walk and the two centroids of an even path come in either order
+        for n in range(2, 41):
+            folded = list(range(0, n, 2)) + list(range(n - 1 - n % 2, 0, -2))
+            for ids in (list(range(n)), folded):
+                tree = build_tree(n, [(ids[i], ids[i + 1]) for i in range(n - 1)])
+                assert centroid(tree) == smallest_argmin(tree)
+                middle = sorted({ids[(n - 1) // 2], ids[n // 2]})
+                assert centroid(tree) == middle[0]
+
+    def test_double_stars_take_the_smaller_centre(self):
+        # two adjacent centres with m leaves each: both leave n/2 behind
+        rng = random.Random(4141)
+        for m in range(0, 16):
+            n = 2 * m + 2
+            for _ in range(10):
+                ids = list(range(n))
+                rng.shuffle(ids)
+                edges = [(ids[0], ids[1])]
+                edges += [(ids[i % 2], ids[i]) for i in range(2, n)]
+                tree = build_tree(n, edges)
+                assert centroid(tree) == min(ids[0], ids[1]) == smallest_argmin(tree)
+
+
 class TestPartitionTwo:
     def test_exhaustive_bound(self):
         for t in range(2, 13):

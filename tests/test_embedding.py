@@ -5,12 +5,13 @@ import hashlib
 import itertools
 import random
 import tracemalloc
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treembed.decompose import find_separator
+from treembed.decompose import centroid, find_separator
 from treembed.embedding import (
     Budget,
     Verdict,
@@ -32,6 +33,7 @@ from treembed.families import (
     two_wing_host,
     wing_clique_host,
 )
+from treembed import graphs
 from treembed.graphs import TwinQuotient, build_graph, build_tree
 from treembed.randgen import random_tree
 
@@ -42,6 +44,7 @@ from oracles import (
     brute_hall_holds,
     flow_hall_holds,
     has_edge_violations,
+    keyed_chain_prev,
     naive_embed_exists,
     planted_pairs_host,
 )
@@ -156,6 +159,16 @@ class TestValidateEmbedding:
         verdict = strategy_embed(caterpillar(12), host)
         assert validate_embedding(caterpillar(12), host, verdict.embedding)
         assert "neighbor_sets" not in host.__dict__
+
+
+# the README's ladder past the grid: the search nodes of the broom at each
+# ell, the same for c = 1, 2 and 3
+LADDER_ELLS = (9, 11, 15, 21, 31, 41)
+LADDER_NODES = {
+    two_wing_host: (50, 66, 104, 176, 336, 546),
+    wing_clique_host: (67, 86, 130, 211, 386, 611),
+    matched_wing_host: (55, 72, 112, 187, 352, 567),
+}
 
 
 class TestExactEmbed:
@@ -300,6 +313,15 @@ class TestExactEmbed:
         verdict = exact_embed(broom_tree(ell, k), build(ExtremalParams(ell, c, k)).graph)
         assert verdict.kind is Verdict.NOT_EMBEDDED
         assert verdict.nodes_explored == nodes
+
+    @pytest.mark.parametrize("c", (1, 2, 3))
+    @pytest.mark.parametrize("ell", LADDER_ELLS)
+    @pytest.mark.parametrize("build", list(LADDER_NODES), ids=lambda b: b.__name__)
+    def test_ladder_proofs(self, build, ell, c):
+        k = c * ell * (ell + 1)
+        verdict = exact_embed(broom_tree(ell, k), build(ExtremalParams(ell, c, k)).graph)
+        assert verdict.kind is Verdict.NOT_EMBEDDED
+        assert verdict.nodes_explored == LADDER_NODES[build][LADDER_ELLS.index(ell)]
 
     def test_search_keeps_one_leaf_holding(self):
         # h(61,3) places 1,116 internal vertices over 183 leaf groups; with
@@ -719,6 +741,28 @@ class TestBacktrackerSetup:
         # degrees above the host's minimum, which drop vertices, occur
         assert filtered >= 5
 
+    def test_chain_prev_matches_keyed_oracle(self):
+        # leaves keep the code of the empty key and build none; the chains
+        # are those of keying every vertex, from the centroid and from a
+        # random root
+        rng = random.Random(2424)
+        trees = [random_tree(rng.randrange(0, 60), rng) for _ in range(300)]
+        trees += [broom_tree(ell, c * ell * (ell + 1)) for ell in (3, 5, 7, 9) for c in (1, 2, 3)]
+        trees += [caterpillar(rng.randrange(0, 20)) for _ in range(10)]
+        for _ in range(60):
+            spine = rng.randrange(0, 15)
+            trees.append(caterpillar(spine, [rng.randrange(0, 4) for _ in range(spine + 1)]))
+        host = complete_graph(3)
+        chained = 0
+        for tree in trees:
+            g = tree.graph
+            roots = {centroid(tree) if g.n > 1 else 0, rng.randrange(g.n)}
+            for root in roots:
+                solver = _Backtracker(g, root, host)
+                assert solver.chain_prev == keyed_chain_prev(g, root)
+                chained += any(p is not None for p in solver.chain_prev)
+        assert chained >= 100
+
 
 class TestSeparatorRootChoice:
     def test_search_starts_at_centroid(self):
@@ -884,8 +928,9 @@ class TestStabiliserOrbitsAgainstFirstVersion:
             for c in (1, 2, 3)
             for k in (c * ell * (ell + 1),)
         ]
-        # matched pairs settle hprime's B candidates before any orbit test
-        assert self.compare(monkeypatch, pairs) >= 72
+        # matched pairs settle hprime's B candidates before any orbit test,
+        # and a clash of base colours with a placed class runs none
+        assert self.compare(monkeypatch, pairs) >= 36
 
     def test_symmetric_hosts(self, monkeypatch):
         # the orbit prune runs only where the colours leave a choice and
@@ -894,6 +939,99 @@ class TestStabiliserOrbitsAgainstFirstVersion:
         hosts = [family(rng) for family in SYMMETRIC_HOSTS for _ in range(100)]
         pairs = [(random_tree(rng.randrange(1, h.n), rng), h) for h in hosts]
         assert self.compare(monkeypatch, pairs) >= 50
+
+
+def grid_brooms():
+    """The broom and its host at the 27 points of the paper's grid."""
+    return [
+        (broom_tree(ell, k), build(ExtremalParams(ell, c, k)).graph)
+        for build in (two_wing_host, wing_clique_host, matched_wing_host)
+        for ell in (3, 5, 7)
+        for c in (1, 2, 3)
+        for k in (c * ell * (ell + 1),)
+    ]
+
+
+class TestOrbitTestSkip:
+    """_orbit_filter returns without an orbit test unless two free
+    candidate classes, holding no placed image, share a base colour.
+    Wherever it returns without one, the test it skipped, run anyway,
+    keeps every candidate."""
+
+    @staticmethod
+    def check_skips(monkeypatch, pairs):
+        real_filter = _Backtracker._orbit_filter
+        real_orbits = TwinQuotient.stabiliser_orbits
+        tests = checked = 0
+        # skips where two candidates share a base colour, one of them fixed
+        fixed_skips = 0
+
+        def counted(q, *args):
+            nonlocal tests
+            tests += 1
+            return real_orbits(q, *args)
+
+        def checking(solver, pos, images, chosen):
+            nonlocal checked, fixed_skips
+            before = tests
+            out = real_filter(solver, pos, images, chosen)
+            q = solver.quotient
+            if tests == before and q.symmetric:
+                checked += 1
+                assert out == chosen
+                cls = q.class_of
+                classes = [cls[w] for w in chosen]
+                fixed = list(dict.fromkeys(cls[images[v]] for v in solver.order[:pos]))
+                root = real_orbits(q, reduce(q.fix, fixed, q.partition), fixed, classes)
+                assert all(root[c] == c for c in classes[1:])
+                base = q.partition[0]
+                fixed_skips += len({base[c] for c in classes}) < len(classes)
+            return out
+
+        monkeypatch.setattr(TwinQuotient, "stabiliser_orbits", counted)
+        monkeypatch.setattr(_Backtracker, "_orbit_filter", checking)
+        for tree, host in pairs:
+            exact_embed(tree, host)
+        return tests, checked, fixed_skips
+
+    def test_grid_brooms(self, monkeypatch):
+        tests, checked, fixed_skips = self.check_skips(monkeypatch, grid_brooms())
+        assert tests == 36 and checked >= 36 and fixed_skips == 36
+
+    def test_symmetric_hosts(self, monkeypatch):
+        rng = random.Random(777)
+        hosts = [family(rng) for family in SYMMETRIC_HOSTS for _ in range(100)]
+        pairs = [(random_tree(rng.randrange(1, h.n), rng), h) for h in hosts]
+        tests, checked, fixed_skips = self.check_skips(monkeypatch, pairs)
+        assert tests >= 50 and checked >= 30 and fixed_skips >= 3
+
+    def test_planted_pair_hosts(self, monkeypatch):
+        rng = random.Random(2323)
+        hosts = [planted_pairs_host(rng) for _ in range(1000)]
+        pairs = [(random_tree(rng.randrange(1, min(h.n, 11)), rng), h) for h in hosts]
+        tests, checked, fixed_skips = self.check_skips(monkeypatch, pairs)
+        assert tests >= 200 and checked >= 300 and fixed_skips >= 8
+
+    def test_grid_counts_per_pass(self, monkeypatch):
+        # with the host tables built, a pass over the grid makes 36 orbit
+        # tests and 72 refinements; testing every base-colour clash, fixed
+        # classes too, made 72 and 108
+        pairs = grid_brooms()
+        for tree, host in pairs:
+            exact_embed(tree, host)
+        counts = {"orbits": 0, "refine": 0}
+
+        def counting(name, real):
+            def wrapped(*args):
+                counts[name] += 1
+                return real(*args)
+            return wrapped
+
+        monkeypatch.setattr(TwinQuotient, "stabiliser_orbits",
+                            counting("orbits", TwinQuotient.stabiliser_orbits))
+        monkeypatch.setattr(graphs, "_refine", counting("refine", graphs._refine))
+        assert sum(exact_embed(tree, host).nodes_explored for tree, host in pairs) == 792
+        assert counts == {"orbits": 36, "refine": 72}
 
 
 def small_random_host(rng):
