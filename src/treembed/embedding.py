@@ -17,7 +17,6 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
 from typing import Mapping, Optional, Sequence
 
 from .decompose import centroid, find_separator, partition_two, split_family_by_cap
@@ -159,18 +158,18 @@ class _Backtracker:
       lowest keeps its ends among the candidates; this runs on the
       candidate mask, before the twin classes are read.
     * Orbits of the prefix stabiliser.  Before a node tries its second
-      candidate, it computes orbits of the automorphisms of the host
-      quotient that fix the classes holding placed images, and drops
-      every candidate whose class is not the smallest in its orbit.  Every
-      permutation behind a merge is verified as an automorphism; a pair
-      that is not verified stays apart, which only weakens the prune.
-      The test runs only when two free candidate classes (holding no
-      placed image) share a colour of the quotient's base colouring:
-      every automorphism in the stabiliser fixes each placed class, so a
-      placed class is an orbit of its own, and the stabiliser's orbits
-      refine the base colours, so free classes of distinct colours lie
-      in distinct orbits.  Skipping the test then keeps every candidate,
-      as the test would.
+      candidate, it drops every candidate whose class a verified
+      involution of the host quotient, fixing each class that holds a
+      placed image, maps to a smaller class (TwinQuotient.involution).
+      Each free candidate class (holding no placed image) is tested, in
+      class order, against the free classes of its colour kept before it
+      until one test verifies; a pair whose test fails stays apart, which
+      only weakens the prune.  The tests run only on a quotient where
+      some involution verifies (TwinQuotient.symmetric) and when two free
+      candidate classes share a colour of the quotient's refined base
+      colouring: automorphisms keep the refined colours, so free classes
+      of distinct colours lie in distinct orbits, and a placed class is
+      an orbit of its own.
 
     Soundness: let the group act on embeddings by sibling subtree swaps
     (on the tree side) and by host automorphisms (on the host side), and
@@ -188,12 +187,12 @@ class _Backtracker:
     with one offset per family v < v' gives v + d < v' + d, so it maps
     both dropped ends to smaller ids.  Held leaves do not count as used:
     their images come after the internal vertices in the order, so
-    moving them cannot make sigma o L larger.  A candidate dropped by the
-    orbit prune has such an automorphism by construction, because its
-    class is not the smallest in its orbit and the members of a class are
-    twins.  The representative kept must be the smallest host id of its
-    orbit, not merely the first one tested, or sigma o L would be larger
-    and the argument would fail.  Candidates excluded by chain order may
+    moving them cannot make sigma o L larger.  The orbit prune drops a
+    class d only if a verified involution that fixes every placed class
+    maps d onto a smaller free class d'.  It lifts to an automorphism that
+    fixes every placed image and maps d onto d', and a twin swap inside
+    d' then gives an id below every member of d, as classes are numbered
+    by their smallest members.  Candidates excluded by chain order may
     still be orbit members: the argument compares L with sigma o L, not
     with a candidate.  The capacity and Hall prunes hold for every
     extendable prefix.  So L is found whenever an embedding exists, and
@@ -306,13 +305,16 @@ class _Backtracker:
         return _complete_holding(nbrs, ~used, self.demand, hold, taken, short, end)
 
     def _orbit_filter(self, pos: int, images: list[int], chosen: list[int]) -> list[int]:
-        """chosen without the candidates after the first whose class is not
-        the smallest in its orbit under the stabiliser of the placed images."""
+        """chosen without the candidates after the first whose class a
+        verified involution fixing the placed classes maps to a smaller
+        class.  Each free candidate class is tested against the free
+        classes of its colour kept before it, in class order, until one
+        test verifies."""
         q = self.quotient
         cls = q.class_of
         classes = [cls[w] for w in chosen]
         base = q.partition[0]
-        # fixing classes only refines the colouring, so classes of distinct
+        # automorphisms keep the refined colours, so classes of distinct
         # colours lie in distinct orbits
         if len({base[c] for c in classes}) == len(classes) or not q.symmetric:
             return chosen
@@ -321,9 +323,19 @@ class _Backtracker:
         free = set(classes).difference(fixed)
         if len({base[c] for c in free}) == len(free):
             return chosen
-        # the colouring with the classes of the placed images fixed
-        root = q.stabiliser_orbits(reduce(q.fix, fixed, q.partition), fixed, classes)
-        return chosen[:1] + [w for w in chosen[1:] if root[cls[w]] == cls[w]]
+        kept: dict[int, list[int]] = {}
+        dropped: set[int] = set()
+        for d in sorted(free):
+            if d in dropped:
+                continue
+            for e in kept.setdefault(base[d], []):
+                perm = q.involution(e, d, fixed)
+                if perm is not None:
+                    dropped.update(c for c in free if perm[c] < c)
+                    break
+            else:
+                kept[base[d]].append(d)
+        return chosen[:1] + [w for w in chosen[1:] if cls[w] not in dropped]
 
     def _place_leaves(self, images: list[int], hold: list[int]) -> None:
         for leaves, mask in zip(self.group_leaves, hold):

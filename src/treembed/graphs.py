@@ -580,121 +580,48 @@ class TwinQuotient:
 
     @cached_property
     def symmetric(self) -> bool:
-        """Whether a test of the smallest class of some colour cell against
-        its largest verifies an automorphism.  When none does, the orbit
-        search is not worth its refinements (each costs time linear in the
-        quotient, and a regular graph with no symmetry refines nothing
-        away), and skipping it is always sound."""
-        part = self.partition
-        for cell in part[1]:
-            if len(cell) > 1:
-                if self._match(self.fix(part, min(cell)), self.fix(part, max(cell)), ()):
-                    return True
-        return False
+        """Whether the smallest class of some colour cell has a verified
+        involution onto another member of its cell.  When none has, the
+        orbit prune is not worth its tests (a regular graph with no
+        symmetry refines nothing away, so all its candidates clash), and
+        skipping it is always sound."""
+        return any(
+            self.involution(first, c, ()) is not None
+            for first, *rest in map(sorted, self.partition[1])
+            for c in rest
+        )
 
-    def fix(self, partition: tuple, c: int) -> tuple:
-        """partition, a refined colouring (col, cells), with class c given
-        a colour of its own and refined again: the one routine that
-        individualises a class.  partition itself is returned when c has a
-        colour of its own already, and otherwise a refined copy; partition
-        is never changed."""
-        col, cells = partition
-        cell = cells[col[c]]
-        if len(cell) == 1:
-            return partition
-        col, cells = col.copy(), cells.copy()
-        cells[col[c]] = cell - {c}
-        col[c] = len(cells)
-        cells.append({c})
-        _refine(self.adj, col, cells, [col[c]])
-        return col, cells
+    def involution(self, a: int, b: int, fixed: Sequence[int]) -> Optional[list[int]]:
+        """A verified automorphism of this quotient that swaps the classes a
+        and b, of one refined colour, and fixes each class in fixed; or
+        None when the one map built from that pair is not an automorphism.
 
-    def stabiliser_orbits(
-        self, partition: tuple, fixed: Sequence[int], candidates: Sequence[int]
-    ) -> dict[int, int]:
-        """Orbit representatives for the automorphisms that fix each class
-        in fixed: out[c], for each candidate class c, is the smallest class
-        shown to share c's orbit.  partition is this quotient's colouring
-        with the classes in fixed individualised (fix).
+        The map grows from the pair (a, b): the unmatched neighbours of each
+        matched pair are paired up in the order (refined colour, id), the
+        i-th of one end with the i-th of the other, and those the two ends
+        share are fixed.  A class reached by no pair is fixed too.  Every
+        pairing is made both ways, so the map is an involution."""
+        col, adj = self.partition[0], self.adj
 
-        Within each colour cell, every candidate is tested against the
-        cell's smallest candidate: both are individualised, the two
-        refinements are matched cell by cell, mapping the members of each
-        cell in order, along a greedy individualisation path until the
-        map is verified as an automorphism or the partition is discrete.
-        A verified permutation joins every candidate with its image, so
-        one test may settle a whole cell, and the first test that fails
-        ends the cell's tests: each costs a refinement.  A pair left
-        untested or failed stays apart; it may still share an orbit.
-        """
-        col, cells = partition
-        # the classes joined to a smaller one; a class absent is a root
-        root: dict[int, int] = {}
+        def key(d: int) -> tuple[int, int]:
+            return col[d], d
 
-        def find(c: int) -> int:
-            while c in root:
-                c = root[c]
-            return c
-
-        by_cell: dict[int, list[int]] = {}
-        for c in sorted(set(candidates)):
-            if len(cells[col[c]]) > 1:
-                by_cell.setdefault(col[c], []).append(c)
-        for group in by_cell.values():
-            rep = None
-            first = find(group[0])
-            for c in reversed(group[1:]):
-                if find(c) == first:
-                    continue
-                if rep is None:
-                    rep = self.fix(partition, group[0])
-                perm = self._match(rep, self.fix(partition, c), fixed)
-                if perm is None:
-                    break
-                for a in candidates:
-                    b = perm[a]
-                    if a == b:
-                        continue
-                    while a in root:
-                        a = root[a]
-                    while b in root:
-                        b = root[b]
-                    # a set's root is its smallest class, whatever the order
-                    if a < b:
-                        root[b] = a
-                    elif b < a:
-                        root[a] = b
-                first = find(group[0])
-        # each class is joined to a smaller one, so in ascending order its
-        # parent already points at the root
-        for c in sorted(root):
-            parent = root[c]
-            root[c] = root.get(parent, parent)
-        return {c: root.get(c, c) for c in candidates}
-
-    def _match(self, a, b, fixed: Sequence[int]) -> Optional[list[int]]:
-        """A verified automorphism taking partition a onto partition b."""
-        while True:
-            a_cells, b_cells = a[1], b[1]
-            if len(a_cells) != len(b_cells) or any(
-                len(x) != len(y) for x, y in zip(a_cells, b_cells)
-            ):
+        perm = list(range(len(adj)))
+        perm[a], perm[b] = b, a
+        seen = {a, b, *fixed}
+        pairs = [(a, b)]
+        for x, y in pairs:  # grows while it runs
+            xs, ys = set(adj[x]) - seen, set(adj[y]) - seen
+            if not (xs or ys):
+                continue
+            seen |= xs | ys
+            xs, ys = sorted(xs - ys, key=key), sorted(ys - xs, key=key)
+            if [col[d] for d in xs] != [col[d] for d in ys]:
                 return None
-            perm = [0] * len(a[0])
-            for x, y in zip(a_cells, b_cells):
-                if len(x) == 1:
-                    (p,), (q,) = x, y
-                    perm[p] = q
-                else:
-                    for p, q in zip(sorted(x), sorted(y)):
-                        perm[p] = q
-            if self._is_automorphism(perm, fixed):
-                return perm
-            open_cell = next((i for i, x in enumerate(a_cells) if len(x) > 1), None)
-            if open_cell is None:
-                return None
-            a = self.fix(a, min(a_cells[open_cell]))
-            b = self.fix(b, min(b_cells[open_cell]))
+            for p, q in zip(xs, ys):
+                perm[p], perm[q] = q, p
+            pairs += zip(xs, ys)
+        return perm if self._is_automorphism(perm, fixed) else None
 
     def _is_automorphism(self, perm: list[int], fixed: Sequence[int]) -> bool:
         """Whether the permutation perm of the classes fixes each class in
@@ -711,17 +638,15 @@ class TwinQuotient:
 
 
 def _refine(adj: list[list[int]], col: list[int], cells: list[set[int]], queue: list[int]) -> None:
-    """Refine (col, cells) until equitable, splitting by the colours in
-    queue and the new colours the splits create.  col changes in place,
-    cells only by replacing or appending sets, so a shallow copy of a
-    partition may be refined without touching the original.
+    """Refine (col, cells) in place until equitable, splitting by the
+    colours in queue and the new colours the splits create.
 
     Every step depends only on colours and neighbor counts, never on
-    class ids, so an automorphism that maps one input onto another maps
-    the results onto each other colour for colour.  Of the parts of a
-    split cell the largest (the first of them on a tie) keeps the old
-    colour and is not queued again: the counts to it follow from those to
-    the others, so the work stays near linear per level of splitting.
+    class ids, so every automorphism keeps the colours it gives.  Of the
+    parts of a split cell the largest (the first of them on a tie) keeps
+    the old colour and is not queued again: the counts to it follow from
+    those to the others, so the work stays near linear per level of
+    splitting.
     """
     head = 0
     while head < len(queue):

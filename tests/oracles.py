@@ -142,17 +142,75 @@ def capped_sequences(max_len: int, total: int):
         yield from extend((first,), total - first)
 
 
+def brute_automorphism(g: SimpleGraph, pinned: dict[int, int], profile=None) -> list[int] | None:
+    """An automorphism of g that maps each vertex in pinned to its value,
+    and every vertex to one of the same profile (by default its degree),
+    or None when there is none.  The map is extended vertex by vertex, the
+    pinned ones first and then in BFS order from them, in every way that
+    keeps the profile and the edges to the vertices mapped so far.
+    Feasible only for small n."""
+    if profile is None:
+        profile = [len(row) for row in g.adj]
+    nbrs = [set(row) for row in g.adj]
+    order = list(pinned)
+    head = 0
+    while len(order) < g.n:
+        if head == len(order):
+            order.append(min(set(range(g.n)).difference(order)))
+        order += [w for w in g.adj[order[head]] if w not in order]
+        head += 1
+    perm = [-1] * g.n
+    used: set[int] = set()
+
+    def extend(i: int) -> bool:
+        if i == g.n:
+            return True
+        v = order[i]
+        for w in [pinned[v]] if v in pinned else range(g.n):
+            if w in used or profile[w] != profile[v]:
+                continue
+            if any((x in nbrs[v]) != (perm[x] in nbrs[w]) for x in order[:i]):
+                continue
+            perm[v] = w
+            used.add(w)
+            if extend(i + 1):
+                return True
+            used.remove(w)
+        return False
+
+    return perm if extend(0) else None
+
+
 def brute_stabiliser_orbits(g: SimpleGraph, fixed: set[int]) -> list[set[int]]:
-    """Orbits of the automorphisms fixing every vertex in fixed, by trying
-    every permutation; feasible only for small n."""
-    edges = set(g.edges())
+    """Orbits of the automorphisms fixing every vertex in fixed.  Such an
+    automorphism keeps each vertex's profile: its distances to the fixed
+    vertices and the sorted (distance, degree) of every vertex from it.
+    Two vertices of one profile not yet in one orbit are asked of
+    brute_automorphism, and an automorphism found joins every vertex with
+    its image.  Feasible only for small n."""
+    dist = []
+    for v in range(g.n):
+        dist.append([-1] * g.n)
+        dist[v][v] = 0
+        queue = [v]
+        for u in queue:  # grows while it runs
+            for w in g.adj[u]:
+                if dist[v][w] < 0:
+                    dist[v][w] = dist[v][u] + 1
+                    queue.append(w)
+    degs = [len(row) for row in g.adj]
+    profile = [(tuple(dist[v][f] for f in sorted(fixed)), tuple(sorted(zip(dist[v], degs))))
+               for v in range(g.n)]
     orbit = [{v} for v in range(g.n)]
-    for perm in itertools.permutations(range(g.n)):
-        if any(perm[v] != v for v in fixed):
-            continue
-        if all((min(perm[u], perm[v]), max(perm[u], perm[v])) in edges for u, v in edges):
-            for v in range(g.n):
-                orbit[v].add(perm[v])
+    for v in range(g.n):
+        for w in range(v + 1, g.n):
+            if w in orbit[v] or v in fixed or profile[v] != profile[w]:
+                continue
+            perm = brute_automorphism(g, {**{x: x for x in fixed}, v: w}, profile)
+            for x, y in enumerate(perm or ()):
+                joined = orbit[x] | orbit[y]
+                for z in joined:
+                    orbit[z] = joined
     return orbit
 
 
@@ -474,18 +532,6 @@ def base_partition(q):
     return col, cells
 
 
-def individualised(q, partition, c):
-    """TwinQuotient.fix through refine, for a class c in a cell of two or
-    more: c given a cell of its own, then the copy refined again."""
-    col, cells = partition[0].copy(), partition[1].copy()
-    cell = cells[col[c]]
-    cells[col[c]] = cell - {c}
-    col[c] = len(cells)
-    cells.append({c})
-    refine(q.adj, col, cells, [col[c]])
-    return col, cells
-
-
 def is_automorphism(q, perm, fixed) -> bool:
     """TwinQuotient._is_automorphism as first written: per class, the
     colour of its image and the mask of its neighbors' images against the
@@ -517,62 +563,6 @@ def peel_one_per_class(cand: int, q) -> list[int]:
         chosen.append(w)
         cand &= others[w]
     return chosen
-
-
-def stabiliser_orbits(q, partition, fixed, candidates) -> dict[int, int]:
-    """TwinQuotient.stabiliser_orbits as first written: the group's first
-    class looked up on every test, a union-find join per candidate over a
-    table of every class, every cell of a match mapped through sorted, and
-    each refinement and check by refine and is_automorphism."""
-    col, cells = partition
-    root = list(range(len(col)))
-
-    def find(c: int) -> int:
-        while root[c] != c:
-            c = root[c]
-        return c
-
-    by_cell: dict[int, list[int]] = {}
-    for c in sorted(set(candidates)):
-        if len(cells[col[c]]) > 1:
-            by_cell.setdefault(col[c], []).append(c)
-    for group in by_cell.values():
-        rep = None
-        for c in reversed(group[1:]):
-            if find(c) == find(group[0]):
-                continue
-            if rep is None:
-                rep = individualised(q, partition, group[0])
-            perm = sorted_match(q, rep, individualised(q, partition, c), fixed)
-            if perm is None:
-                break
-            for a in candidates:
-                ra, rb = find(a), find(perm[a])
-                if ra != rb:
-                    root[max(ra, rb)] = min(ra, rb)
-    return {c: find(c) for c in candidates}
-
-
-def sorted_match(q, a, b, fixed):
-    """TwinQuotient._match through individualised and is_automorphism: a
-    permutation taking partition a onto b, checked, or None."""
-    while True:
-        a_cells, b_cells = a[1], b[1]
-        if len(a_cells) != len(b_cells) or any(
-            len(x) != len(y) for x, y in zip(a_cells, b_cells)
-        ):
-            return None
-        perm = [0] * len(a[0])
-        for x, y in zip(a_cells, b_cells):
-            for p, r in zip(sorted(x), sorted(y)):
-                perm[p] = r
-        if is_automorphism(q, perm, fixed):
-            return perm
-        open_cell = next((i for i, x in enumerate(a_cells) if len(x) > 1), None)
-        if open_cell is None:
-            return None
-        a = individualised(q, a, min(a_cells[open_cell]))
-        b = individualised(q, b, min(b_cells[open_cell]))
 
 
 def per_draw_random_tree(

@@ -5,7 +5,6 @@ import hashlib
 import itertools
 import random
 import tracemalloc
-from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -322,6 +321,19 @@ class TestExactEmbed:
         verdict = exact_embed(broom_tree(ell, k), build(ExtremalParams(ell, c, k)).graph)
         assert verdict.kind is Verdict.NOT_EMBEDDED
         assert verdict.nodes_explored == LADDER_NODES[build][LADDER_ELLS.index(ell)]
+
+    def test_relabelled_grid_proofs(self):
+        # relabelled hosts split hprime's pair families by offset, and
+        # pairing the wings' neighbours in id order no longer finds their
+        # swap, so hprime takes about twice the nodes of the grid in order
+        rng = random.Random(2525)
+        totals = dict.fromkeys(("h", "g", "hprime"), 0)
+        for (tree, host), family in zip(grid_brooms(), [f for f in totals for _ in range(9)]):
+            host = relabelled(host.n, host.edges(), rng)
+            verdict = exact_embed(tree, host, Budget(max_nodes=20_000))
+            assert verdict.kind is Verdict.NOT_EMBEDDED
+            totals[family] += verdict.nodes_explored
+        assert totals == {"h": 498, "g": 889, "hprime": 1095}
 
     def test_search_keeps_one_leaf_holding(self):
         # h(61,3) places 1,116 internal vertices over 183 leaf groups; with
@@ -824,6 +836,17 @@ def circulant(rng):
 SYMMETRIC_HOSTS = (prism, twin_blowup, apex_over_three_copies, circulant)
 
 
+def random_cubic(n, rng):
+    """A simple 3-regular graph on n vertices, by pairing three stubs per
+    vertex at random until no loop or double edge is drawn."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = {tuple(sorted(stubs[i : i + 2])) for i in range(0, 3 * n, 2)}
+        if len(edges) == 3 * n // 2 and all(u != v for u, v in edges):
+            return build_graph(n, sorted(edges))
+
+
 def no_orbits(self, pos, images, chosen):
     return chosen
 
@@ -900,45 +923,68 @@ class TestReductionsAgainstUnreducedSearch:
         assert sum(with_orbits) < 0.8 * sum(without)
 
 
-class TestStabiliserOrbitsAgainstFirstVersion:
-    """stabiliser_orbits against oracles.stabiliser_orbits, its first
-    version, on every call the searches make."""
+def watch_orbit_filter(monkeypatch, pairs, brute):
+    """Run exact_embed on each (tree, host) with the orbit prune watched,
+    and return its counts: involutions built, those the filter built, filter
+    calls on a symmetric quotient that made none (skips), those of them
+    where a placed class shares a base colour with a candidate's, and
+    candidates dropped.
 
-    @staticmethod
-    def compare(monkeypatch, pairs):
-        real = TwinQuotient.stabiliser_orbits
-        calls = []
+    Every involution verified must pass oracles.is_automorphism and fix
+    the placed classes.  With brute, on hosts small enough for
+    oracles.brute_stabiliser_orbits, the placed images fixed: each
+    candidate dropped shares an orbit with a vertex of a smaller free
+    class, and where the filter skips the test, the free candidates lie in
+    distinct orbits."""
+    real_filter, real_involution = _Backtracker._orbit_filter, TwinQuotient.involution
+    counts = {"involutions": 0, "tests": 0, "skips": 0, "fixed_skips": 0, "dropped": 0}
+    verified = []
 
-        def checked(q, partition, fixed, candidates):
-            out = real(q, partition, fixed, candidates)
-            assert out == oracles.stabiliser_orbits(q, partition, fixed, candidates)
-            calls.append(out)
-            return out
+    def involution(q, a, b, fixed):
+        counts["involutions"] += 1
+        perm = real_involution(q, a, b, fixed)
+        if perm is not None:
+            assert perm[a] == b and oracles.is_automorphism(q, perm, fixed)
+            assert all(perm[perm[c]] == c for c in range(len(perm)))
+            verified.append(perm)
+        return perm
 
-        monkeypatch.setattr(TwinQuotient, "stabiliser_orbits", checked)
-        for tree, host in pairs:
-            exact_embed(tree, host)
-        return len(calls)
+    def orbit_filter(solver, pos, images, chosen):
+        q = solver.quotient
+        # read first, so that its own tests are not counted as the filter's
+        symmetric = q.symmetric
+        before = counts["involutions"]
+        verified.clear()
+        out = real_filter(solver, pos, images, chosen)
+        tests = counts["involutions"] - before
+        counts["tests"] += tests
+        cls, base = q.class_of, q.partition[0]
+        placed = {images[v] for v in solver.order[:pos]}
+        fixed = {cls[w] for w in placed}
+        assert all(perm[c] == c for perm in verified for c in fixed)
+        dropped = [w for w in chosen if w not in out]
+        assert out == [w for w in chosen if w in out] and out[0] == chosen[0]
+        counts["dropped"] += len(dropped)
+        skipped = not tests and symmetric
+        if skipped:
+            counts["skips"] += 1
+            counts["fixed_skips"] += len({base[cls[w]] for w in chosen}) < len(chosen)
+        if brute and (dropped or skipped):
+            orbit = oracles.brute_stabiliser_orbits(host, placed)
+            for w in dropped:
+                assert any(cls[v] < cls[w] and cls[v] not in fixed for v in orbit[w])
+            if skipped:
+                free = [w for w in chosen if cls[w] not in fixed]
+                assert all(v not in orbit[w] for w in free for v in free if v != w)
+        return out
 
-    def test_grid_searches(self, monkeypatch):
-        pairs = [
-            (broom_tree(ell, k), build(ExtremalParams(ell, c, k)).graph)
-            for build in (two_wing_host, wing_clique_host, matched_wing_host)
-            for ell in (3, 5, 7)
-            for c in (1, 2, 3)
-            for k in (c * ell * (ell + 1),)
-        ]
-        # matched pairs settle hprime's B candidates before any orbit test,
-        # and a clash of base colours with a placed class runs none
-        assert self.compare(monkeypatch, pairs) >= 36
-
-    def test_symmetric_hosts(self, monkeypatch):
-        # the orbit prune runs only where the colours leave a choice and
-        # the quotient has a symmetry, so trees up to the host's order
-        rng = random.Random(777)
-        hosts = [family(rng) for family in SYMMETRIC_HOSTS for _ in range(100)]
-        pairs = [(random_tree(rng.randrange(1, h.n), rng), h) for h in hosts]
-        assert self.compare(monkeypatch, pairs) >= 50
+    monkeypatch.setattr(TwinQuotient, "involution", involution)
+    monkeypatch.setattr(_Backtracker, "_orbit_filter", orbit_filter)
+    for tree, host in pairs:
+        verdict = exact_embed(tree, host)
+        if verdict.kind is Verdict.EMBEDDED:
+            assert validate_embedding(tree, host, verdict.embedding)
+    return counts
 
 
 def grid_brooms():
@@ -952,74 +998,78 @@ def grid_brooms():
     ]
 
 
-class TestOrbitTestSkip:
-    """_orbit_filter returns without an orbit test unless two free
-    candidate classes, holding no placed image, share a base colour.
-    Wherever it returns without one, the test it skipped, run anyway,
-    keeps every candidate."""
+def symmetric_host_pairs():
+    # the orbit prune runs only where the colours leave a choice and the
+    # quotient has a symmetry, so trees up to the host's order
+    rng = random.Random(777)
+    hosts = [family(rng) for family in SYMMETRIC_HOSTS for _ in range(100)]
+    return [(random_tree(rng.randrange(1, h.n), rng), h) for h in hosts]
 
-    @staticmethod
-    def check_skips(monkeypatch, pairs):
-        real_filter = _Backtracker._orbit_filter
-        real_orbits = TwinQuotient.stabiliser_orbits
-        tests = checked = 0
-        # skips where two candidates share a base colour, one of them fixed
-        fixed_skips = 0
 
-        def counted(q, *args):
-            nonlocal tests
-            tests += 1
-            return real_orbits(q, *args)
+class TestStabiliserOrbitsAgainstFirstVersion:
+    """The classes the orbit prune drops against brute-force orbits, on
+    every call the searches make (the name is the one these tests are
+    tracked by; the first version of stabiliser_orbits is gone)."""
 
-        def checking(solver, pos, images, chosen):
-            nonlocal checked, fixed_skips
-            before = tests
-            out = real_filter(solver, pos, images, chosen)
-            q = solver.quotient
-            if tests == before and q.symmetric:
-                checked += 1
-                assert out == chosen
-                cls = q.class_of
-                classes = [cls[w] for w in chosen]
-                fixed = list(dict.fromkeys(cls[images[v]] for v in solver.order[:pos]))
-                root = real_orbits(q, reduce(q.fix, fixed, q.partition), fixed, classes)
-                assert all(root[c] == c for c in classes[1:])
-                base = q.partition[0]
-                fixed_skips += len({base[c] for c in classes}) < len(classes)
-            return out
-
-        monkeypatch.setattr(TwinQuotient, "stabiliser_orbits", counted)
-        monkeypatch.setattr(_Backtracker, "_orbit_filter", checking)
-        for tree, host in pairs:
-            exact_embed(tree, host)
-        return tests, checked, fixed_skips
-
-    def test_grid_brooms(self, monkeypatch):
-        tests, checked, fixed_skips = self.check_skips(monkeypatch, grid_brooms())
-        assert tests == 36 and checked >= 36 and fixed_skips == 36
+    def test_grid_searches(self, monkeypatch):
+        # too large for brute force: every involution is checked, and each
+        # of the 18 h and hprime searches merges the wings twice
+        counts = watch_orbit_filter(monkeypatch, grid_brooms(), brute=False)
+        assert counts["tests"] == 36 and counts["dropped"] == 54
 
     def test_symmetric_hosts(self, monkeypatch):
-        rng = random.Random(777)
-        hosts = [family(rng) for family in SYMMETRIC_HOSTS for _ in range(100)]
-        pairs = [(random_tree(rng.randrange(1, h.n), rng), h) for h in hosts]
-        tests, checked, fixed_skips = self.check_skips(monkeypatch, pairs)
-        assert tests >= 50 and checked >= 30 and fixed_skips >= 3
+        counts = watch_orbit_filter(monkeypatch, symmetric_host_pairs(), brute=True)
+        assert counts["tests"] >= 120 and counts["dropped"] >= 100
+
+
+class TestOrbitTestSkip:
+    """_orbit_filter returns without an involution test unless two free
+    candidate classes, holding no placed image, share a base colour.
+    Wherever it returns without one on a symmetric quotient, the free
+    candidates lie in distinct orbits."""
+
+    def test_grid_brooms(self, monkeypatch):
+        counts = watch_orbit_filter(monkeypatch, grid_brooms(), brute=False)
+        assert counts["skips"] == 81 and counts["fixed_skips"] == 36
+
+    def test_symmetric_hosts(self, monkeypatch):
+        counts = watch_orbit_filter(monkeypatch, symmetric_host_pairs(), brute=True)
+        assert counts["skips"] >= 30 and counts["fixed_skips"] >= 3
 
     def test_planted_pair_hosts(self, monkeypatch):
         rng = random.Random(2323)
         hosts = [planted_pairs_host(rng) for _ in range(1000)]
         pairs = [(random_tree(rng.randrange(1, min(h.n, 11)), rng), h) for h in hosts]
-        tests, checked, fixed_skips = self.check_skips(monkeypatch, pairs)
-        assert tests >= 200 and checked >= 300 and fixed_skips >= 8
+        counts = watch_orbit_filter(monkeypatch, pairs, brute=True)
+        assert counts["tests"] >= 600 and counts["skips"] >= 300 and counts["fixed_skips"] >= 8
+
+    def test_involution_tests_on_hard_cases(self, monkeypatch):
+        # counts, so that a lost cheap return shows here and not as a hang:
+        # a path's quotient is a path, whose reversal symmetric finds in one
+        # test and the filter uses in one more; a random cubic graph refines
+        # to one cell, and symmetric tests its smallest class against the
+        # 39 others in vain
+        calls = []
+        real = TwinQuotient.involution
+        monkeypatch.setattr(TwinQuotient, "involution",
+                            lambda *args: calls.append(args) or real(*args))
+        assert exact_embed(caterpillar(300), caterpillar(320).graph).kind is Verdict.EMBEDDED
+        assert len(calls) == 2
+        rng = random.Random(41)
+        host = random_cubic(40, rng)
+        assert len(host.twin_quotient.partition[1]) == 1
+        calls.clear()
+        verdict = exact_embed(random_tree(39, rng, max_degree=3), host)
+        assert verdict.kind is Verdict.EMBEDDED and verdict.nodes_explored > 1000
+        assert len(calls) == 39
 
     def test_grid_counts_per_pass(self, monkeypatch):
-        # with the host tables built, a pass over the grid makes 36 orbit
-        # tests and 72 refinements; testing every base-colour clash, fixed
-        # classes too, made 72 and 108
+        # with the host tables built, a pass over the grid makes 36
+        # involution tests, two per h and hprime search, and no refinement
         pairs = grid_brooms()
         for tree, host in pairs:
             exact_embed(tree, host)
-        counts = {"orbits": 0, "refine": 0}
+        counts = {"involution": 0, "refine": 0}
 
         def counting(name, real):
             def wrapped(*args):
@@ -1027,11 +1077,11 @@ class TestOrbitTestSkip:
                 return real(*args)
             return wrapped
 
-        monkeypatch.setattr(TwinQuotient, "stabiliser_orbits",
-                            counting("orbits", TwinQuotient.stabiliser_orbits))
+        monkeypatch.setattr(TwinQuotient, "involution",
+                            counting("involution", TwinQuotient.involution))
         monkeypatch.setattr(graphs, "_refine", counting("refine", graphs._refine))
         assert sum(exact_embed(tree, host).nodes_explored for tree, host in pairs) == 792
-        assert counts == {"orbits": 36, "refine": 72}
+        assert counts == {"involution": 36, "refine": 0}
 
 
 def small_random_host(rng):
@@ -1046,22 +1096,23 @@ quotient_hosts = st.builds(
 )
 
 
-def automorphism_cases(q, rng):
+def automorphism_cases(host, rng):
     """(quotient, permutation, fixed, expected or None) to check against
-    oracles.is_automorphism: true automorphisms, found by the oracle's
-    matching of two classes of one cell; each of them with one fixed class,
-    moved or kept; each of them against the quotient with one edge more or
-    less; the swaps of two classes of distinct colours; random shuffles."""
+    oracles.is_automorphism: true automorphisms, the images on the classes
+    of host automorphisms that oracles.brute_automorphism finds from the
+    smallest class of each cell to each other; each of them with one fixed
+    class, moved or kept; each of them against the quotient with one edge
+    more or less; the swaps of two classes of distinct colours; random
+    shuffles."""
+    q = host.twin_quotient
     size = len(q.adj)
-    base = oracles.base_partition(q)
     found = [list(range(size))]
-    for cell in base[1]:
+    for cell in oracles.base_partition(q)[1]:
         first = min(cell)
         for c in sorted(cell - {first}):
-            perm = oracles.sorted_match(q, oracles.individualised(q, base, first),
-                                        oracles.individualised(q, base, c), ())
+            perm = oracles.brute_automorphism(host, {q.members[first][0]: q.members[c][0]})
             if perm is not None:
-                found.append(perm)
+                found.append([q.class_of[perm[m[0]]] for m in q.members])
     pairs = [(c, d) for c in range(size) for d in range(c + 1, size)]
     for perm in found:
         yield q, perm, (), True
@@ -1093,26 +1144,11 @@ class TestOrbitPartsAgainstFirstVersion:
     def test_refinements(self, host):
         q = host.twin_quotient
         assert q.partition == oracles.base_partition(q)
-        col, cells = q.partition
-        kept = (col.copy(), [cell.copy() for cell in cells])
-        for c in range(len(col)):
-            if len(cells[col[c]]) > 1:
-                once = q.fix(q.partition, c)
-                assert once == oracles.individualised(q, q.partition, c)
-                # and a second class on top, in the first open cell
-                rest = next((x for x in once[1] if len(x) > 1), None)
-                if rest:
-                    d = max(rest)
-                    assert q.fix(once, d) == oracles.individualised(q, once, d)
-            else:
-                assert q.fix(q.partition, c) is q.partition
-        # fix refines copies: the partition passed in is left as it was
-        assert q.partition == kept
 
     @settings(max_examples=60, deadline=None)
     @given(quotient_hosts, st.randoms(use_true_random=False))
     def test_automorphism_checks(self, host, rng):
-        for quotient, perm, fixed, expected in automorphism_cases(host.twin_quotient, rng):
+        for quotient, perm, fixed, expected in automorphism_cases(host, rng):
             want = oracles.is_automorphism(quotient, perm, fixed)
             assert expected is None or want == expected
             assert quotient._is_automorphism(perm, fixed) == want
@@ -1124,8 +1160,9 @@ class TestOrbitPartsAgainstFirstVersion:
         seen = set()
         for build in SYMMETRIC_HOSTS:
             for _ in range(10):
-                q = build(rng).twin_quotient
-                for quotient, perm, fixed, expected in automorphism_cases(q, rng):
+                host = build(rng)
+                q = host.twin_quotient
+                for quotient, perm, fixed, expected in automorphism_cases(host, rng):
                     got = quotient._is_automorphism(perm, fixed)
                     kind = "edge" if quotient is not q else "fixed" if fixed else expected
                     seen.add((kind, got))

@@ -36,6 +36,7 @@ from oracles import (
     brute_stabiliser_orbits,
     brute_vertex_connectivity,
     induced_by_edges,
+    is_automorphism,
     pair_swap_keeps_edges,
     planted_pairs_host,
     rank_and_prefixes,
@@ -498,14 +499,16 @@ class TestTwinQuotient:
         assert q.clique[clique] and len(q.members[clique]) == params.clique_order
 
     def test_pair_swaps_are_one_orbit(self):
-        # in hprime the swaps (B1[j] B1[j'])(B2[j] B2[j']) and the wing swap
-        # make every B vertex one orbit, once no vertex is fixed
+        # in hprime the swaps (B1[j] B1[j'])(B2[j] B2[j']), and those times
+        # the wing swap, are involutions from B1[0] onto every B vertex, so
+        # the B vertices are one orbit once no vertex is fixed
         host = matched_wing_host(ExtremalParams(5, 2, 60)).graph
         q = host.twin_quotient
         b_classes = sorted({q.class_of[v] for v, tag in host.tags.items() if tag in ("B1", "B2")})
         assert len(b_classes) == 64
-        root = q.stabiliser_orbits(q.partition, [], b_classes)
-        assert set(root.values()) == {b_classes[0]}
+        for c in b_classes[1:]:
+            perm = q.involution(b_classes[0], c, ())
+            assert perm is not None and is_automorphism(q, perm, ())
 
     @staticmethod
     def families(g):
@@ -575,8 +578,13 @@ class TestTwinQuotient:
         assert not frucht.twin_quotient.symmetric
 
     def test_orbits_are_sound_and_found(self):
+        # an involution between two free classes of one colour is verified
+        # only when they share an orbit of the automorphisms fixing the
+        # fixed vertices.  Pairing neighbours in id order finds half of
+        # the pairs that share one: a reflection of a circulant pairs them
+        # in another order, and it moves the common neighbours of the two
         rng = random.Random(5)
-        exact = 0
+        tested = found = 0
         for trial in range(60):
             n = rng.randrange(3, 8)
             if trial % 2:
@@ -587,25 +595,21 @@ class TestTwinQuotient:
             g = build_graph(n, sorted(edges))
             fixed = set(rng.sample(range(n), rng.randrange(0, 2)))
             q = g.twin_quotient
-            partition = q.partition
-            for v in sorted(fixed):
-                partition = q.fix(partition, q.class_of[v])
-            candidates = sorted({q.class_of[v] for v in range(n) if v not in fixed})
-            root = q.stabiliser_orbits(
-                partition, [q.class_of[v] for v in fixed], candidates
-            )
             truth = brute_stabiliser_orbits(g, fixed)
-            found = True
-            for c in candidates:
-                # a merge is only ever made by a real automorphism
-                assert q.members[root[c]][0] in truth[q.members[c][0]]
-                smallest = min(
-                    d for d in candidates if q.members[d][0] in truth[q.members[c][0]]
-                )
-                found &= root[c] == smallest
-            exact += found
-        assert exact >= 55
-
+            placed = sorted({q.class_of[v] for v in fixed})
+            free = [c for c in range(len(q.adj)) if c not in placed]
+            col = q.partition[0]
+            for i, c in enumerate(free):
+                for d in free[i + 1 :]:
+                    if col[c] != col[d]:
+                        continue
+                    perm = q.involution(c, d, placed)
+                    shared = q.members[d][0] in truth[q.members[c][0]]
+                    if perm is not None:
+                        assert shared and is_automorphism(q, perm, placed)
+                    tested += shared
+                    found += perm is not None
+        assert tested == 79 and found == 40
 
     def test_classes_keyed_by_object_match_keyed_by_value(self):
         # generated hosts share one mask object per block; random hosts
