@@ -24,7 +24,6 @@ from .graphs import (
     BfsLayout,
     SimpleGraph,
     TreeGraph,
-    TwinQuotient,
     _bitmask,
     _members,
     bfs_layout,
@@ -115,15 +114,16 @@ class _Backtracker:
     and undone on backtrack.  Each candidate tried counts as one node.
 
     The host tables are built once per host and kept on it: rank,
-    component sizes and the twin quotient with the mask of each class of
-    two or more members (twin_masks).  Each search builds the tree side,
-    the capacity mask and the degree masks: the vertices of degree at
-    least d, for each tree degree d, as one all-ones mask when d is at
-    most the host's minimum degree and so removes no vertex.
+    component sizes and the twin quotient with its symmetry tables (below).
+    Each search builds the tree side, the capacity mask and the degree
+    masks: the vertices of degree at least d, for each tree degree d, as
+    one all-ones mask when d is at most the host's minimum degree and so
+    removes no vertex.
 
     symmetry=False is the plain search: every vertex is a search vertex
     and only the prunes above apply.  With symmetry on, five reductions
-    apply.
+    apply.  Each but the leaves reads a table of the host by masks, and
+    none tests for symmetry at a node.
 
     * Leaves by matching.  Non-root childless vertices (leaves) are not
       searched.  The leaves of one parent form a group, whose free
@@ -148,55 +148,53 @@ class _Backtracker:
       Once every other vertex is placed, the holding gives the leaves
       their images.
     * Chain order.  Interchangeable sibling vertices (equal rooted shape)
-      take ascending images.
-    * Twin classes.  Host vertices are grouped into the classes of
-      graphs.TwinQuotient, and each node tries only the smallest candidate
-      of each class (_one_per_class).
-    * Matched pairs.  Each family of TwinQuotient.pair_families is a mask
-      of first ends v and one offset d, the partner of v being v + d.  At
-      each node, of the family's pairs with neither end used, only the
-      lowest keeps its ends among the candidates; this runs on the
-      candidate mask, before the twin classes are read.
-    * Orbits of the prefix stabiliser.  Before a node tries its second
-      candidate, it drops every candidate whose class a verified
-      involution of the host quotient, fixing each class that holds a
-      placed image, maps to a smaller class (TwinQuotient.involution).
-      Each free candidate class (holding no placed image) is tested, in
-      class order, against the free classes of its colour kept before it
-      until one test verifies; a pair whose test fails stays apart, which
-      only weakens the prune.  The tests run only on a quotient where
-      some involution verifies (TwinQuotient.symmetric) and when two free
-      candidate classes share a colour of the quotient's refined base
-      colouring: automorphisms keep the refined colours, so free classes
-      of distinct colours lie in distinct orbits, and a placed class is
-      an orbit of its own.
+      take images of ascending class: once the twin classes are read, a
+      chain sibling keeps the candidates of classes no smaller than its
+      predecessor's image's.
+    * Twin classes.  Each node tries only the smallest candidate of each
+      class of graphs.TwinQuotient (_one_per_class).
+    * Involutions.  Each entry (moved, drop) of TwinQuotient.involutions
+      is a verified involution of the host quotient, as the members of
+      the classes it moves and of those it maps to a smaller class.  At a
+      node where no used vertex is moved, the drop mask leaves the
+      candidates.
+    * Matched pairs.  TwinQuotient.pair_families gives each family as a
+      mask of x-ends and one of y-ends, and each end its partner.  A pair
+      is free when neither end is used; blocked, the partners of used
+      ends, is updated on place and on backtrack.  At each node, of each
+      family's free x-ends only the lowest stays a candidate, and of its
+      free y-ends too.
 
-    Soundness: let the group act on embeddings by sibling subtree swaps
-    (on the tree side) and by host automorphisms (on the host side), and
-    take, in the orbit of a given embedding, the one L whose images,
-    internal vertices in search order first, are lexicographically
-    smallest by host id.  At each node on L's path, L's image survives: a
-    smaller image for a later chain sibling would be undone by swapping
-    the two subtrees, which changes nothing before the earlier sibling;
-    and an automorphism sigma that fixes every placed image and maps L(u)
-    to a smaller host id gives sigma o L, equal to L before u and smaller
-    at u.  A twin swap is such an automorphism.  So is the swap of a
-    dropped pair (v', v' + d) with the lowest pair (v, v + d) of its
-    family, end for end: it is an automorphism (TwinQuotient.pair_families),
-    it fixes every used vertex because neither pair has a used end, and
-    with one offset per family v < v' gives v + d < v' + d, so it maps
-    both dropped ends to smaller ids.  Held leaves do not count as used:
-    their images come after the internal vertices in the order, so
-    moving them cannot make sigma o L larger.  The orbit prune drops a
-    class d only if a verified involution that fixes every placed class
-    maps d onto a smaller free class d'.  It lifts to an automorphism that
-    fixes every placed image and maps d onto d', and a twin swap inside
-    d' then gives an id below every member of d, as classes are numbered
-    by their smallest members.  Candidates excluded by chain order may
-    still be orbit members: the argument compares L with sigma o L, not
-    with a candidate.  The capacity and Hall prunes hold for every
-    extendable prefix.  So L is found whenever an embedding exists, and
-    verdicts agree with the plain search; only node counts differ.
+    Soundness: order host vertices by (class, id), the classes coming in
+    the order of their smallest members.  Let the group act on embeddings
+    by sibling subtree swaps (on the tree side) and by host automorphisms
+    (on the host side), and take, in the orbit of a given embedding, the
+    one L whose images, internal vertices in search order first, are
+    lexicographically smallest.  At each node on L's path, L's image
+    survives every cut; each cut is argued against L alone, so they
+    combine in any order.  A chain sibling at a smaller class than its
+    predecessor's image would be undone by swapping the two subtrees,
+    which changes nothing before the earlier sibling.  An automorphism
+    sigma that fixes every used vertex and maps L(u) lower gives sigma o
+    L, equal to L before u and smaller at u; so L(u) is none of these:
+    - a class member above a smaller free one, by a twin swap;
+    - a member of a dropped class: the involution lifts to an
+      automorphism mapping each class onto its image, a smaller class for
+      a dropped one, and it fixes the used vertices, none of them moved;
+    - an end above the lowest free end of its side of a family: its pair
+      and the pair of that end swap, x-end for x-end and y-end for y-end.
+      This is an automorphism because the x-ends of a family share one
+      rest (the neighbours but the partner), as do the y-ends, and each
+      rest avoids all four ends: an x-end's rest holds neither the x-end
+      nor its partner, nor, being the other x-end's rest too, the other
+      x-end or its partner.  So each moved end sees its partner's image
+      and its own rest.  Both pairs are free, so it fixes the used
+      vertices, and ends are singleton classes, so the end moves lower.
+    Held leaves do not count as used: their images come after the
+    internal vertices in the order, so moving them cannot make sigma o L
+    larger.  The capacity and Hall prunes hold for every extendable
+    prefix.  So L is found whenever an embedding exists, and verdicts
+    agree with the plain search; only node counts differ.
     """
 
     def __init__(
@@ -259,15 +257,16 @@ class _Backtracker:
             self.cap_mask = _bitmask(w for w in range(host.n) if host_comp[w] >= n_t)
 
         self.chain_prev: list[Optional[int]] = [None] * n_t
-        self.quotient: Optional[TwinQuotient] = None
         if symmetry:
             self._build_chains(layout.order, leaf)
-            self.quotient = host.twin_quotient
-            self.twin_masks = self.quotient.twin_masks
-            self.pair_families = self.quotient.pair_families
+            q = host.twin_quotient
+            self.class_of, self.twin_masks = q.class_of, q.twin_masks
+            self.involutions = q.involutions
+            self.pair_families, self.partner = q.pair_families
         else:
             # the plain search keeps every candidate, as if each were a class
-            self.twin_masks = self.pair_families = []
+            self.twin_masks, self.involutions, self.pair_families = [], [], []
+            self.partner = {}
 
     def _build_chains(self, full_order: list[int], leaf: list[bool]) -> None:
         n_t = self.tree.n
@@ -304,39 +303,6 @@ class _Backtracker:
             short = [next(g for g in range(start) if hold[g] >> w & 1), *short]
         return _complete_holding(nbrs, ~used, self.demand, hold, taken, short, end)
 
-    def _orbit_filter(self, pos: int, images: list[int], chosen: list[int]) -> list[int]:
-        """chosen without the candidates after the first whose class a
-        verified involution fixing the placed classes maps to a smaller
-        class.  Each free candidate class is tested against the free
-        classes of its colour kept before it, in class order, until one
-        test verifies."""
-        q = self.quotient
-        cls = q.class_of
-        classes = [cls[w] for w in chosen]
-        base = q.partition[0]
-        # automorphisms keep the refined colours, so classes of distinct
-        # colours lie in distinct orbits
-        if len({base[c] for c in classes}) == len(classes) or not q.symmetric:
-            return chosen
-        fixed = list(dict.fromkeys(cls[images[v]] for v in self.order[:pos]))
-        # and a fixed class is an orbit of its own: only free ones can clash
-        free = set(classes).difference(fixed)
-        if len({base[c] for c in free}) == len(free):
-            return chosen
-        kept: dict[int, list[int]] = {}
-        dropped: set[int] = set()
-        for d in sorted(free):
-            if d in dropped:
-                continue
-            for e in kept.setdefault(base[d], []):
-                perm = q.involution(e, d, fixed)
-                if perm is not None:
-                    dropped.update(c for c in free if perm[c] < c)
-                    break
-            else:
-                kept[base[d]].append(d)
-        return chosen[:1] + [w for w in chosen[1:] if cls[w] not in dropped]
-
     def _place_leaves(self, images: list[int], hold: list[int]) -> None:
         for leaves, mask in zip(self.group_leaves, hold):
             for v in leaves:
@@ -364,11 +330,11 @@ class _Backtracker:
         child_count = self.child_count
         sib_rest = self.sib_rest
         twin_masks = self.twin_masks
-        pair_families = self.pair_families
+        involutions = self.involutions
+        pair_families, partner = self.pair_families, self.partner
         rank = self.rank
         group_start, group_end = self.group_start, self.group_end
         has_groups = [a != b for a, b in zip(group_start, group_end)]
-        orbits = self.quotient is not None
         n_s = len(order)
         images = [-1] * self.tree.n
         # the choice point of each depth: candidates in rank order and the
@@ -376,7 +342,8 @@ class _Backtracker:
         frame_chosen: list[list[int]] = [[]] * n_s
         frame_next = [0] * n_s
         hold, taken = [0] * len(self.demand), 0
-        used = 0
+        # used vertices, and the partners of used pair ends
+        used = blocked = 0
         nodes = 0
         pos = 0
         descend = True
@@ -389,16 +356,20 @@ class _Backtracker:
             pmask = masks[images[p]] if p >= 0 else 0
             if descend:
                 cand = (pmask if p >= 0 else cap_mask) & ~used & deg_mask[tree_deg[u]]
+                for moved, drop in involutions:
+                    if not used & moved:
+                        cand &= ~drop
+                gone = used | blocked
+                for xs, ys in pair_families:
+                    # the free ends of each side, but the lowest
+                    xs &= ~gone
+                    ys &= ~gone
+                    cand &= ~(xs & (xs - 1) | ys & (ys - 1))
+                chosen = _one_per_class(cand, twin_masks)
                 cp = chain_prev[u]
                 if cp is not None:
-                    cand &= -(1 << (images[cp] + 1))
-                for first, d in pair_families:
-                    # the pairs with neither end used, but the lowest
-                    drop = first & ~(used | used >> d)
-                    drop &= drop - 1
-                    if drop:
-                        cand &= ~(drop | drop << d)
-                chosen = _one_per_class(cand, twin_masks)
+                    least = self.class_of[images[cp]]
+                    chosen = [w for w in chosen if self.class_of[w] >= least]
                 if len(chosen) > 1:
                     chosen.sort(key=rank.__getitem__)
                 i = 0
@@ -406,6 +377,8 @@ class _Backtracker:
                 chosen = frame_chosen[pos]
                 i = frame_next[pos]
                 used ^= 1 << images[u]
+                if images[u] in partner:
+                    blocked ^= 1 << partner[images[u]]
                 images[u] = -1
                 # the deeper groups hold nothing by now; with u's cleared,
                 # the holding is complete again for the groups before u's
@@ -416,11 +389,6 @@ class _Backtracker:
             rest = sib_rest[u]
             descend = False
             while i < len(chosen):
-                if i == 1 and orbits:
-                    # the first candidate failed: cut the rest by orbits
-                    chosen = self._orbit_filter(pos, images, chosen)
-                    if len(chosen) == 1:
-                        break
                 if nodes >= limit:
                     return ("node", None, nodes)
                 if deadline is not None and nodes & 2047 == 0:
@@ -441,6 +409,8 @@ class _Backtracker:
                     hold, taken = after
                 images[u] = w
                 used = nxt
+                if w in partner:
+                    blocked ^= 1 << partner[w]
                 frame_chosen[pos] = chosen
                 frame_next[pos] = i
                 pos += 1

@@ -7,7 +7,7 @@ traces, and reports reproduce byte for byte across runs.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -444,6 +444,11 @@ class TwinQuotient:
     an automorphism of the graph mapping each class onto its image in id
     order.  Swapping two members of one class is an automorphism fixing
     everything else.
+
+    The exact search reads three tables, each built on first read:
+    twin_masks, pair_families and involutions.  The first two are the
+    same on any numbering of the vertices; the last tests each refined
+    cell from its smallest class, so which involutions it keeps may vary.
     """
 
     def __init__(self, class_of: list[int], clique: list[bool], adj: list[list[int]]):
@@ -522,49 +527,39 @@ class TwinQuotient:
         return [_bitmask(m) for m in self.members if len(m) > 1]
 
     @cached_property
-    def pair_families(self) -> list[tuple[int, int]]:
-        """The families of matched pairs, as (mask of the first ends,
-        offset), in the order of their first pairs.  A pair is two
-        singleton classes v < u, each the other's only singleton neighbour.
-        Pairs with the same classes of two or more members next to v, the
-        same next to u, and the same offset u - v form a family when there
-        are two or more of them.  Swapping two pairs of a family, end for
-        end, is an automorphism: an end and its image see their partners
-        and the same other classes, all modules, and no other singleton
-        sees any of the four."""
+    def pair_families(self) -> tuple[list[tuple[int, int]], dict[int, int]]:
+        """The families of matched pairs, each as the mask of its x-ends
+        and the mask of its y-ends, in the order of their first pairs; and
+        the partner of every end of a family.
+
+        A pair is two singleton classes joined by a quotient edge, at least
+        one of which has no other singleton neighbour, and whose ends are
+        in no other pair.  The rest of an end is its neighbour classes
+        other than its partner; the x-end is the one of the smaller (rest,
+        class).  Pairs with the same two rests form a family when there are
+        two or more of them, and swapping two of them end for end is an
+        automorphism (see embedding._Backtracker)."""
         members, adj = self.members, self.adj
         single = [len(m) == 1 for m in members]
-
-        def mates(c: int) -> list[int]:
-            return [d for d in adj[c] if single[d]]
-
-        def rest(c: int) -> tuple[int, ...]:
-            return tuple(d for d in adj[c] if not single[d])
-
-        families: dict[tuple, list[int]] = {}
+        pairs = set()
         for c in compress(range(len(members)), single):
-            ends = mates(c)
-            # classes are numbered by their smallest members, so c < d
-            # makes v < u
-            if len(ends) == 1 and ends[0] > c and mates(ends[0]) == [c]:
-                d = ends[0]
-                v, u = members[c][0], members[d][0]
-                families.setdefault((rest(c), rest(d), u - v), []).append(v)
-        return [(_bitmask(vs), key[2]) for key, vs in families.items() if len(vs) > 1]
-
-    @cached_property
-    def _edges(self) -> tuple[list[int], list[int], set[int]]:
-        """Each quotient edge once, as the lists of its ends c < d, and the
-        set of codes c * |Q| + d of both its orientations."""
-        size = len(self.adj)
-        heads, tails, codes = [], [], set()
-        for c, nbrs in enumerate(self.adj):
-            for d in nbrs:
-                if c < d:
-                    heads.append(c)
-                    tails.append(d)
-                codes.add(c * size + d)
-        return heads, tails, codes
+            mates = [d for d in adj[c] if single[d]]
+            if len(mates) == 1:
+                pairs.add((min(c, mates[0]), max(c, mates[0])))
+        ends = Counter(c for pair in pairs for c in pair)
+        families: dict[tuple, list[tuple[int, int]]] = {}
+        for pair in sorted(pairs):
+            if ends[pair[0]] == ends[pair[1]] == 1:
+                (rx, x), (ry, y) = sorted(
+                    (tuple(d for d in adj[c] if d != e), c) for c, e in (pair, pair[::-1]))
+                families.setdefault((rx, ry), []).append((members[x][0], members[y][0]))
+        masks, partner = [], {}
+        for family in families.values():
+            if len(family) > 1:
+                masks.append((_bitmask([x for x, _ in family]), _bitmask([y for _, y in family])))
+                for x, y in family:
+                    partner[x], partner[y] = y, x
+        return masks, partner
 
     @cached_property
     def partition(self) -> tuple[list[int], list[set[int]]]:
@@ -579,62 +574,77 @@ class TwinQuotient:
         return col, cells
 
     @cached_property
-    def symmetric(self) -> bool:
-        """Whether the smallest class of some colour cell has a verified
-        involution onto another member of its cell.  When none has, the
-        orbit prune is not worth its tests (a regular graph with no
-        symmetry refines nothing away, so all its candidates clash), and
-        skipping it is always sound."""
-        return any(
-            self.involution(first, c, ()) is not None
-            for first, *rest in map(sorted, self.partition[1])
-            for c in rest
-        )
+    def involutions(self) -> list[tuple[int, int]]:
+        """Verified involutions of the quotient, each as two masks of host
+        vertices: the members of the classes it moves, and of those it maps
+        to a smaller class (moved, drop).  The refined cells are walked in
+        colour order; a cell whose smallest class a kept involution already
+        moves is skipped, and otherwise its smallest class is tested against
+        each other member of the cell until one test verifies.  On a rigid
+        host every test fails, one per other member of each cell."""
+        members, moved = self.members, set()
+        out = []
+        for cell in self.partition[1]:
+            first, *rest = sorted(cell)
+            if first in moved:
+                continue
+            for c in rest:
+                perm = self.involution(first, c)
+                if perm is not None:
+                    moves = [d for d, e in enumerate(perm) if d != e]
+                    moved.update(moves)
+                    out.append((_bitmask([w for d in moves for w in members[d]]),
+                                _bitmask([w for d in moves if perm[d] < d for w in members[d]])))
+                    break
+        return out
 
-    def involution(self, a: int, b: int, fixed: Sequence[int]) -> Optional[list[int]]:
+    def involution(self, a: int, b: int) -> Optional[list[int]]:
         """A verified automorphism of this quotient that swaps the classes a
-        and b, of one refined colour, and fixes each class in fixed; or
-        None when the one map built from that pair is not an automorphism.
+        and b, of one refined colour; or None when the one map built from
+        that pair is not an automorphism.
 
         The map grows from the pair (a, b): the unmatched neighbours of each
-        matched pair are paired up in the order (refined colour, id), the
-        i-th of one end with the i-th of the other, and those the two ends
-        share are fixed.  A class reached by no pair is fixed too.  Every
-        pairing is made both ways, so the map is an involution."""
-        col, adj = self.partition[0], self.adj
+        matched pair are paired up, and those the two ends share are fixed.
+        When the unmatched neighbours of one end have their partners in the
+        pair families (pair_families) among those of the other, each goes
+        to its partner; otherwise the i-th of one end goes to the i-th of
+        the other in the order (refined colour, id).  A class reached by no
+        pair is fixed too.  Every pairing is made both ways, so the map is
+        an involution."""
+        col, adj, cls = self.partition[0], self.adj, self.class_of
+        mate = {cls[v]: cls[u] for v, u in self.pair_families[1].items()}
 
         def key(d: int) -> tuple[int, int]:
             return col[d], d
 
         perm = list(range(len(adj)))
         perm[a], perm[b] = b, a
-        seen = {a, b, *fixed}
+        seen = {a, b}
         pairs = [(a, b)]
         for x, y in pairs:  # grows while it runs
             xs, ys = set(adj[x]) - seen, set(adj[y]) - seen
             if not (xs or ys):
                 continue
             seen |= xs | ys
-            xs, ys = sorted(xs - ys, key=key), sorted(ys - xs, key=key)
-            if [col[d] for d in xs] != [col[d] for d in ys]:
-                return None
+            xs, ys = xs - ys, ys - xs
+            if len(xs) == len(ys) and ys == {mate.get(d) for d in xs}:
+                xs = sorted(xs)
+                ys = [mate[d] for d in xs]
+            else:
+                xs, ys = sorted(xs, key=key), sorted(ys, key=key)
+                if [col[d] for d in xs] != [col[d] for d in ys]:
+                    return None
             for p, q in zip(xs, ys):
                 perm[p], perm[q] = q, p
             pairs += zip(xs, ys)
-        return perm if self._is_automorphism(perm, fixed) else None
+        return perm if self._is_automorphism(perm) else None
 
-    def _is_automorphism(self, perm: list[int], fixed: Sequence[int]) -> bool:
-        """Whether the permutation perm of the classes fixes each class in
-        fixed and keeps the colours and the edges.  It is a bijection, so
-        mapping every edge onto an edge maps the edges onto themselves."""
-        if any(perm[c] != c for c in fixed):
-            return False
-        key = self.colour_key
-        if [key[d] for d in perm] != key:
-            return False
-        heads, tails, codes = self._edges
-        size = len(perm)
-        return codes.issuperset([perm[c] * size + perm[d] for c, d in zip(heads, tails)])
+    def _is_automorphism(self, perm: list[int]) -> bool:
+        """Whether the permutation perm of the classes keeps the colours
+        and maps the neighbours of each class onto those of its image."""
+        key, adj = self.colour_key, self.adj
+        return [key[d] for d in perm] == key and all(
+            sorted(map(perm.__getitem__, nbrs)) == adj[perm[c]] for c, nbrs in enumerate(adj))
 
 
 def _refine(adj: list[list[int]], col: list[int], cells: list[set[int]], queue: list[int]) -> None:

@@ -214,30 +214,32 @@ def brute_stabiliser_orbits(g: SimpleGraph, fixed: set[int]) -> list[set[int]]:
     return orbit
 
 
-def brute_pair_families(g: SimpleGraph) -> list[tuple[list[int], int]]:
+def brute_pair_families(g: SimpleGraph) -> list[list[tuple[int, int]]]:
     """TwinQuotient.pair_families from their definition over vertices, as
-    (first ends, offset), sorted: pairs of singleton twin classes v < u,
-    each the other's only singleton neighbour, grouped by the vertices
-    outside singleton classes that v sees, those u sees, and u - v."""
+    the pairs (v, u), v < u, of each family, sorted: edges between two
+    vertices of singleton twin classes, at least one of which has no other
+    singleton neighbour, and whose ends are in no other such edge, grouped
+    by the two sets of vertices other than each other that their ends
+    see."""
     class_of = value_keyed_twins(g)[0]
     single = {v for v in range(g.n) if class_of.count(class_of[v]) == 1}
     nbrs = [set(row) for row in g.adj]
-    families: dict[tuple, list[int]] = {}
-    for v in sorted(single):
-        mates = nbrs[v] & single
-        if len(mates) == 1:
-            (u,) = mates
-            if u > v and nbrs[u] & single == {v}:
-                key = (frozenset(nbrs[v] - single), frozenset(nbrs[u] - single), u - v)
-                families.setdefault(key, []).append(v)
-    return sorted((vs, key[2]) for key, vs in families.items() if len(vs) > 1)
+    pairs = {(v, u) for v in single for u in nbrs[v] & single
+             if v < u and (nbrs[v] & single == {u} or nbrs[u] & single == {v})}
+    ends = [v for pair in pairs for v in pair]
+    families: dict[frozenset, list[tuple[int, int]]] = {}
+    for v, u in sorted(pairs):
+        if ends.count(v) == ends.count(u) == 1:
+            key = frozenset((frozenset(nbrs[v] - {u}), frozenset(nbrs[u] - {v})))
+            families.setdefault(key, []).append((v, u))
+    return sorted(pairs for pairs in families.values() if len(pairs) > 1)
 
 
-def pair_swap_keeps_edges(g: SimpleGraph, edges: set, a: int, b: int, d: int) -> bool:
-    """Whether swapping a with b and a + d with b + d maps the edge set
-    onto itself: every edge at the four moved vertices must map onto an
-    edge, and the other edges stay put."""
-    perm = {a: b, b: a, a + d: b + d, b + d: a + d}
+def pair_swap_keeps_edges(g: SimpleGraph, edges: set, one: tuple, other: tuple) -> bool:
+    """Whether swapping the pair one with the pair other, end for end,
+    maps the edge set onto itself: every edge at the four moved vertices
+    must map onto an edge, and the other edges stay put."""
+    perm = {one[0]: other[0], other[0]: one[0], one[1]: other[1], other[1]: one[1]}
     return all(
         tuple(sorted((perm.get(x, x), perm.get(y, y)))) in edges
         for x in perm
@@ -248,10 +250,11 @@ def pair_swap_keeps_edges(g: SimpleGraph, edges: set, a: int, b: int, d: int) ->
 def planted_pairs_host(rng: random.Random) -> SimpleGraph:
     """Blocks of twins with families of matched pairs planted on them.  A
     family's first ends take one run of ids and their partners the next,
-    in order (one offset) or shuffled (mixed offsets, which split it).
-    The partners may see the same blocks as the first ends, which makes
-    each pair a class of closed twins, and one extra vertex may give an
-    end a second singleton neighbour, so that it is in no pair."""
+    in order (one offset) or shuffled (mixed offsets, which must not split
+    it).  The partners may see the same blocks as the first ends, which
+    makes each pair a class of closed twins, and one extra vertex may give
+    an end a second singleton neighbour, with which it forms a second pair,
+    so that it is in none."""
     n = 0
 
     def run(count: int) -> list[int]:
@@ -532,14 +535,12 @@ def base_partition(q):
     return col, cells
 
 
-def is_automorphism(q, perm, fixed) -> bool:
+def is_automorphism(q, perm) -> bool:
     """TwinQuotient._is_automorphism as first written: per class, the
     colour of its image and the mask of its neighbors' images against the
     image's neighbor mask."""
     key = q.colour_key
     masks = [sum(1 << d for d in nbrs) for nbrs in q.adj]
-    if any(perm[c] != c for c in fixed):
-        return False
     for c, nbrs in enumerate(q.adj):
         image = perm[c]
         if key[image] != key[c]:

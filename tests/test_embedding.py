@@ -4,6 +4,7 @@ pipeline's routing."""
 import hashlib
 import itertools
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -170,6 +171,39 @@ LADDER_NODES = {
 }
 
 
+# the broom's search nodes on the ladder hosts at c = 3 with their
+# vertices shuffled (random.Random(2525) per host), and on the grid hosts at
+# c = 3 with one edge removed (three draws from random.Random(7) per host)
+RELABELLED_LADDER_ELLS = (9, 13, 17, 21)
+RELABELLED_LADDER_NODES = {
+    two_wing_host: (49, 83, 125, 175),
+    wing_clique_host: (65, 105, 153, 209),
+    matched_wing_host: (54, 90, 153, 186),
+}
+NEAR_EXTREMAL_NODES = {
+    two_wing_host: {7: [110, 110, 110], 11: [192, 192, 192], 15: [290, 290, 290]},
+    wing_clique_host: {7: [101, 101, 102], 11: [177, 177, 177], 15: [269, 269, 269]},
+    matched_wing_host: {7: [148, 148, 149], 11: [251, 250, 251], 15: [368, 368, 368]},
+}
+
+
+def near_extremal_proofs(build, ell):
+    """The broom's verdict, nodes and seconds on three draws of the c = 3
+    host with one edge removed."""
+    k = 3 * ell * (ell + 1)
+    host = build(ExtremalParams(ell, 3, k)).graph
+    rng = random.Random(7)
+    out = []
+    for _ in range(3):
+        edges = list(host.edges())
+        edges.pop(rng.randrange(len(edges)))
+        moved = build_graph(host.n, edges)
+        start = time.perf_counter()
+        verdict = exact_embed(broom_tree(ell, k), moved, Budget(max_nodes=20_000))
+        out.append((verdict.kind, verdict.nodes_explored, time.perf_counter() - start))
+    return out
+
+
 class TestExactEmbed:
     def test_broom_blocked_by_two_wing(self):
         host = two_wing_host(ExtremalParams(3, 1, 12)).graph
@@ -323,9 +357,10 @@ class TestExactEmbed:
         assert verdict.nodes_explored == LADDER_NODES[build][LADDER_ELLS.index(ell)]
 
     def test_relabelled_grid_proofs(self):
-        # relabelled hosts split hprime's pair families by offset, and
-        # pairing the wings' neighbours in id order no longer finds their
-        # swap, so hprime takes about twice the nodes of the grid in order
+        # every reduction reads a table that does not depend on the labels,
+        # and chains are ordered by class, so relabelled hosts take about
+        # the nodes of the grid in order (222, 321 and 249): h and g take
+        # fewer, as their classes come in another order
         rng = random.Random(2525)
         totals = dict.fromkeys(("h", "g", "hprime"), 0)
         for (tree, host), family in zip(grid_brooms(), [f for f in totals for _ in range(9)]):
@@ -333,7 +368,39 @@ class TestExactEmbed:
             verdict = exact_embed(tree, host, Budget(max_nodes=20_000))
             assert verdict.kind is Verdict.NOT_EMBEDDED
             totals[family] += verdict.nodes_explored
-        assert totals == {"h": 498, "g": 889, "hprime": 1095}
+        assert totals == {"h": 214, "g": 303, "hprime": 278}
+
+    @pytest.mark.parametrize("ell", (7, 11))
+    @pytest.mark.parametrize("build", list(NEAR_EXTREMAL_NODES), ids=lambda b: b.__name__)
+    def test_near_extremal_proofs(self, build, ell):
+        # one edge away from the generator, the pair families of hprime
+        # still hold all pairs but at most one: a search per node for
+        # involutions took 530-551 nodes and 1.7 s at hprime(11,3)
+        proofs = near_extremal_proofs(build, ell)
+        assert all(kind is Verdict.NOT_EMBEDDED for kind, _, _ in proofs)
+        assert [nodes for _, nodes, _ in proofs] == NEAR_EXTREMAL_NODES[build][ell]
+
+    @pytest.mark.stretch
+    def test_near_extremal_hprime_at_ell_15(self):
+        # 977 nodes and 19-26 s each under a search per node for involutions
+        proofs = near_extremal_proofs(matched_wing_host, 15)
+        assert all(kind is Verdict.NOT_EMBEDDED for kind, _, _ in proofs)
+        assert [nodes for _, nodes, _ in proofs] == NEAR_EXTREMAL_NODES[matched_wing_host][15]
+        assert all(seconds < 1 for _, _, seconds in proofs)
+
+    @pytest.mark.stretch
+    @pytest.mark.parametrize("ell", RELABELLED_LADDER_ELLS)
+    @pytest.mark.parametrize("build", list(RELABELLED_LADDER_NODES), ids=lambda b: b.__name__)
+    def test_relabelled_ladder_proofs(self, build, ell):
+        # reductions that read vertex ids took up to 7,155 nodes at ell 13
+        # and ran past 200,000 at ell 21
+        k = 3 * ell * (ell + 1)
+        host = build(ExtremalParams(ell, 3, k)).graph
+        host = relabelled(host.n, host.edges(), random.Random(2525))
+        verdict = exact_embed(broom_tree(ell, k), host, Budget(max_nodes=20_000))
+        assert verdict.kind is Verdict.NOT_EMBEDDED
+        assert verdict.nodes_explored == RELABELLED_LADDER_NODES[build][
+            RELABELLED_LADDER_ELLS.index(ell)]
 
     def test_search_keeps_one_leaf_holding(self):
         # h(61,3) places 1,116 internal vertices over 183 leaf groups; with
@@ -736,6 +803,8 @@ class TestBacktrackerSetup:
         a, b = solvers
         assert a.rank is b.rank is host.rank
         assert a.twin_masks is b.twin_masks is host.twin_quotient.twin_masks
+        assert a.involutions is b.involutions is host.twin_quotient.involutions
+        assert a.partner is b.partner is host.twin_quotient.pair_families[1]
 
     def test_degree_masks(self):
         # each tree degree's mask holds the host vertices of at least that
@@ -847,14 +916,16 @@ def random_cubic(n, rng):
             return build_graph(n, sorted(edges))
 
 
-def no_orbits(self, pos, images, chosen):
-    return chosen
+# the host tables switched off: a property outranks the value a host's
+# quotient may have cached
+NO_INVOLUTIONS = property(lambda q: [])
+NO_PAIRS = property(lambda q: ([], {}))
 
 
 class TestReductionsAgainstUnreducedSearch:
     """Every reduction of the search against symmetry=False, the plain
-    search: Hall-matched leaves, chain order and twins always, orbits on
-    and, patched out, off."""
+    search: Hall-matched leaves, chain order, twins and pairs always, the
+    involution table on and, switched off, off."""
 
     def differential(self, hosts, rng, edges=9):
         refuted = 0
@@ -873,7 +944,7 @@ class TestReductionsAgainstUnreducedSearch:
     @pytest.mark.parametrize("orbits", [True, False], ids=["False-True", "False-False"])
     def test_random_hosts(self, monkeypatch, orbits):
         if not orbits:
-            monkeypatch.setattr(_Backtracker, "_orbit_filter", no_orbits)
+            monkeypatch.setattr(TwinQuotient, "involutions", NO_INVOLUTIONS)
         rng = random.Random(4242)
         hosts = [rand_graph(rng, rng.randrange(2, 12), rng.random()) for _ in range(250)]
         assert self.differential(hosts, rng) >= 40
@@ -882,7 +953,7 @@ class TestReductionsAgainstUnreducedSearch:
     @pytest.mark.parametrize("family", SYMMETRIC_HOSTS, ids=lambda f: f.__name__)
     def test_symmetric_hosts(self, monkeypatch, family, orbits):
         if not orbits:
-            monkeypatch.setattr(_Backtracker, "_orbit_filter", no_orbits)
+            monkeypatch.setattr(TwinQuotient, "involutions", NO_INVOLUTIONS)
         rng = random.Random(777)
         hosts = [family(rng) for _ in range(100)]
         assert self.differential(hosts, rng) >= 10
@@ -890,19 +961,58 @@ class TestReductionsAgainstUnreducedSearch:
     @pytest.mark.parametrize("orbits", [True, False], ids=["orbits", "no-orbits"])
     def test_planted_pair_hosts(self, monkeypatch, orbits):
         if not orbits:
-            monkeypatch.setattr(_Backtracker, "_orbit_filter", no_orbits)
+            monkeypatch.setattr(TwinQuotient, "involutions", NO_INVOLUTIONS)
         rng = random.Random(2323)
         hosts = [planted_pairs_host(rng) for _ in range(500)]
         assert self.differential(hosts, rng, edges=10) >= 60
 
+    def test_perturbed_relabelled_grid_hosts(self):
+        # the smallest grid hosts with three to nine vertices removed, one
+        # or two vertex pairs' edges flipped and the ids shuffled, against
+        # trees of 7 to 10 edges (fewer in the smallest hosts): the
+        # reductions must hold whatever the labels, and off the generators'
+        # exact structure
+        rng = random.Random(2626)
+        hosts = []
+        for build in (two_wing_host, wing_clique_host, matched_wing_host):
+            g = build(ExtremalParams(3, 1, 12)).graph
+            for _ in range(200):
+                keep = sorted(rng.sample(range(g.n), g.n - rng.randrange(3, 10)))
+                index = {v: i for i, v in enumerate(keep)}
+                edges = {(index[u], index[v]) for u, v in g.edges() if u in index and v in index}
+                for _ in range(rng.randrange(1, 3)):
+                    u, v = sorted(rng.sample(range(len(keep)), 2))
+                    edges ^= {(u, v)}
+                hosts.append(relabelled(len(keep), edges, rng))
+        refuted = 0
+        for host in hosts:
+            k = rng.randrange(min(host.n - 4, 7), min(host.n, 11))
+            spine = rng.randrange(1, 4)
+            counts = [0] * (spine + 1)
+            for _ in range(k - spine):
+                counts[rng.randrange(spine + 1)] += 1
+            tree = random_tree(k, rng) if rng.random() < 0.5 else caterpillar(spine, counts)
+            on = exact_embed(tree, host)
+            off = exact_embed(tree, host, symmetry=False, budget=Budget(max_nodes=200_000))
+            assert off.kind is not Verdict.TIMEOUT
+            assert on.kind == off.kind
+            if on.kind is Verdict.EMBEDDED:
+                assert validate_embedding(tree, host, on.embedding)
+            refuted += on.kind is Verdict.NOT_EMBEDDED
+        assert refuted == 87
+        # not vacuous: the tables are not empty on many of these hosts
+        assert sum(bool(h.twin_quotient.involutions) for h in hosts) >= 100
+        assert sum(bool(h.twin_quotient.pair_families[0]) for h in hosts) >= 30
+
     def test_pairs_cut_the_search_on_planted_hosts(self, monkeypatch):
-        # with orbits off the pair prune is all that merges singletons
-        monkeypatch.setattr(_Backtracker, "_orbit_filter", no_orbits)
+        # with the involution table off the pair prune is all that merges
+        # singletons
+        monkeypatch.setattr(TwinQuotient, "involutions", NO_INVOLUTIONS)
         rng = random.Random(2323)
         pairs = [(random_tree(rng.randrange(1, min(h.n, 11)), rng), h)
                  for h in (planted_pairs_host(rng) for _ in range(500))]
         with monkeypatch.context() as m:
-            m.setattr(TwinQuotient, "pair_families", [])
+            m.setattr(TwinQuotient, "pair_families", NO_PAIRS)
             without = [exact_embed(t, h) for t, h in pairs]
         with_pairs = [exact_embed(t, h) for t, h in pairs]
         assert [v.kind for v in with_pairs] == [v.kind for v in without]
@@ -912,79 +1022,68 @@ class TestReductionsAgainstUnreducedSearch:
         assert sum(v.nodes_explored for v in with_pairs) < sum(v.nodes_explored for v in without)
 
     def test_orbits_cut_the_search_on_symmetric_hosts(self, monkeypatch):
+        # the tables merge only what one involution per refined cell and
+        # the pair families give: circulants and prisms keep symmetries
+        # that a search per node found once placed images split the cells
         rng = random.Random(99)
         pairs = [(random_tree(rng.randrange(3, 9), rng), family(rng))
                  for family in SYMMETRIC_HOSTS for _ in range(40)]
         pairs = [(t, h) for t, h in pairs if t.n <= h.n]
-        with_orbits = [exact_embed(t, h).nodes_explored for t, h in pairs]
-        monkeypatch.setattr(_Backtracker, "_orbit_filter", no_orbits)
+        with_tables = [exact_embed(t, h).nodes_explored for t, h in pairs]
+        monkeypatch.setattr(TwinQuotient, "involutions", NO_INVOLUTIONS)
+        monkeypatch.setattr(TwinQuotient, "pair_families", NO_PAIRS)
         without = [exact_embed(t, h).nodes_explored for t, h in pairs]
-        assert all(a <= b for a, b in zip(with_orbits, without))
-        assert sum(with_orbits) < 0.8 * sum(without)
+        assert all(a <= b for a, b in zip(with_tables, without))
+        # a search per node for an involution fixing the placed classes
+        # took 213
+        assert (sum(with_tables), sum(without)) == (249, 345)
 
 
-def watch_orbit_filter(monkeypatch, pairs, brute):
-    """Run exact_embed on each (tree, host) with the orbit prune watched,
-    and return its counts: involutions built, those the filter built, filter
-    calls on a symmetric quotient that made none (skips), those of them
-    where a placed class shares a base colour with a candidate's, and
-    candidates dropped.
+def watch_involutions(monkeypatch, hosts):
+    """Build the involution table of each host's quotient with every
+    involution test watched, and return the tests made and the entries
+    kept.
 
-    Every involution verified must pass oracles.is_automorphism and fix
-    the placed classes.  With brute, on hosts small enough for
-    oracles.brute_stabiliser_orbits, the placed images fixed: each
-    candidate dropped shares an orbit with a vertex of a smaller free
-    class, and where the filter skips the test, the free candidates lie in
-    distinct orbits."""
-    real_filter, real_involution = _Backtracker._orbit_filter, TwinQuotient.involution
-    counts = {"involutions": 0, "tests": 0, "skips": 0, "fixed_skips": 0, "dropped": 0}
-    verified = []
+    Each entry must come from the one test of its cell that verified: its
+    involution must pass oracles.is_automorphism and be an involution, its
+    moved mask must hold exactly the members of the classes it moves, and
+    its drop mask exactly those of the classes it maps to a smaller class.
+    A cell of two or more classes is tested from its smallest class
+    exactly when no entry kept before it moves that class."""
+    real = TwinQuotient.involution
+    tests = []
 
-    def involution(q, a, b, fixed):
-        counts["involutions"] += 1
-        perm = real_involution(q, a, b, fixed)
-        if perm is not None:
-            assert perm[a] == b and oracles.is_automorphism(q, perm, fixed)
-            assert all(perm[perm[c]] == c for c in range(len(perm)))
-            verified.append(perm)
+    def involution(q, a, b):
+        perm = real(q, a, b)
+        tests.append((a, b, perm))
         return perm
 
-    def orbit_filter(solver, pos, images, chosen):
-        q = solver.quotient
-        # read first, so that its own tests are not counted as the filter's
-        symmetric = q.symmetric
-        before = counts["involutions"]
-        verified.clear()
-        out = real_filter(solver, pos, images, chosen)
-        tests = counts["involutions"] - before
-        counts["tests"] += tests
-        cls, base = q.class_of, q.partition[0]
-        placed = {images[v] for v in solver.order[:pos]}
-        fixed = {cls[w] for w in placed}
-        assert all(perm[c] == c for perm in verified for c in fixed)
-        dropped = [w for w in chosen if w not in out]
-        assert out == [w for w in chosen if w in out] and out[0] == chosen[0]
-        counts["dropped"] += len(dropped)
-        skipped = not tests and symmetric
-        if skipped:
-            counts["skips"] += 1
-            counts["fixed_skips"] += len({base[cls[w]] for w in chosen}) < len(chosen)
-        if brute and (dropped or skipped):
-            orbit = oracles.brute_stabiliser_orbits(host, placed)
-            for w in dropped:
-                assert any(cls[v] < cls[w] and cls[v] not in fixed for v in orbit[w])
-            if skipped:
-                free = [w for w in chosen if cls[w] not in fixed]
-                assert all(v not in orbit[w] for w in free for v in free if v != w)
-        return out
-
     monkeypatch.setattr(TwinQuotient, "involution", involution)
-    monkeypatch.setattr(_Backtracker, "_orbit_filter", orbit_filter)
-    for tree, host in pairs:
-        verdict = exact_embed(tree, host)
-        if verdict.kind is Verdict.EMBEDDED:
-            assert validate_embedding(tree, host, verdict.embedding)
-    return counts
+    made = kept = 0
+    for host in hosts:
+        q = host.twin_quotient
+        tests.clear()
+        table = q.involutions
+        verified = [perm for _, _, perm in tests if perm is not None]
+        assert len(verified) == len(table)
+        for (moves, drop), perm in zip(table, verified):
+            assert oracles.is_automorphism(q, perm)
+            assert all(perm[perm[c]] == c for c in range(len(perm)))
+            assert moves == graphs._bitmask(
+                [w for c, d in enumerate(perm) if d != c for w in q.members[c]])
+            assert drop == graphs._bitmask(
+                [w for c, d in enumerate(perm) if d < c for w in q.members[c]])
+        firsts, moved = [a for a, _, _ in tests], set()
+        for cell in q.partition[1]:
+            first = min(cell)
+            if len(cell) > 1:
+                assert (first in firsts) != (first in moved)
+            # the entries kept up to this cell
+            moved.update(c for a, _, perm in tests if a == first and perm is not None
+                         for c, d in enumerate(perm) if d != c)
+        made += len(tests)
+        kept += len(table)
+    return made, kept
 
 
 def grid_brooms():
@@ -998,77 +1097,51 @@ def grid_brooms():
     ]
 
 
-def symmetric_host_pairs():
-    # the orbit prune runs only where the colours leave a choice and the
-    # quotient has a symmetry, so trees up to the host's order
-    rng = random.Random(777)
-    hosts = [family(rng) for family in SYMMETRIC_HOSTS for _ in range(100)]
-    return [(random_tree(rng.randrange(1, h.n), rng), h) for h in hosts]
-
-
 class TestStabiliserOrbitsAgainstFirstVersion:
-    """The classes the orbit prune drops against brute-force orbits, on
-    every call the searches make (the name is the one these tests are
-    tracked by; the first version of stabiliser_orbits is gone)."""
+    """The involution table, which is what is left of the orbit prune,
+    against the hosts' structure and brute-force orbits (the name is the
+    one these tests are tracked by; the first version of stabiliser_orbits
+    is gone)."""
 
     def test_grid_searches(self, monkeypatch):
-        # too large for brute force: every involution is checked, and each
-        # of the 18 h and hprime searches merges the wings twice
-        counts = watch_orbit_filter(monkeypatch, grid_brooms(), brute=False)
-        assert counts["tests"] == 36 and counts["dropped"] == 54
+        # h keeps the wing swap, hprime the wing swap and one swap of two
+        # matched pairs, g nothing; the wing swap drops the second wing
+        # wherever no wing vertex is used, at the root and after the hub
+        assert wing_clique_host(ExtremalParams(5, 2, 60)).graph.twin_quotient.involutions == []
+        for build, entries in ((two_wing_host, 1), (matched_wing_host, 2)):
+            tagged = build(ExtremalParams(5, 2, 60))
+            table = tagged.graph.twin_quotient.involutions
+            wing1, wing2 = (graphs._bitmask(tagged.parts[a] + tagged.parts[b])
+                            for a, b in (("A1", "B1"), ("A2", "B2")))
+            assert len(table) == entries and (wing1 | wing2, wing2) in table
+        assert watch_involutions(monkeypatch, [h for _, h in grid_brooms()]) == (27, 27)
 
     def test_symmetric_hosts(self, monkeypatch):
-        counts = watch_orbit_filter(monkeypatch, symmetric_host_pairs(), brute=True)
-        assert counts["tests"] >= 120 and counts["dropped"] >= 100
+        # each class an entry drops shares an orbit with a smaller class
+        rng = random.Random(777)
+        hosts = [family(rng) for family in SYMMETRIC_HOSTS for _ in range(100)]
+        dropped = 0
+        for host in hosts:
+            q = host.twin_quotient
+            orbit = oracles.brute_stabiliser_orbits(host, set())
+            for _, drop in q.involutions:
+                for w in graphs._members(drop):
+                    assert any(q.class_of[v] < q.class_of[w] for v in orbit[w])
+                    dropped += 1
+        assert dropped >= 500
 
 
 class TestOrbitTestSkip:
-    """_orbit_filter returns without an involution test unless two free
-    candidate classes, holding no placed image, share a base colour.
-    Wherever it returns without one on a symmetric quotient, the free
-    candidates lie in distinct orbits."""
+    """The involution tests the table makes: one walk over the refined
+    cells per host, skipping the cells whose smallest class a kept entry
+    already moves, and none in a search."""
 
     def test_grid_brooms(self, monkeypatch):
-        counts = watch_orbit_filter(monkeypatch, grid_brooms(), brute=False)
-        assert counts["skips"] == 81 and counts["fixed_skips"] == 36
-
-    def test_symmetric_hosts(self, monkeypatch):
-        counts = watch_orbit_filter(monkeypatch, symmetric_host_pairs(), brute=True)
-        assert counts["skips"] >= 30 and counts["fixed_skips"] >= 3
-
-    def test_planted_pair_hosts(self, monkeypatch):
-        rng = random.Random(2323)
-        hosts = [planted_pairs_host(rng) for _ in range(1000)]
-        pairs = [(random_tree(rng.randrange(1, min(h.n, 11)), rng), h) for h in hosts]
-        counts = watch_orbit_filter(monkeypatch, pairs, brute=True)
-        assert counts["tests"] >= 600 and counts["skips"] >= 300 and counts["fixed_skips"] >= 8
-
-    def test_involution_tests_on_hard_cases(self, monkeypatch):
-        # counts, so that a lost cheap return shows here and not as a hang:
-        # a path's quotient is a path, whose reversal symmetric finds in one
-        # test and the filter uses in one more; a random cubic graph refines
-        # to one cell, and symmetric tests its smallest class against the
-        # 39 others in vain
-        calls = []
-        real = TwinQuotient.involution
-        monkeypatch.setattr(TwinQuotient, "involution",
-                            lambda *args: calls.append(args) or real(*args))
-        assert exact_embed(caterpillar(300), caterpillar(320).graph).kind is Verdict.EMBEDDED
-        assert len(calls) == 2
-        rng = random.Random(41)
-        host = random_cubic(40, rng)
-        assert len(host.twin_quotient.partition[1]) == 1
-        calls.clear()
-        verdict = exact_embed(random_tree(39, rng, max_degree=3), host)
-        assert verdict.kind is Verdict.EMBEDDED and verdict.nodes_explored > 1000
-        assert len(calls) == 39
-
-    def test_grid_counts_per_pass(self, monkeypatch):
-        # with the host tables built, a pass over the grid makes 36
-        # involution tests, two per h and hprime search, and no refinement
+        # once built, the table costs a search no test: a pass over the
+        # grid with the tables built makes none and refines nothing
         pairs = grid_brooms()
-        for tree, host in pairs:
-            exact_embed(tree, host)
+        assert watch_involutions(monkeypatch, [h for _, h in pairs]) == (27, 27)
+        monkeypatch.undo()
         counts = {"involution": 0, "refine": 0}
 
         def counting(name, real):
@@ -1081,7 +1154,50 @@ class TestOrbitTestSkip:
                             counting("involution", TwinQuotient.involution))
         monkeypatch.setattr(graphs, "_refine", counting("refine", graphs._refine))
         assert sum(exact_embed(tree, host).nodes_explored for tree, host in pairs) == 792
-        assert counts == {"involution": 36, "refine": 0}
+        assert counts == {"involution": 0, "refine": 0}
+
+    def test_symmetric_hosts(self, monkeypatch):
+        rng = random.Random(777)
+        hosts = [family(rng) for family in SYMMETRIC_HOSTS for _ in range(100)]
+        assert watch_involutions(monkeypatch, hosts) == (469, 294)
+
+    def test_planted_pair_hosts(self, monkeypatch):
+        rng = random.Random(2323)
+        hosts = [planted_pairs_host(rng) for _ in range(1000)]
+        # a pair swap verifies at the first test of each cell of ends
+        assert watch_involutions(monkeypatch, hosts) == (1492, 1492)
+
+    def test_involution_tests_on_hard_cases(self, monkeypatch):
+        # counts, so that a lost skip shows here and not as a slow test: a
+        # path's quotient is a path, whose reversal the first test finds,
+        # and every other cell's smallest class it moves (without the skip
+        # caterpillar(1600) kept 800 copies of it); a random cubic graph
+        # refines to one cell, and its smallest class is tested against the
+        # 1,999 others in vain
+        assert watch_involutions(monkeypatch, [caterpillar(1600).graph]) == (1, 1)
+        host = random_cubic(2000, random.Random(41))
+        assert len(host.twin_quotient.partition[1]) == 1
+        assert watch_involutions(monkeypatch, [host]) == (1999, 0)
+
+    def test_grid_counts_per_pass(self, monkeypatch):
+        # the tables switched off one at a time, as h, g and hprime totals:
+        # the wing swap merges the wings of h and hprime, and the pair
+        # family hprime's matched pairs, which it needs past ell = 3
+        pairs = grid_brooms()
+
+        def totals(budget=None):
+            counts = [exact_embed(t, h, budget).nodes_explored for t, h in pairs]
+            return [sum(counts[i : i + 9]) for i in (0, 9, 18)], counts[18:]
+
+        assert totals()[0] == [222, 321, 249]
+        with monkeypatch.context() as m:
+            m.setattr(TwinQuotient, "involutions", NO_INVOLUTIONS)
+            assert totals()[0] == [375, 321, 438]
+        with monkeypatch.context() as m:
+            m.setattr(TwinQuotient, "pair_families", NO_PAIRS)
+            sums, hprime = totals(Budget(max_nodes=3000))
+            assert sums[:2] == [222, 321]
+            assert hprime == [49, 225, 529, 2445, 3000, 3000, 3000, 3000, 3000]
 
 
 def small_random_host(rng):
@@ -1097,13 +1213,13 @@ quotient_hosts = st.builds(
 
 
 def automorphism_cases(host, rng):
-    """(quotient, permutation, fixed, expected or None) to check against
-    oracles.is_automorphism: true automorphisms, the images on the classes
+    """(quotient, permutation, expected or None, kind) to check against
+    oracles.is_automorphism, of these kinds: true automorphisms, the images on the classes
     of host automorphisms that oracles.brute_automorphism finds from the
-    smallest class of each cell to each other; each of them with one fixed
-    class, moved or kept; each of them against the quotient with one edge
-    more or less; the swaps of two classes of distinct colours; random
-    shuffles."""
+    smallest class of each cell to each other; each of them after a swap
+    of two classes of one colour; each of them against the quotient with
+    one edge more or less; the swaps of two classes of distinct colours;
+    random shuffles."""
     q = host.twin_quotient
     size = len(q.adj)
     found = [list(range(size))]
@@ -1114,25 +1230,29 @@ def automorphism_cases(host, rng):
             if perm is not None:
                 found.append([q.class_of[perm[m[0]]] for m in q.members])
     pairs = [(c, d) for c in range(size) for d in range(c + 1, size)]
+    alike = [(c, d) for c, d in pairs if q.colour_key[c] == q.colour_key[d]]
     for perm in found:
-        yield q, perm, (), True
-        c = rng.randrange(size)
-        yield q, perm, (c,), perm[c] == c
+        yield q, perm, True, "found"
+        if alike:
+            c, d = rng.choice(alike)
+            swapped = perm.copy()
+            swapped[c], swapped[d] = perm[d], perm[c]
+            yield q, swapped, None, "swap"
         if pairs:
             c, d = rng.choice(pairs)
             adj = [set(nbrs) for nbrs in q.adj]
             adj[c] ^= {d}
             adj[d] ^= {c}
-            yield TwinQuotient(q.class_of, q.clique, [sorted(x) for x in adj]), perm, (), None
+            yield TwinQuotient(q.class_of, q.clique, [sorted(x) for x in adj]), perm, None, "edge"
     for c, d in pairs:
         if q.colour_key[c] != q.colour_key[d]:
             swap = list(range(size))
             swap[c], swap[d] = d, c
-            yield q, swap, (), False
+            yield q, swap, False, "colours"
     for _ in range(3):
         shuffled = list(range(size))
         rng.shuffle(shuffled)
-        yield q, shuffled, (), None
+        yield q, shuffled, None, "shuffle"
 
 
 class TestOrbitPartsAgainstFirstVersion:
@@ -1148,26 +1268,22 @@ class TestOrbitPartsAgainstFirstVersion:
     @settings(max_examples=60, deadline=None)
     @given(quotient_hosts, st.randoms(use_true_random=False))
     def test_automorphism_checks(self, host, rng):
-        for quotient, perm, fixed, expected in automorphism_cases(host, rng):
-            want = oracles.is_automorphism(quotient, perm, fixed)
+        for quotient, perm, expected, _ in automorphism_cases(host, rng):
+            want = oracles.is_automorphism(quotient, perm)
             assert expected is None or want == expected
-            assert quotient._is_automorphism(perm, fixed) == want
+            assert quotient._is_automorphism(perm) == want
 
     def test_automorphism_cases_cover_both_answers(self):
         # the cases above are not vacuous: over the symmetric hosts the
-        # edge changes, fixed classes and shuffles each give both answers
+        # edge changes, swaps and shuffles each give both answers
         rng = random.Random(31)
         seen = set()
         for build in SYMMETRIC_HOSTS:
             for _ in range(10):
-                host = build(rng)
-                q = host.twin_quotient
-                for quotient, perm, fixed, expected in automorphism_cases(host, rng):
-                    got = quotient._is_automorphism(perm, fixed)
-                    kind = "edge" if quotient is not q else "fixed" if fixed else expected
-                    seen.add((kind, got))
-        assert {("edge", True), ("edge", False), ("fixed", True), ("fixed", False),
-                (True, True), (False, False), (None, False)} <= seen
+                for quotient, perm, _, kind in automorphism_cases(build(rng), rng):
+                    seen.add((kind, quotient._is_automorphism(perm)))
+        assert {("edge", True), ("edge", False), ("swap", True), ("swap", False),
+                ("found", True), ("colours", False), ("shuffle", False)} <= seen
 
     def test_colour_swap_keeping_every_edge(self):
         # 0 sees the closed twins 1, 2 and the vertex 3: swapping the twin
@@ -1175,8 +1291,8 @@ class TestOrbitPartsAgainstFirstVersion:
         q = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)]).twin_quotient
         assert q.adj == [[1, 2], [0], [0]]
         assert q.colour_key[1] != q.colour_key[2]
-        assert not q._is_automorphism([0, 2, 1], ())
-        assert q._is_automorphism([0, 1, 2], ())
+        assert not q._is_automorphism([0, 2, 1])
+        assert q._is_automorphism([0, 1, 2])
 
     @settings(max_examples=60, deadline=None)
     @given(quotient_hosts, st.randoms(use_true_random=False))

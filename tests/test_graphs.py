@@ -501,22 +501,42 @@ class TestTwinQuotient:
     def test_pair_swaps_are_one_orbit(self):
         # in hprime the swaps (B1[j] B1[j'])(B2[j] B2[j']), and those times
         # the wing swap, are involutions from B1[0] onto every B vertex, so
-        # the B vertices are one orbit once no vertex is fixed
+        # the B vertices are one orbit
         host = matched_wing_host(ExtremalParams(5, 2, 60)).graph
         q = host.twin_quotient
         b_classes = sorted({q.class_of[v] for v, tag in host.tags.items() if tag in ("B1", "B2")})
         assert len(b_classes) == 64
         for c in b_classes[1:]:
-            perm = q.involution(b_classes[0], c, ())
-            assert perm is not None and is_automorphism(q, perm, ())
+            perm = q.involution(b_classes[0], c)
+            assert perm is not None and is_automorphism(q, perm)
+
+    def test_wing_swap_found_on_any_labelling(self):
+        # the wing swap pairs each B vertex of one wing with its partner
+        # across the matching, which ids in random order do not give
+        params = ExtremalParams(7, 3, 168)
+        tagged = matched_wing_host(params)
+        rng = random.Random(2525)
+        for _ in range(5):
+            perm = list(range(tagged.graph.n))
+            rng.shuffle(perm)
+            g = build_graph(tagged.graph.n, [(perm[u], perm[v]) for u, v in tagged.graph.edges()])
+            q = g.twin_quotient
+            a1, a2 = (q.class_of[perm[tagged.parts[side][0]]] for side in ("A1", "A2"))
+            swap = q.involution(a1, a2)
+            assert swap is not None and is_automorphism(q, swap)
+            assert all(swap[q.class_of[perm[u]]] == q.class_of[perm[v]]
+                       for u, v in zip(tagged.parts["B1"], tagged.parts["B2"]))
 
     @staticmethod
     def families(g):
-        return sorted((list(_members(first)), d) for first, d in g.twin_quotient.pair_families)
+        masks, partner = g.twin_quotient.pair_families
+        return sorted(sorted(tuple(sorted((x, partner[x]))) for x in _members(xs))
+                      for xs, _ in masks)
 
     def test_pair_families_against_brute_force(self):
         # every swap of two pairs of a family is an automorphism, read on
-        # the edge set
+        # the edge set, and the x-ends of a family see one set of vertices
+        # besides their partners, the y-ends another
         rng = random.Random(23)
         hosts = [planted_pairs_host(rng) for _ in range(300)]
         hosts += [
@@ -528,25 +548,50 @@ class TestTwinQuotient:
         for g in hosts:
             families = self.families(g)
             assert families == brute_pair_families(g)
+            masks, partner = g.twin_quotient.pair_families
+            assert len(partner) == 2 * sum(map(len, families))
             edges = set(g.edges())
-            for firsts, d in families:
-                for i, a in enumerate(firsts):
-                    for b in firsts[i + 1 :]:
-                        assert pair_swap_keeps_edges(g, edges, a, b, d)
+            for xs, ys in masks:
+                assert ys == _bitmask(partner[x] for x in _members(xs))
+                for ends in (xs, ys):
+                    rests = {frozenset(g.adj[v]) - {partner[v]} for v in _members(ends)}
+                    assert len(rests) == 1
+                pairs = [(x, partner[x]) for x in _members(xs)]
+                for i, one in enumerate(pairs):
+                    for other in pairs[i + 1 :]:
+                        assert pair_swap_keeps_edges(g, edges, one, other)
             found += bool(families)
         assert found >= 100
-        # hprime's B1[j] B2[j] are one family at the offset of B2 from B1
+        # hprime's B1[j] B2[j] are one family
         host = matched_wing_host(ExtremalParams(5, 2, 60))
         b1, b2 = host.parts["B1"], host.parts["B2"]
-        assert self.families(host.graph) == [(list(b1), b2[0] - b1[0])]
+        assert self.families(host.graph) == [list(zip(b1, b2))]
 
-    def test_pair_families_split_by_offset(self):
+    def test_pair_families_on_hprime_minus_an_edge(self):
+        # without the edge A1[0] B1[0], A1[0] is a class of its own next to
+        # every other B1 vertex; each B2 vertex still has one singleton
+        # neighbour, and the pairs but B1[0]'s keep one rest on each side
+        tagged = matched_wing_host(ExtremalParams(7, 3, 168))
+        a1, b1, b2 = tagged.parts["A1"], tagged.parts["B1"], tagged.parts["B2"]
+        g = build_graph(tagged.graph.n, [e for e in tagged.graph.edges() if e != (a1[0], b1[0])])
+        families = self.families(g)
+        assert families == brute_pair_families(g) == [list(zip(b1[1:], b2[1:]))]
+        # relabelled, the family is the same up to the labels
+        rng = random.Random(7)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        moved = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        want = sorted(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in pairs)
+                      for pairs in families)
+        assert self.families(moved) == brute_pair_families(moved) == want
+
+    def test_pair_families_ignore_offsets(self):
         # a block 0 1 and three pairs on it: partners at offsets 3, 3 and 4,
         # with 7 a vertex seeing the block only
         pairs = [(2, 5), (3, 6), (4, 8)]
         edges = pairs + [(v, x) for v, _ in pairs for x in (0, 1)] + [(0, 7), (1, 7)]
         g = build_graph(9, edges)
-        assert self.families(g) == brute_pair_families(g) == [([2, 3], 3)]
+        assert self.families(g) == brute_pair_families(g) == [pairs]
 
     def test_pair_ends_seeing_the_same_blocks_are_twins(self):
         # each pair is a class of closed twins, so there is no singleton
@@ -559,15 +604,16 @@ class TestTwinQuotient:
 
     def test_end_with_a_second_singleton_neighbour_is_in_no_pair(self):
         # pairs 2-5, 3-6 and 4-7 on the blocks 0 1 and 8 9; 10 sees 4 and
-        # the block 8 9, so 4 has two singleton neighbours
+        # the block 8 9, so 4 is an end of the pairs 4-7 and 4-10, and of
+        # neither
         pairs = [(2, 5), (3, 6), (4, 7)]
         edges = pairs + [(v, x) for v, _ in pairs for x in (0, 1)]
         edges += [(u, x) for _, u in pairs for x in (8, 9)] + [(4, 10), (8, 10), (9, 10)]
         g = build_graph(11, edges)
-        assert self.families(g) == brute_pair_families(g) == [([2, 3], 3)]
+        assert self.families(g) == brute_pair_families(g) == [pairs[:2]]
 
     def test_symmetry_found_or_absent(self):
-        assert matched_wing_host(ExtremalParams(3, 1, 12)).graph.twin_quotient.symmetric
+        assert matched_wing_host(ExtremalParams(3, 1, 12)).graph.twin_quotient.involutions
         # the Frucht graph is cubic with no automorphism but the identity,
         # so colour refinement alone cannot split it and no test may verify
         lcf = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
@@ -575,14 +621,14 @@ class TestTwinQuotient:
         edges |= {tuple(sorted((i, (i + lcf[i]) % 12))) for i in range(12)}
         frucht = build_graph(12, sorted(edges))
         assert set(frucht.degrees) == {3}
-        assert not frucht.twin_quotient.symmetric
+        assert frucht.twin_quotient.involutions == []
 
     def test_orbits_are_sound_and_found(self):
-        # an involution between two free classes of one colour is verified
-        # only when they share an orbit of the automorphisms fixing the
-        # fixed vertices.  Pairing neighbours in id order finds half of
-        # the pairs that share one: a reflection of a circulant pairs them
-        # in another order, and it moves the common neighbours of the two
+        # an involution between two classes of one colour is verified only
+        # when they share an orbit.  Pairing neighbours in order finds 106 of
+        # the 155 pairs that share one: a reflection of a circulant that
+        # moves the common neighbours of the two classes is not found, as
+        # the map fixes them
         rng = random.Random(5)
         tested = found = 0
         for trial in range(60):
@@ -593,23 +639,21 @@ class TestTwinQuotient:
             else:
                 edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5}
             g = build_graph(n, sorted(edges))
-            fixed = set(rng.sample(range(n), rng.randrange(0, 2)))
             q = g.twin_quotient
-            truth = brute_stabiliser_orbits(g, fixed)
-            placed = sorted({q.class_of[v] for v in fixed})
-            free = [c for c in range(len(q.adj)) if c not in placed]
+            truth = brute_stabiliser_orbits(g, set())
             col = q.partition[0]
-            for i, c in enumerate(free):
-                for d in free[i + 1 :]:
+            for c in range(len(q.adj)):
+                for d in range(c + 1, len(q.adj)):
                     if col[c] != col[d]:
                         continue
-                    perm = q.involution(c, d, placed)
+                    perm = q.involution(c, d)
                     shared = q.members[d][0] in truth[q.members[c][0]]
                     if perm is not None:
-                        assert shared and is_automorphism(q, perm, placed)
+                        assert shared and is_automorphism(q, perm)
+                        assert perm[c] == d and all(perm[perm[x]] == x for x in perm)
                     tested += shared
                     found += perm is not None
-        assert tested == 79 and found == 40
+        assert (tested, found) == (155, 106)
 
     def test_classes_keyed_by_object_match_keyed_by_value(self):
         # generated hosts share one mask object per block; random hosts
