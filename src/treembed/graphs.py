@@ -562,6 +562,13 @@ class TwinQuotient:
         return masks, partner
 
     @cached_property
+    def class_partner(self) -> dict[int, int]:
+        """pair_families' partners as classes: the partner class of each
+        end's class, built once for every involution test."""
+        cls = self.class_of
+        return {cls[v]: cls[u] for v, u in self.pair_families[1].items()}
+
+    @cached_property
     def partition(self) -> tuple[list[int], list[set[int]]]:
         """The coarsest equitable refinement of the colours, as the colour
         of each class and the classes of each colour."""
@@ -611,8 +618,7 @@ class TwinQuotient:
         the other in the order (refined colour, id).  A class reached by no
         pair is fixed too.  Every pairing is made both ways, so the map is
         an involution."""
-        col, adj, cls = self.partition[0], self.adj, self.class_of
-        mate = {cls[v]: cls[u] for v, u in self.pair_families[1].items()}
+        col, adj, mate = self.partition[0], self.adj, self.class_partner
 
         def key(d: int) -> tuple[int, int]:
             return col[d], d

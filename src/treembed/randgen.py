@@ -21,6 +21,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _LOW45 = (1 << 45) - 1
 # the two 32-bit words of one random() draw, first word first
 _TWO_WORDS = struct.Struct("<II")
+# the fewest coins random_host draws in one _coins call, but an attempt's
+# last: 4096 draws are 32 KB of words
+_CHUNK = 4096
 
 
 def splitmix64(x: int) -> int:
@@ -159,9 +162,13 @@ def random_host(
     draw, do alpha above 1 and a bound no host on n vertices can meet.
 
     Each pair u < v but the planted ones takes the coin rng.random() < p in
-    lexicographic order; _coins decides a row's coins at once from the
-    same draws, so the hosts and the rng state after them are those of the
-    draw-by-draw loop.
+    lexicographic order.  An attempt draws its coins in chunks of whole
+    rows, row 0's opening the first: each chunk takes rows until it holds
+    _CHUNK coins or the rows run out, and one _coins call decides it.
+    getrandbits hands out the same words in the same order however the
+    draws are split, so the hosts and the rng state after them are those
+    of the draw-by-draw loop; a chunk holds at most _CHUNK + n coins, so
+    the words in flight stay a few tens of KB whatever n is.
     """
     a = as_fraction(alpha)
     if a > 1:
@@ -182,14 +189,26 @@ def random_host(
         # copies column u of the rows above for the vertices before u
         matrix = bytearray(b"0") * (n * n)
         rest = [v for v in range(1, n) if v not in hub]
-        for v, coin in zip(rest, _coins(rng, len(rest), cut, table)):
-            matrix[v] = coin
         for v in hub:
             matrix[v] = 49
-        for u in range(1, n):
-            row = u * n
-            matrix[row + u + 1 : row + n] = _coins(rng, n - 1 - u, cut, table)
-            matrix[row : row + u] = matrix[u:row:n]
+        # one _coins call per chunk of rows start..end - 1, row 0's coins
+        # (head of them) opening the first; each row's coins are a slice
+        start, head = 1, len(rest)
+        while start < n:
+            end, count = start, head
+            while end < n and count < _CHUNK:
+                count += n - 1 - end
+                end += 1
+            coins = _coins(rng, count, cut, table)
+            for v, coin in zip(rest[:head], coins):
+                matrix[v] = coin
+            at = head
+            for u in range(start, end):
+                row = u * n
+                matrix[row + u + 1 : row + n] = coins[at : at + n - 1 - u]
+                at += n - 1 - u
+                matrix[row : row + u] = matrix[u:row:n]
+            start, head = end, 0
         # reversed, row u is u's mask as a base-2 numeral, in row n - 1 - u
         matrix.reverse()
         masks = tuple(int(matrix[i : i + n], 2) for i in range(n * n - n, -1, -n))

@@ -966,6 +966,26 @@ class TestReductionsAgainstUnreducedSearch:
         hosts = [planted_pairs_host(rng) for _ in range(500)]
         assert self.differential(hosts, rng, edges=10) >= 60
 
+    @pytest.mark.parametrize("orbits", [True, False], ids=["orbits", "no-orbits"])
+    def test_pinned_pair_host(self, monkeypatch, orbits):
+        # the twins 0-1 see the x-ends 5-8, the twins 2-4 the y-ends 9-12,
+        # and the pairs 5-11, 6-10, 7-12 and 8-9 make one family.  The tree
+        # spans the host, so it needs every end: a cut that drops a family's
+        # lowest free end, or its free x-ends, or that counts a used end's
+        # partner as free, refutes it
+        if not orbits:
+            monkeypatch.setattr(TwinQuotient, "involutions", NO_INVOLUTIONS)
+        host = build_graph(13, [(v, x) for v in (0, 1) for x in range(5, 9)]
+                           + [(v, y) for v in (2, 3, 4) for y in range(9, 13)]
+                           + [(5, 11), (6, 10), (7, 12), (8, 9)])
+        tree = build_tree(13, [(0, 1), (0, 12), (2, 6), (3, 12), (4, 9), (4, 12), (5, 7),
+                               (5, 12), (6, 7), (8, 9), (9, 11), (10, 11)])
+        assert host.twin_quotient.pair_families == (
+            [(0b1111 << 5, 0b1111 << 9)], {5: 11, 11: 5, 6: 10, 10: 6, 7: 12, 12: 7, 8: 9, 9: 8})
+        on = exact_embed(tree, host)
+        assert on.kind is exact_embed(tree, host, symmetry=False).kind is Verdict.EMBEDDED
+        assert validate_embedding(tree, host, on.embedding)
+
     def test_perturbed_relabelled_grid_hosts(self):
         # the smallest grid hosts with three to nine vertices removed, one
         # or two vertex pairs' edges flipped and the ids shuffled, against

@@ -217,7 +217,9 @@ class TestDrawForDraw:
             lambda rng: per_draw_random_host(n, k, alpha, rng, attempts).adjacency_masks, seed
         )
 
-    def test_host_examples_reach_their_cases(self, monkeypatch):
+    @staticmethod
+    def record_coins(monkeypatch) -> list[tuple[int, int]]:
+        """The (count, cut) of each _coins call from here on."""
         calls = []
 
         def recording_coins(rng, count, cut, table):
@@ -226,15 +228,48 @@ class TestDrawForDraw:
 
         coins = randgen._coins
         monkeypatch.setattr(randgen, "_coins", recording_coins)
+        return calls
+
+    def test_host_examples_reach_their_cases(self, monkeypatch):
+        calls = self.record_coins(monkeypatch)
         capped = ceil(0.95 * 2**53)
+        # rows 1 to 59 draw 59 * 58 / 2 coins, fewer than _CHUNK: one chunk
+        rows = 59 * 58 // 2
         random_host(60, 40, Fraction(1, 2), random.Random(3), 1)
-        assert calls[0] == (19, capped)
+        # p at the cap, and row 0's 19 coins open the chunk
+        assert calls == [(19 + rows, capped)]
         calls.clear()
         random_host(60, 59, Fraction(1, 2), random.Random(4), 1)
         # the hub is every other vertex: row 0 draws nothing
-        assert calls[:2] == [(0, capped), (58, capped)]
+        assert calls == [(rows, capped)]
+        calls.clear()
         with pytest.raises(GraphError, match="attempts"):
             random_host(9, 4, Fraction(0), random.Random(6), attempts=1)
+        assert calls == [(8 * 7 // 2, ceil(0.5 * 2**53))]
+
+    def test_chunks_are_whole_rows(self, monkeypatch):
+        # every call but an attempt's last draws at least _CHUNK coins and
+        # stops at the first row boundary that reaches it
+        calls = self.record_coins(monkeypatch)
+        n, k = 1000, 300
+        random_host(n, k, Fraction(0), random.Random(5))
+        # the row u > 0 that completes each count of an attempt's coins,
+        # the first n - 1 - 2k of which are row 0's; drawn ends as all
+        drawn, done = n - 1 - 2 * k, {}
+        for u in range(1, n):
+            drawn += n - 1 - u
+            done[drawn] = u
+        total, attempts = 0, 0
+        for count, _ in calls:
+            total += count
+            if total == drawn:
+                total, attempts = 0, attempts + 1
+                continue
+            u = done.get(total)
+            assert u is not None and count >= randgen._CHUNK
+            assert count - (n - 1 - u) < randgen._CHUNK
+        assert total == 0 and attempts >= 1
+        assert len(calls) > 100 * attempts
 
     @settings(max_examples=300, deadline=None)
     @given(
