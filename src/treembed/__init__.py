@@ -8,7 +8,6 @@ from .decompose import (
     TwoWayPartition,
     centroid,
     find_separator,
-    max_component_orders,
     partition_three,
     partition_two,
     split_family_by_cap,

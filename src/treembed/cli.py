@@ -2,9 +2,11 @@
 
 Subcommands: gen, check, verify-example, sweep, stress.  Exit codes: 0 for
 embedded or confirmed, 1 for not-embedded or a counterexample, 2 for usage
-and parse errors, 3 for inconclusive (timeout, unknown, or out of memory),
-so CI scripts can assert outcomes directly.  `main(argv)` keeps them when
-called repeatedly in one process; it builds its parser on the first call.
+and parse errors, 3 for inconclusive (timeout, unknown, out of memory, or a
+stress refutation that its recheck could not confirm, when no trial is a
+confirmed counterexample), so CI scripts can assert outcomes directly.
+`main(argv)` keeps them when called repeatedly in one process; it builds
+its parser on the first call.
 
 Every command with fixed arguments and seed produces byte-identical
 primary output; wall-clock timings only appear where explicitly requested.
@@ -345,7 +347,7 @@ def run_stress(args: argparse.Namespace) -> int:
             f"exceeds the {n - 1} available neighbors"
         )
     out = open(args.out, "w") if args.out is not None else sys.stdout
-    counterexamples = 0
+    counterexamples = unconfirmed = 0
     try:
         for i in range(args.trials):
             seed = trial_seed(args.seed, i)
@@ -366,6 +368,7 @@ def run_stress(args: argparse.Namespace) -> int:
                         "symmetry reductions embeds the tree"
                     )
                 counterexample = recheck.kind is Verdict.NOT_EMBEDDED
+                unconfirmed += not counterexample
             counterexamples += counterexample
             stats = degree_stats(host)
             report = InstanceReport(
@@ -393,7 +396,8 @@ def run_stress(args: argparse.Namespace) -> int:
     finally:
         if out is not sys.stdout:
             out.close()
-    return 1 if counterexamples else 0
+    # a refutation the recheck could not confirm may still be a counterexample
+    return 1 if counterexamples else 3 if unconfirmed else 0
 
 
 def main(argv: Optional[list[str]] = None) -> int:

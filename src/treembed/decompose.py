@@ -77,23 +77,6 @@ def centroid(tree: TreeGraph) -> int:
         z = heavy
 
 
-def max_component_orders(tree: TreeGraph) -> tuple[int, ...]:
-    """For every vertex v, the largest component order of T - v.
-
-    No solver calls this; it is kept so the choice of centroid can be
-    checked against every vertex's value directly.
-    """
-    g = tree.graph
-    if g.n < 2:
-        raise GraphError("needs a tree with at least one edge")
-    size, parent = _subtree_sizes(g)
-    worst = [g.n - s for s in size]
-    for v, p in enumerate(parent):
-        if p >= 0:
-            worst[p] = max(worst[p], size[v])
-    return tuple(worst)
-
-
 def _subtree_sizes(g: SimpleGraph) -> tuple[list[int], list[int]]:
     """Each vertex's subtree order and parent, rooted at vertex 0."""
     order, parent, _ = bfs_layout(g, (0,))

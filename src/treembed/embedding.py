@@ -483,15 +483,11 @@ def _complete_holding(
     hold = hold.copy()
     lacking = []
     for s in short:
-        if hold[s]:
-            keep = hold[s] & free
-            got = _top_bits(nbrs[s] & free & ~taken, demand[s] - keep.bit_count())
-            # the vertices no longer free (hold[s] ^ keep) leave taken, got joins
-            taken ^= hold[s] ^ keep ^ got
-            hold[s] = keep | got
-        else:
-            hold[s] = got = _top_bits(nbrs[s] & free & ~taken, demand[s])
-            taken |= got
+        keep = hold[s] & free
+        got = _top_bits(nbrs[s] & free & ~taken, demand[s] - keep.bit_count())
+        # the vertices no longer free (hold[s] ^ keep) leave taken, got joins
+        taken ^= hold[s] ^ keep ^ got
+        hold[s] = keep | got
         if hold[s].bit_count() < demand[s]:
             lacking.append(s)
     # an augmenting path changes no count but its first group's, so a group

@@ -448,7 +448,8 @@ class TwinQuotient:
     The exact search reads three tables, each built on first read:
     twin_masks, pair_families and involutions.  The first two are the
     same on any numbering of the vertices; the last tests each refined
-    cell from its smallest class, so which involutions it keeps may vary.
+    cell once, its smallest class against its next smallest, so which
+    involutions it keeps may vary.
     """
 
     def __init__(self, class_of: list[int], clique: list[bool], adj: list[list[int]]):
@@ -586,23 +587,21 @@ class TwinQuotient:
         vertices: the members of the classes it moves, and of those it maps
         to a smaller class (moved, drop).  The refined cells are walked in
         colour order; a cell whose smallest class a kept involution already
-        moves is skipped, and otherwise its smallest class is tested against
-        each other member of the cell until one test verifies.  On a rigid
-        host every test fails, one per other member of each cell."""
+        moves is skipped, and otherwise its two smallest classes are tested,
+        once.  So a cell costs at most one test, and a rigid host one per
+        cell of two or more classes."""
         members, moved = self.members, set()
         out = []
         for cell in self.partition[1]:
             first, *rest = sorted(cell)
-            if first in moved:
+            if not rest or first in moved:
                 continue
-            for c in rest:
-                perm = self.involution(first, c)
-                if perm is not None:
-                    moves = [d for d, e in enumerate(perm) if d != e]
-                    moved.update(moves)
-                    out.append((_bitmask([w for d in moves for w in members[d]]),
-                                _bitmask([w for d in moves if perm[d] < d for w in members[d]])))
-                    break
+            perm = self.involution(first, rest[0])
+            if perm is not None:
+                moves = [d for d, e in enumerate(perm) if d != e]
+                moved.update(moves)
+                out.append((_bitmask([w for d in moves for w in members[d]]),
+                            _bitmask([w for d in moves if perm[d] < d for w in members[d]])))
         return out
 
     def involution(self, a: int, b: int) -> Optional[list[int]]:

@@ -411,6 +411,7 @@ class TestStress:
                   "--out", str(tmp_path / "s.jsonl")])
 
     def test_unconfirmed_refutation_is_no_counterexample(self, tmp_path, monkeypatch):
+        # but the run is inconclusive: the refutation may still be one
         def refute(tree, host, budget=None):
             return EmbedVerdict(Verdict.NOT_EMBEDDED, None)
 
@@ -420,9 +421,36 @@ class TestStress:
         monkeypatch.setattr(cli, "auto_embed", refute)
         monkeypatch.setattr(cli, "exact_embed", out_of_budget)
         out = tmp_path / "s.jsonl"
-        assert main(["stress", "--k", "6", "--n", "16", "--trials", "1",
-                     "--out", str(out)]) == 0
+        assert main(["stress", "--k", "6", "--n", "16", "--trials", "1", "--seed", "3",
+                     "--out", str(out)]) == 3
         assert json.loads(out.read_text())["counterexample"] is False
+
+    @pytest.mark.parametrize("rechecks, code", [
+        ([Verdict.NOT_EMBEDDED], 1),
+        ([Verdict.TIMEOUT, Verdict.NOT_EMBEDDED], 1),
+        ([Verdict.NOT_EMBEDDED, Verdict.UNKNOWN], 1),
+        ([Verdict.TIMEOUT, Verdict.UNKNOWN], 3),
+    ])
+    def test_confirmed_counterexample_outranks_unconfirmed(
+            self, tmp_path, monkeypatch, rechecks, code):
+        # one trial per recheck verdict, each refuted by auto_embed
+        answers = iter(rechecks)
+
+        def refute(tree, host, budget=None):
+            return EmbedVerdict(Verdict.NOT_EMBEDDED, None)
+
+        def recheck(tree, host, budget=None, symmetry=True):
+            assert symmetry is False
+            return EmbedVerdict(next(answers), None)
+
+        monkeypatch.setattr(cli, "auto_embed", refute)
+        monkeypatch.setattr(cli, "exact_embed", recheck)
+        out = tmp_path / "s.jsonl"
+        assert main(["stress", "--k", "6", "--n", "16", "--trials", str(len(rechecks)),
+                     "--seed", "3", "--out", str(out)]) == code
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [row["counterexample"] for row in rows] == [
+            kind is Verdict.NOT_EMBEDDED for kind in rechecks]
 
     def test_negative_trials_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "s.jsonl"

@@ -1068,8 +1068,9 @@ def watch_involutions(monkeypatch, hosts):
     involution must pass oracles.is_automorphism and be an involution, its
     moved mask must hold exactly the members of the classes it moves, and
     its drop mask exactly those of the classes it maps to a smaller class.
-    A cell of two or more classes is tested from its smallest class
-    exactly when no entry kept before it moves that class."""
+    A cell of two or more classes is tested once, its smallest class
+    against its next smallest, exactly when no entry kept before it moves
+    that class; no other test is made."""
     real = TwinQuotient.involution
     tests = []
 
@@ -1093,14 +1094,18 @@ def watch_involutions(monkeypatch, hosts):
                 [w for c, d in enumerate(perm) if d != c for w in q.members[c]])
             assert drop == graphs._bitmask(
                 [w for c, d in enumerate(perm) if d < c for w in q.members[c]])
-        firsts, moved = [a for a, _, _ in tests], set()
+        against, moved, cells = {a: b for a, b, _ in tests}, set(), 0
         for cell in q.partition[1]:
-            first = min(cell)
-            if len(cell) > 1:
-                assert (first in firsts) != (first in moved)
+            first, *rest = sorted(cell)
+            if rest and first not in moved:
+                assert against.get(first) == rest[0]
+                cells += 1
+            else:
+                assert first not in against
             # the entries kept up to this cell
             moved.update(c for a, _, perm in tests if a == first and perm is not None
                          for c, d in enumerate(perm) if d != c)
+        assert len(tests) == cells
         made += len(tests)
         kept += len(table)
     return made, kept
@@ -1153,8 +1158,9 @@ class TestStabiliserOrbitsAgainstFirstVersion:
 
 class TestOrbitTestSkip:
     """The involution tests the table makes: one walk over the refined
-    cells per host, skipping the cells whose smallest class a kept entry
-    already moves, and none in a search."""
+    cells per host, one test per cell of two or more classes, skipping the
+    cells whose smallest class a kept entry already moves, and none in a
+    search."""
 
     def test_grid_brooms(self, monkeypatch):
         # once built, the table costs a search no test: a pass over the
@@ -1179,7 +1185,11 @@ class TestOrbitTestSkip:
     def test_symmetric_hosts(self, monkeypatch):
         rng = random.Random(777)
         hosts = [family(rng) for family in SYMMETRIC_HOSTS for _ in range(100)]
-        assert watch_involutions(monkeypatch, hosts) == (469, 294)
+        # testing each cell's smallest class against every other class of
+        # the cell until one verified made 469 tests and kept 294 entries;
+        # the searches of test_orbits_cut_the_search_on_symmetric_hosts
+        # kept their 249 nodes either way
+        assert watch_involutions(monkeypatch, hosts) == (311, 261)
 
     def test_planted_pair_hosts(self, monkeypatch):
         rng = random.Random(2323)
@@ -1192,12 +1202,14 @@ class TestOrbitTestSkip:
         # path's quotient is a path, whose reversal the first test finds,
         # and every other cell's smallest class it moves (without the skip
         # caterpillar(1600) kept 800 copies of it); a random cubic graph
-        # refines to one cell, and its smallest class is tested against the
-        # 1,999 others in vain
+        # refines to one cell, tested once in vain (testing its smallest
+        # class against every other made 1,999 tests at 2,000 vertices and
+        # 5,999 at 6,000)
         assert watch_involutions(monkeypatch, [caterpillar(1600).graph]) == (1, 1)
-        host = random_cubic(2000, random.Random(41))
-        assert len(host.twin_quotient.partition[1]) == 1
-        assert watch_involutions(monkeypatch, [host]) == (1999, 0)
+        for n in (2000, 6000):
+            host = random_cubic(n, random.Random(41))
+            assert len(host.twin_quotient.partition[1]) == 1
+            assert watch_involutions(monkeypatch, [host]) == (1, 0)
 
     def test_grid_counts_per_pass(self, monkeypatch):
         # the tables switched off one at a time, as h, g and hprime totals:
