@@ -3,8 +3,9 @@
 Subcommands: gen, check, verify-example, sweep, stress.  Exit codes: 0 for
 embedded or confirmed, 1 for not-embedded or a counterexample, 2 for usage
 and parse errors, 3 for inconclusive (timeout, unknown, out of memory, or a
-stress refutation that its recheck could not confirm, when no trial is a
-confirmed counterexample), so CI scripts can assert outcomes directly.
+stress trial that answered timeout or unknown or whose refutation its
+recheck could not confirm, when no trial is a confirmed counterexample), so
+CI scripts can assert outcomes directly.
 `main(argv)` keeps them when called repeatedly in one process; it builds
 its parser on the first call.
 
@@ -347,7 +348,7 @@ def run_stress(args: argparse.Namespace) -> int:
             f"exceeds the {n - 1} available neighbors"
         )
     out = open(args.out, "w") if args.out is not None else sys.stdout
-    counterexamples = unconfirmed = 0
+    counterexamples = inconclusive = 0
     try:
         for i in range(args.trials):
             seed = trial_seed(args.seed, i)
@@ -368,8 +369,9 @@ def run_stress(args: argparse.Namespace) -> int:
                         "symmetry reductions embeds the tree"
                     )
                 counterexample = recheck.kind is Verdict.NOT_EMBEDDED
-                unconfirmed += not counterexample
             counterexamples += counterexample
+            # a timeout, an unknown, or a refutation the recheck left open
+            inconclusive += verdict.kind is not Verdict.EMBEDDED and not counterexample
             stats = degree_stats(host)
             report = InstanceReport(
                 instance_id=f"stress-{args.seed}-{i:04d}",
@@ -396,8 +398,9 @@ def run_stress(args: argparse.Namespace) -> int:
     finally:
         if out is not sys.stdout:
             out.close()
-    # a refutation the recheck could not confirm may still be a counterexample
-    return 1 if counterexamples else 3 if unconfirmed else 0
+    # an inconclusive trial, such as a refutation the recheck could not
+    # confirm, may still hide a counterexample
+    return 1 if counterexamples else 3 if inconclusive else 0
 
 
 def main(argv: Optional[list[str]] = None) -> int:

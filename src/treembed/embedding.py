@@ -153,11 +153,22 @@ class _Backtracker:
       predecessor's image's.
     * Twin classes.  Each node tries only the smallest candidate of each
       class of graphs.TwinQuotient (_one_per_class).
-    * Involutions.  Each entry (moved, drop) of TwinQuotient.involutions
-      is a verified involution of the host quotient, as the members of
-      the classes it moves and of those it maps to a smaller class.  At a
-      node where no used vertex is moved, the drop mask leaves the
-      candidates.
+    * Involutions.  Each entry (moved, drop, swap) of
+      TwinQuotient.involutions is a verified involution of the host
+      quotient: the members of the classes it moves, the members of those
+      it maps to a smaller class, and the image of each class it moves.
+      An entry applies at u's node when it moves no used vertex but the
+      images of earlier siblings in u's chain.  With none of those moved,
+      the drop mask leaves the candidates.  Otherwise a candidate in the
+      drop mask goes when, counting it with the earlier siblings, the
+      first swapped class pair (c, swap[c]) with c < swap[c], in order of
+      c, whose counts differ has more siblings in swap[c]: that is, when
+      swap maps the sorted classes onto smaller ones (_swap_lowers).  A
+      chain sibling with a later sibling keeps, on place, its chain's
+      classes so far, its predecessor's and its own, so a node reads the
+      classes of its earlier siblings at once and only those, and
+      backtracking undoes nothing.  The earlier siblings are used, so they
+      are all the moved used vertices when as many of them are moved.
     * Matched pairs.  TwinQuotient.pair_families gives each family as a
       mask of x-ends and one of y-ends, and each end its partner.  A pair
       is free when neither end is used; blocked, the partners of used
@@ -178,9 +189,9 @@ class _Backtracker:
     sigma that fixes every used vertex and maps L(u) lower gives sigma o
     L, equal to L before u and smaller at u; so L(u) is none of these:
     - a class member above a smaller free one, by a twin swap;
-    - a member of a dropped class: the involution lifts to an
-      automorphism mapping each class onto its image, a smaller class for
-      a dropped one, and it fixes the used vertices, none of them moved;
+    - a member of a dropped class, when no used vertex is moved: the
+      involution lifts to an automorphism mapping each class onto its
+      image in id order, a smaller class for a dropped one;
     - an end above the lowest free end of its side of a family: its pair
       and the pair of that end swap, x-end for x-end and y-end for y-end.
       This is an automorphism because the x-ends of a family share one
@@ -190,6 +201,24 @@ class _Backtracker:
       x-end or its partner.  So each moved end sees its partner's image
       and its own rest.  Both pairs are free, so it fixes the used
       vertices, and ends are singleton classes, so the end moves lower.
+    When an involution sigma moves earlier siblings of u's chain and no
+    other used vertex, let K be the classes of the images of those
+    siblings and of u, counted with multiplicity.  BFS places all of the
+    children of u's parent before any deeper vertex, so every vertex
+    placed since the chain's first sibling is a child of that parent too,
+    and fixed by sigma unless it is in the chain.  The used members of a
+    moved class are then chain siblings, and a twin swap makes them its
+    lowest members, which sigma maps onto the lowest members of the image
+    class.  So sigma(K) is smaller than K, sorted by (class, id), exactly
+    when at the first unequal swapped pair (c, sigma(c)) sigma(c) holds
+    more: c is then the first class whose count sigma changes, and it
+    gains.  Apply sigma to L, then swap the chain's subtrees into
+    ascending (class, id) order.  Before u only the chain's positions
+    change; in L they hold K sorted, the chain being ascending, and now
+    the smallest images under sigma of the whole chain's, each no larger
+    than the same position of sigma(K) sorted.  So the result is smaller
+    than L by u, and L(u) is not cut.  With no earlier sibling moved, K
+    differs from sigma(K) only at u's class, which is the drop mask rule.
     Held leaves do not count as used: their images come after the
     internal vertices in the order, so moving them cannot make sigma o L
     larger.  The capacity and Hall prunes hold for every extendable
@@ -208,34 +237,34 @@ class _Backtracker:
         n_t = tree.n
 
         layout = bfs_layout(tree, (root,))
-        self.parent = layout.parent
+        self.parent = parent = layout.parent
         self.children: list[list[int]] = [[] for _ in range(n_t)]
-        for v in layout.order:
-            if self.parent[v] >= 0:
-                self.children[self.parent[v]].append(v)
+        # the order starts at the root and reaches every other vertex
+        for v in layout.order[1:]:
+            self.children[parent[v]].append(v)
         self.child_count = [len(c) for c in self.children]
         self.tree_deg = tree.degrees
 
-        leaf = [
-            symmetry and self.parent[v] >= 0 and not self.children[v] for v in range(n_t)
-        ]
+        leaf = [not c for c in self.children] if symmetry else [False] * n_t
+        leaf[root] = False
         self.order = [v for v in layout.order if not leaf[v]]
-        # children of the parent still unplaced once this vertex is placed
+        # children of the parent still unplaced once this vertex is placed,
+        # and the leaf groups, the leaves of one parent each, numbered in
+        # the search order of their parents
         self.sib_rest = [0] * n_t
-        for u in self.order:
-            left = self.child_count[u]
-            for c in self.children[u]:
-                if not leaf[c]:
-                    left -= 1
-                    self.sib_rest[c] = left
-        # leaf groups, the leaves of one parent each, numbered in the
-        # search order of their parents
         self.group_leaves: list[list[int]] = []
         self.group_start = [0] * n_t
         self.group_end = [0] * n_t
         for u in self.order:
+            left = self.child_count[u]
+            leaves = []
+            for c in self.children[u]:
+                if leaf[c]:
+                    leaves.append(c)
+                else:
+                    left -= 1
+                    self.sib_rest[c] = left
             self.group_start[u] = len(self.group_leaves)
-            leaves = [c for c in self.children[u] if leaf[c]]
             if leaves:
                 self.group_leaves.append(leaves)
             self.group_end[u] = len(self.group_leaves)
@@ -257,25 +286,26 @@ class _Backtracker:
             self.cap_mask = _bitmask(w for w in range(host.n) if host_comp[w] >= n_t)
 
         self.chain_prev: list[Optional[int]] = [None] * n_t
+        # the chain siblings with a later sibling, whose classes are kept
+        self.chained = [False] * n_t
         if symmetry:
-            self._build_chains(layout.order, leaf)
             q = host.twin_quotient
             self.class_of, self.twin_masks = q.class_of, q.twin_masks
             self.involutions = q.involutions
             self.pair_families, self.partner = q.pair_families
+            self._build_chains(leaf)
         else:
             # the plain search keeps every candidate, as if each were a class
-            self.twin_masks, self.involutions, self.pair_families = [], [], []
+            self.class_of, self.twin_masks, self.involutions, self.pair_families = [], [], [], []
             self.partner = {}
 
-    def _build_chains(self, full_order: list[int], leaf: list[bool]) -> None:
+    def _build_chains(self, leaf: list[bool]) -> None:
         n_t = self.tree.n
-        # a childless vertex keeps code 0, the code of the empty key: the
-        # first vertex in reversed BFS order is childless, so keying every
-        # vertex gives the same codes
+        # a childless vertex keeps code 0, the code of the empty key, so the
+        # leaves, left out of the search order, need no key
         codes = [0] * n_t
         table: dict[tuple[int, ...], int] = {(): 0}
-        for v in reversed(full_order):
+        for v in reversed(self.order):
             if self.children[v]:
                 key = tuple(sorted(codes[c] for c in self.children[v]))
                 codes[v] = table.setdefault(key, len(table))
@@ -285,7 +315,9 @@ class _Backtracker:
                 if leaf[c]:
                     continue
                 if codes[c] in last:
-                    self.chain_prev[c] = last[codes[c]]
+                    prev = self.chain_prev[c] = last[codes[c]]
+                    # the classes of a chain serve the involutions only
+                    self.chained[prev] = bool(self.involutions)
                 last[codes[c]] = c
 
     def _hall(self, u: int, w: int, used: int, hold: list[int], taken: int) -> Optional[tuple]:
@@ -326,7 +358,8 @@ class _Backtracker:
         deg_mask = self.deg_mask
         cap_mask = self.cap_mask
         tree_deg = self.tree_deg
-        chain_prev = self.chain_prev
+        chain_prev, chained = self.chain_prev, self.chained
+        class_of = self.class_of
         child_count = self.child_count
         sib_rest = self.sib_rest
         twin_masks = self.twin_masks
@@ -334,7 +367,6 @@ class _Backtracker:
         pair_families, partner = self.pair_families, self.partner
         rank = self.rank
         group_start, group_end = self.group_start, self.group_end
-        has_groups = [a != b for a, b in zip(group_start, group_end)]
         n_s = len(order)
         images = [-1] * self.tree.n
         # the choice point of each depth: candidates in rank order and the
@@ -344,6 +376,10 @@ class _Backtracker:
         hold, taken = [0] * len(self.demand), 0
         # used vertices, and the partners of used pair ends
         used = blocked = 0
+        # the classes of the images of a chain's siblings up to each one
+        # with a later sibling, in chain order, kept on place and read only
+        # below it; a chain's first sibling extends the entry of None
+        sib_classes: dict[Optional[int], tuple[int, ...]] = {None: ()}
         nodes = 0
         pos = 0
         descend = True
@@ -356,7 +392,7 @@ class _Backtracker:
             pmask = masks[images[p]] if p >= 0 else 0
             if descend:
                 cand = (pmask if p >= 0 else cap_mask) & ~used & deg_mask[tree_deg[u]]
-                for moved, drop in involutions:
+                for moved, drop, _ in involutions:
                     if not used & moved:
                         cand &= ~drop
                 gone = used | blocked
@@ -368,17 +404,27 @@ class _Backtracker:
                 chosen = _one_per_class(cand, twin_masks)
                 cp = chain_prev[u]
                 if cp is not None:
-                    least = self.class_of[images[cp]]
-                    chosen = [w for w in chosen if self.class_of[w] >= least]
+                    least = class_of[images[cp]]
+                    chosen = [w for w in chosen if class_of[w] >= least]
+                    # the involutions that move earlier siblings of u's
+                    # chain and no other used vertex
+                    for moved, drop, swap in involutions:
+                        hit = used & moved
+                        if hit and cand & drop:
+                            classes = sib_classes[cp]
+                            if hit.bit_count() == sum(map(swap.__contains__, classes)):
+                                chosen = [w for w in chosen if not (
+                                    drop >> w & 1 and _swap_lowers(classes, swap, class_of[w]))]
                 if len(chosen) > 1:
                     chosen.sort(key=rank.__getitem__)
                 i = 0
             else:
                 chosen = frame_chosen[pos]
                 i = frame_next[pos]
-                used ^= 1 << images[u]
-                if images[u] in partner:
-                    blocked ^= 1 << partner[images[u]]
+                w = images[u]
+                used ^= 1 << w
+                if w in partner:
+                    blocked ^= 1 << partner[w]
                 images[u] = -1
                 # the deeper groups hold nothing by now; with u's cleared,
                 # the holding is complete again for the groups before u's
@@ -387,6 +433,7 @@ class _Backtracker:
                     hold[g] = 0
             pend = child_count[u]
             rest = sib_rest[u]
+            grouped = group_start[u] != group_end[u]
             descend = False
             while i < len(chosen):
                 if nodes >= limit:
@@ -402,7 +449,7 @@ class _Backtracker:
                     continue
                 if rest and (pmask & ~nxt).bit_count() < rest:
                     continue
-                if has_groups[u] or taken >> w & 1:
+                if grouped or taken >> w & 1:
                     after = self._hall(u, w, nxt, hold, taken)
                     if after is None:
                         continue
@@ -411,6 +458,8 @@ class _Backtracker:
                 used = nxt
                 if w in partner:
                     blocked ^= 1 << partner[w]
+                if chained[u]:
+                    sib_classes[u] = sib_classes[chain_prev[u]] + (class_of[w],)
                 frame_chosen[pos] = chosen
                 frame_next[pos] = i
                 pos += 1
@@ -420,6 +469,14 @@ class _Backtracker:
                 if pos == 0:
                     return ("exhausted", None, nodes)
                 pos -= 1
+
+
+def _swap_lowers(classes: tuple[int, ...], swap: Mapping[int, int], d: int) -> bool:
+    """Whether the class involution swap (each moved class: its image) maps
+    the classes of a chain's placed siblings and one more of class d onto a
+    lexicographically smaller multiset, both sorted."""
+    both = (*classes, d)
+    return sorted(map(swap.get, both, both)) < sorted(both)
 
 
 def _one_per_class(cand: int, twin_masks: Sequence[int]) -> list[int]:

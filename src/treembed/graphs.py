@@ -374,17 +374,15 @@ def bfs_layout(
         if depth[r] != -1:
             continue
         depth[r] = 0
-        head = len(order)
-        order.append(r)
-        while head < len(order):
-            u = order[head]
-            head += 1
+        queue = [r]
+        for u in queue:  # grows while it runs
             d = depth[u] + 1
             for w in adj[u]:
                 if depth[w] == -1:
                     depth[w] = d
                     parent[w] = u
-                    order.append(w)
+                    queue.append(w)
+        order += queue
     for b in blocked:
         depth[b] = -1
     return BfsLayout(order, parent, depth)
@@ -582,14 +580,15 @@ class TwinQuotient:
         return col, cells
 
     @cached_property
-    def involutions(self) -> list[tuple[int, int]]:
+    def involutions(self) -> list[tuple[int, int, dict[int, int]]]:
         """Verified involutions of the quotient, each as two masks of host
-        vertices: the members of the classes it moves, and of those it maps
-        to a smaller class (moved, drop).  The refined cells are walked in
-        colour order; a cell whose smallest class a kept involution already
-        moves is skipped, and otherwise its two smallest classes are tested,
-        once.  So a cell costs at most one test, and a rigid host one per
-        cell of two or more classes."""
+        vertices and its swapped class pairs: the members of the classes it
+        moves, the members of those it maps to a smaller class, and the
+        image of each class it moves (moved, drop, swap).  The refined
+        cells are walked in colour order; a cell whose smallest class a
+        kept involution already moves is skipped, and otherwise its two
+        smallest classes are tested, once.  So a cell costs at most one
+        test, and a rigid host one per cell of two or more classes."""
         members, moved = self.members, set()
         out = []
         for cell in self.partition[1]:
@@ -598,10 +597,11 @@ class TwinQuotient:
                 continue
             perm = self.involution(first, rest[0])
             if perm is not None:
-                moves = [d for d, e in enumerate(perm) if d != e]
-                moved.update(moves)
-                out.append((_bitmask([w for d in moves for w in members[d]]),
-                            _bitmask([w for d in moves if perm[d] < d for w in members[d]])))
+                swap = {d: e for d, e in enumerate(perm) if d != e}
+                moved.update(swap)
+                out.append((_bitmask([w for d in swap for w in members[d]]),
+                            _bitmask([w for d, e in swap.items() if e < d for w in members[d]]),
+                            swap))
         return out
 
     def involution(self, a: int, b: int) -> Optional[list[int]]:

@@ -425,6 +425,46 @@ class TestStress:
                      "--out", str(out)]) == 3
         assert json.loads(out.read_text())["counterexample"] is False
 
+    @pytest.mark.parametrize("kind", [Verdict.TIMEOUT, Verdict.UNKNOWN])
+    def test_undecided_trial_is_inconclusive(self, tmp_path, monkeypatch, kind):
+        # a trial the budget or the solver left open may hide a
+        # counterexample: exit 3, with the row written as for any trial
+        def undecided(tree, host, budget=None):
+            return EmbedVerdict(kind, None)
+
+        monkeypatch.setattr(cli, "auto_embed", undecided)
+        out = tmp_path / "s.jsonl"
+        assert main(["stress", "--k", "6", "--n", "16", "--trials", "1", "--seed", "3",
+                     "--out", str(out)]) == 3
+        row = json.loads(out.read_text())
+        assert (row["verdict"], row["counterexample"], row["witness"]) == (kind.value, False, None)
+
+    @pytest.mark.parametrize("answers, code", [
+        ([Verdict.EMBEDDED, Verdict.TIMEOUT], 3),
+        ([Verdict.TIMEOUT, Verdict.NOT_EMBEDDED], 1),
+    ])
+    def test_counterexample_outranks_undecided_trial(self, tmp_path, monkeypatch, answers, code):
+        # a witness does not close another trial left open; a confirmed
+        # refutation outranks an open trial before it
+        host_answers, real = iter(answers), cli.auto_embed
+
+        def answer(tree, host, budget=None):
+            kind = next(host_answers)
+            if kind is Verdict.EMBEDDED:
+                return real(tree, host, budget)
+            return EmbedVerdict(kind, None)
+
+        def recheck(tree, host, budget=None, symmetry=True):
+            return EmbedVerdict(Verdict.NOT_EMBEDDED, None)
+
+        monkeypatch.setattr(cli, "auto_embed", answer)
+        monkeypatch.setattr(cli, "exact_embed", recheck)
+        out = tmp_path / "s.jsonl"
+        assert main(["stress", "--k", "6", "--n", "16", "--trials", "2", "--seed", "3",
+                     "--out", str(out)]) == code
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [row["verdict"] for row in rows] == [kind.value for kind in answers]
+
     @pytest.mark.parametrize("rechecks, code", [
         ([Verdict.NOT_EMBEDDED], 1),
         ([Verdict.TIMEOUT, Verdict.NOT_EMBEDDED], 1),

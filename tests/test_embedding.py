@@ -22,7 +22,9 @@ from treembed.embedding import (
     strategy_embed,
     validate_embedding,
 )
-from treembed.embedding import _Backtracker, _complete_holding, _one_per_class, _top_bits
+from treembed.embedding import (
+    _Backtracker, _complete_holding, _one_per_class, _swap_lowers, _top_bits,
+)
 from treembed.families import (
     ExtremalParams,
     broom_tree,
@@ -33,7 +35,7 @@ from treembed.families import (
     two_wing_host,
     wing_clique_host,
 )
-from treembed import graphs
+from treembed import embedding, graphs
 from treembed.graphs import TwinQuotient, build_graph, build_tree
 from treembed.randgen import random_tree
 
@@ -165,9 +167,9 @@ class TestValidateEmbedding:
 # ell, the same for c = 1, 2 and 3
 LADDER_ELLS = (9, 11, 15, 21, 31, 41)
 LADDER_NODES = {
-    two_wing_host: (50, 66, 104, 176, 336, 546),
+    two_wing_host: (40, 51, 76, 121, 216, 336),
     wing_clique_host: (67, 86, 130, 211, 386, 611),
-    matched_wing_host: (55, 72, 112, 187, 352, 567),
+    matched_wing_host: (45, 57, 84, 132, 232, 357),
 }
 
 
@@ -176,9 +178,9 @@ LADDER_NODES = {
 # c = 3 with one edge removed (three draws from random.Random(7) per host)
 RELABELLED_LADDER_ELLS = (9, 13, 17, 21)
 RELABELLED_LADDER_NODES = {
-    two_wing_host: (49, 83, 125, 175),
+    two_wing_host: (39, 62, 89, 120),
     wing_clique_host: (65, 105, 153, 209),
-    matched_wing_host: (54, 90, 153, 186),
+    matched_wing_host: (44, 69, 117, 131),
 }
 NEAR_EXTREMAL_NODES = {
     two_wing_host: {7: [110, 110, 110], 11: [192, 192, 192], 15: [290, 290, 290]},
@@ -330,15 +332,15 @@ class TestExactEmbed:
         [
             # nodes place the handle and the ell star centers only; the
             # leaves go by matching
-            (two_wing_host, 3, 1, 14),
-            (two_wing_host, 7, 3, 36),
+            (two_wing_host, 3, 1, 13),
+            (two_wing_host, 7, 3, 30),
             (wing_clique_host, 3, 1, 22),
             (wing_clique_host, 3, 2, 22),
             # the matched pairs B1[j] B2[j] are one orbit, which no twin
             # relation sees
-            (matched_wing_host, 3, 1, 16),
-            (matched_wing_host, 5, 2, 27),
-            (matched_wing_host, 7, 3, 40),
+            (matched_wing_host, 3, 1, 15),
+            (matched_wing_host, 5, 2, 24),
+            (matched_wing_host, 7, 3, 34),
         ],
     )
     def test_pinned_broom_proofs(self, build, ell, c, nodes):
@@ -359,7 +361,7 @@ class TestExactEmbed:
     def test_relabelled_grid_proofs(self):
         # every reduction reads a table that does not depend on the labels,
         # and chains are ordered by class, so relabelled hosts take about
-        # the nodes of the grid in order (222, 321 and 249): h and g take
+        # the nodes of the grid in order (192, 321 and 219): h and g take
         # fewer, as their classes come in another order
         rng = random.Random(2525)
         totals = dict.fromkeys(("h", "g", "hprime"), 0)
@@ -368,7 +370,7 @@ class TestExactEmbed:
             verdict = exact_embed(tree, host, Budget(max_nodes=20_000))
             assert verdict.kind is Verdict.NOT_EMBEDDED
             totals[family] += verdict.nodes_explored
-        assert totals == {"h": 214, "g": 303, "hprime": 278}
+        assert totals == {"h": 184, "g": 303, "hprime": 248}
 
     @pytest.mark.parametrize("ell", (7, 11))
     @pytest.mark.parametrize("build", list(NEAR_EXTREMAL_NODES), ids=lambda b: b.__name__)
@@ -402,10 +404,22 @@ class TestExactEmbed:
         assert verdict.nodes_explored == RELABELLED_LADDER_NODES[build][
             RELABELLED_LADDER_ELLS.index(ell)]
 
+    @pytest.mark.stretch
+    @pytest.mark.parametrize("build, nodes", [(two_wing_host, 1581), (matched_wing_host, 1632)],
+                             ids=lambda x: getattr(x, "__name__", str(x)))
+    def test_broom_proofs_at_ell_101(self, build, nodes):
+        # the star centres that split between the wings are counted against
+        # the wing swap; cutting only the first centre's second wing took
+        # 2,856 and 2,907 nodes
+        k = 3 * 101 * 102
+        verdict = exact_embed(broom_tree(101, k), build(ExtremalParams(101, 3, k)).graph)
+        assert verdict.kind is Verdict.NOT_EMBEDDED
+        assert verdict.nodes_explored == nodes
+
     def test_search_keeps_one_leaf_holding(self):
-        # h(61,3) places 1,116 internal vertices over 183 leaf groups; with
-        # a copy of the holding per depth the search alone peaked at 5.9 MiB,
-        # with one holding trimmed on backtrack at 2.2 MiB
+        # h(61,3) tries 651 candidates over 183 leaf groups; at 1,116 nodes,
+        # with a copy of the holding per depth the search alone peaked at
+        # 5.9 MiB, with one holding trimmed on backtrack at 2.2 MiB
         k = 3 * 61 * 62
         host = two_wing_host(ExtremalParams(61, 3, k)).graph
         tree = broom_tree(61, k)
@@ -418,7 +432,7 @@ class TestExactEmbed:
         finally:
             tracemalloc.stop()
         assert verdict.kind is Verdict.NOT_EMBEDDED
-        assert verdict.nodes_explored == 1116
+        assert verdict.nodes_explored == 651
         assert peak < 4 * 2**20
 
     def test_deep_tree_does_not_recurse(self):
@@ -723,7 +737,7 @@ class TestAutoEmbed:
                         row = (v.kind.value, v.nodes_explored, witness)
                         witnesses.update(repr(row).encode())
         assert proofs.hexdigest() == (
-            "4b62a8de1429b10796108ab4a9bc503d6423525c32b1f262e43cccd226d59743"
+            "dd0d0f7066b30082fcee9a756ed0208d1d682e2f993c75425866cff96b304713"
         )
         assert witnesses.hexdigest() == (
             "d6720df23d72938ccf762f214a495a10126c5b879d26447dde457b856d75eb64"
@@ -1059,6 +1073,120 @@ class TestReductionsAgainstUnreducedSearch:
         assert (sum(with_tables), sum(without)) == (249, 345)
 
 
+def spider(legs):
+    """A centre with a path of each given length hanging from it."""
+    edges, n = [], 1
+    for length in legs:
+        for v in range(n, n + length):
+            edges.append((0 if v == n else v - 1, v))
+        n += length
+    return build_tree(n, edges)
+
+
+def star_of_stars(sizes):
+    """A centre whose children have the given numbers of leaves."""
+    edges, n = [], 1
+    for size in sizes:
+        edges += [(0, n)] + [(n, leaf) for leaf in range(n + 1, n + 1 + size)]
+        n += size + 1
+    return build_tree(n, edges)
+
+
+def long_chain_trees(rng):
+    """Trees of at most 9 edges whose centroid has a chain of two to five
+    children: spiders with equal legs and with legs of length 1 or 2,
+    stars of stars, and ten random trees."""
+    trees = []
+    for count in range(2, 6):
+        trees += [spider([length] * count) for length in range(1, 4) if count * length <= 9]
+        trees.append(spider(sorted(rng.randrange(1, 3) for _ in range(count))))
+        trees += [star_of_stars([size] * count) for size in range(1, 4)
+                  if count * (size + 1) <= 9]
+    return trees + [random_tree(rng.randrange(3, 10), rng) for _ in range(10)]
+
+
+class TestChainCountsUnderInvolutions:
+    """The involution cut once earlier siblings of the placed vertex's
+    chain are moved: each involution counts the chain's siblings per class
+    and cuts a candidate whose class makes the swapped multiset smaller."""
+
+    def test_swap_lowers_matches_first_unequal_pair(self):
+        # against the rule as counts: among the swapped pairs (c, swap[c])
+        # with c < swap[c], the first in order of c whose sibling counts,
+        # the candidate's class counted, differ has more in swap[c]
+        rng = random.Random(5151)
+        seen = set()
+        for _ in range(3000):
+            classes = list(range(8))
+            rng.shuffle(classes)
+            swap = {}
+            for a, b in zip(classes[: rng.randrange(0, 4) * 2 : 2], classes[1::2]):
+                swap[a], swap[b] = b, a
+            placed = sorted(rng.randrange(8) for _ in range(rng.randrange(0, 6)))
+            d = rng.randrange(8)
+            both = placed + [d]
+            unequal = [c for c in sorted(swap) if c < swap[c]
+                       and both.count(c) != both.count(swap[c])]
+            want = bool(unequal) and both.count(swap[unequal[0]]) > both.count(unequal[0])
+            assert _swap_lowers(tuple(placed), swap, d) == want
+            seen.add(want)
+        assert seen == {True, False}
+
+    def test_long_chains(self, monkeypatch):
+        # the symmetric hosts and the two-wing hosts h and hprime at ell 3
+        # and 5, as generated and relabelled, against trees whose chains
+        # have up to five siblings; the plain search decides every pair
+        cuts = []
+        monkeypatch.setattr(embedding, "_swap_lowers",
+                            lambda *args: cuts.append(_swap_lowers(*args)) or cuts[-1])
+        rng = random.Random(3030)
+        hosts = [family(rng) for family in SYMMETRIC_HOSTS for _ in range(20)]
+        for build in (two_wing_host, matched_wing_host):
+            for ell in (3, 5):
+                host = build(ExtremalParams(ell, 1, ell * (ell + 1))).graph
+                hosts += [host, relabelled(host.n, host.edges(), rng)]
+        trees = long_chain_trees(random.Random(5))
+        decided = refuted = 0
+        for host in hosts:
+            for tree in trees:
+                if tree.n > host.n:
+                    continue
+                on = exact_embed(tree, host)
+                off = exact_embed(tree, host, symmetry=False, budget=Budget(max_nodes=200_000))
+                assert off.kind is not Verdict.TIMEOUT
+                assert on.kind == off.kind
+                if on.kind is Verdict.EMBEDDED:
+                    assert validate_embedding(tree, host, on.embedding)
+                decided += 1
+                refuted += on.kind is Verdict.NOT_EMBEDDED
+        # the count cut fires: 431 candidates of a dropped class met an
+        # involution that moves earlier siblings only, and 52 were cut
+        assert (decided, refuted, len(cuts), sum(cuts)) == (1781, 710, 431, 52)
+
+    @pytest.mark.parametrize("host_edges, tree_edges", [
+        # K4,4, two twin classes that the involution swaps, and the path on
+        # four edges from its middle: the root's image is moved, so the
+        # second sibling may not be counted against the first
+        ([(u, v) for u in (0, 1, 4, 7) for v in (2, 3, 5, 6)],
+         [(0, 1), (0, 3), (1, 2), (3, 4)]),
+        # a spider with three legs of length two into itself: the legs that
+        # the involution swaps hold one sibling each, and equal counts must
+        # not cut the second
+        ([(0, 6), (1, 3), (2, 3), (2, 4), (2, 6), (4, 5)],
+         [(0, 1), (0, 3), (0, 5), (1, 2), (3, 4), (5, 6)]),
+    ], ids=["other-used-vertex-moved", "equal-counts"])
+    def test_pinned_unsound_variants(self, host_edges, tree_edges):
+        # each embeds, and each was refuted by a variant of the cut: one
+        # that ignores a moved used vertex other than an earlier sibling,
+        # and one that cuts when the swapped counts are equal
+        host = build_graph(1 + max(max(e) for e in host_edges), host_edges)
+        tree = build_tree(len(tree_edges) + 1, tree_edges)
+        on = exact_embed(tree, host)
+        assert on.kind is exact_embed(tree, host, symmetry=False).kind is Verdict.EMBEDDED
+        assert validate_embedding(tree, host, on.embedding)
+        assert host.twin_quotient.involutions
+
+
 def watch_involutions(monkeypatch, hosts):
     """Build the involution table of each host's quotient with every
     involution test watched, and return the tests made and the entries
@@ -1066,8 +1194,9 @@ def watch_involutions(monkeypatch, hosts):
 
     Each entry must come from the one test of its cell that verified: its
     involution must pass oracles.is_automorphism and be an involution, its
-    moved mask must hold exactly the members of the classes it moves, and
-    its drop mask exactly those of the classes it maps to a smaller class.
+    swapped pairs must be exactly those of the involution, its moved mask
+    must hold exactly the members of the classes it moves, and its drop
+    mask exactly those of the classes it maps to a smaller class.
     A cell of two or more classes is tested once, its smallest class
     against its next smallest, exactly when no entry kept before it moves
     that class; no other test is made."""
@@ -1087,9 +1216,10 @@ def watch_involutions(monkeypatch, hosts):
         table = q.involutions
         verified = [perm for _, _, perm in tests if perm is not None]
         assert len(verified) == len(table)
-        for (moves, drop), perm in zip(table, verified):
+        for (moves, drop, swap), perm in zip(table, verified):
             assert oracles.is_automorphism(q, perm)
             assert all(perm[perm[c]] == c for c in range(len(perm)))
+            assert swap == {c: d for c, d in enumerate(perm) if d != c}
             assert moves == graphs._bitmask(
                 [w for c, d in enumerate(perm) if d != c for w in q.members[c]])
             assert drop == graphs._bitmask(
@@ -1131,14 +1261,20 @@ class TestStabiliserOrbitsAgainstFirstVersion:
     def test_grid_searches(self, monkeypatch):
         # h keeps the wing swap, hprime the wing swap and one swap of two
         # matched pairs, g nothing; the wing swap drops the second wing
-        # wherever no wing vertex is used, at the root and after the hub
+        # wherever no wing vertex is used, at the root and after the hub,
+        # and swaps each vertex's class with that of its place in the other
+        # wing, for the star centres' counts per wing
         assert wing_clique_host(ExtremalParams(5, 2, 60)).graph.twin_quotient.involutions == []
         for build, entries in ((two_wing_host, 1), (matched_wing_host, 2)):
             tagged = build(ExtremalParams(5, 2, 60))
-            table = tagged.graph.twin_quotient.involutions
+            q = tagged.graph.twin_quotient
             wing1, wing2 = (graphs._bitmask(tagged.parts[a] + tagged.parts[b])
                             for a, b in (("A1", "B1"), ("A2", "B2")))
-            assert len(table) == entries and (wing1 | wing2, wing2) in table
+            swap = {}
+            for a, b in (("A1", "A2"), ("B1", "B2")):
+                for v, w in zip(tagged.parts[a], tagged.parts[b]):
+                    swap[q.class_of[v]], swap[q.class_of[w]] = q.class_of[w], q.class_of[v]
+            assert len(q.involutions) == entries and (wing1 | wing2, wing2, swap) in q.involutions
         assert watch_involutions(monkeypatch, [h for _, h in grid_brooms()]) == (27, 27)
 
     def test_symmetric_hosts(self, monkeypatch):
@@ -1149,7 +1285,7 @@ class TestStabiliserOrbitsAgainstFirstVersion:
         for host in hosts:
             q = host.twin_quotient
             orbit = oracles.brute_stabiliser_orbits(host, set())
-            for _, drop in q.involutions:
+            for _, drop, _ in q.involutions:
                 for w in graphs._members(drop):
                     assert any(q.class_of[v] < q.class_of[w] for v in orbit[w])
                     dropped += 1
@@ -1179,7 +1315,7 @@ class TestOrbitTestSkip:
         monkeypatch.setattr(TwinQuotient, "involution",
                             counting("involution", TwinQuotient.involution))
         monkeypatch.setattr(graphs, "_refine", counting("refine", graphs._refine))
-        assert sum(exact_embed(tree, host).nodes_explored for tree, host in pairs) == 792
+        assert sum(exact_embed(tree, host).nodes_explored for tree, host in pairs) == 732
         assert counts == {"involution": 0, "refine": 0}
 
     def test_symmetric_hosts(self, monkeypatch):
@@ -1221,15 +1357,15 @@ class TestOrbitTestSkip:
             counts = [exact_embed(t, h, budget).nodes_explored for t, h in pairs]
             return [sum(counts[i : i + 9]) for i in (0, 9, 18)], counts[18:]
 
-        assert totals()[0] == [222, 321, 249]
+        assert totals()[0] == [192, 321, 219]
         with monkeypatch.context() as m:
             m.setattr(TwinQuotient, "involutions", NO_INVOLUTIONS)
             assert totals()[0] == [375, 321, 438]
         with monkeypatch.context() as m:
             m.setattr(TwinQuotient, "pair_families", NO_PAIRS)
             sums, hprime = totals(Budget(max_nodes=3000))
-            assert sums[:2] == [222, 321]
-            assert hprime == [49, 225, 529, 2445, 3000, 3000, 3000, 3000, 3000]
+            assert sums[:2] == [192, 321]
+            assert hprime == [48, 224, 528, 2442, 3000, 3000, 3000, 3000, 3000]
 
 
 def small_random_host(rng):
