@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .graphs import GraphError, SimpleGraph, TreeGraph, bfs_layout
+from .graphs import BfsLayout, GraphError, SimpleGraph, TreeGraph, bfs_layout
 from .rational import RationalLike, as_fraction
 
 
@@ -62,30 +62,29 @@ def centroid(tree: TreeGraph) -> int:
     child holding more than n/2 vertices while there is one.  The walk
     stops at a centroid, as the part through its parent holds fewer than
     n/2; a second centroid is a child holding exactly n/2."""
-    g = tree.graph
+    return _centroid_layout(tree.graph)[0]
+
+
+def _centroid_layout(g: SimpleGraph) -> tuple[int, BfsLayout]:
+    """centroid's vertex, and the BFS layout from vertex 0 it walks."""
     n = g.n
     if n < 2:
         raise GraphError("needs a tree with at least one edge")
-    size, parent = _subtree_sizes(g)
+    layout = bfs_layout(g, (0,))
+    parent = layout.parent
+    size = [1] * n
+    for v in reversed(layout.order):
+        p = parent[v]
+        if p >= 0:
+            size[p] += size[v]
     z = 0
     while True:
         heavy = next((c for c in g.adj[z] if parent[c] == z and 2 * size[c] >= n), None)
         if heavy is None:
-            return z
+            return z, layout
         if 2 * size[heavy] == n:
-            return min(z, heavy)
+            return min(z, heavy), layout
         z = heavy
-
-
-def _subtree_sizes(g: SimpleGraph) -> tuple[list[int], list[int]]:
-    """Each vertex's subtree order and parent, rooted at vertex 0."""
-    order, parent, _ = bfs_layout(g, (0,))
-    size = [1] * g.n
-    for v in reversed(order):
-        p = parent[v]
-        if p >= 0:
-            size[p] += size[v]
-    return size, parent
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .decompose import centroid, find_separator, partition_two, split_family_by_cap
+from .decompose import _centroid_layout, find_separator, partition_two, split_family_by_cap
 from .graphs import (
     BfsLayout,
     SimpleGraph,
@@ -115,10 +115,14 @@ class _Backtracker:
 
     The host tables are built once per host and kept on it: rank,
     component sizes and the twin quotient with its symmetry tables (below).
-    Each search builds the tree side, the capacity mask and the degree
-    masks: the vertices of degree at least d, for each tree degree d, as
-    one all-ones mask when d is at most the host's minimum degree and so
-    removes no vertex.
+    Each search builds the capacity mask, the degree masks (the vertices
+    of degree at least d, for each tree degree d, as one all-ones mask
+    when d is at most the host's minimum degree and so removes no vertex)
+    and the tree side.  The tree side takes one BFS layout, which the
+    caller may hand over (exact_embed hands over the centroid walk's when
+    the root is vertex 0), and one walk over it that lists the search
+    order as it goes and builds every table of the order, the leaf groups
+    included; the chains take one more walk, up the search order.
 
     symmetry=False is the plain search: every vertex is a search vertex
     and only the prunes above apply.  With symmetry on, five reductions
@@ -133,10 +137,13 @@ class _Backtracker:
       neighbors as leaves.  The search keeps one holding, a b-matching
       of the placed groups into free neighbors.  Placing u at w leaves at
       most these groups short: the earlier group that held w, if any, and
-      u's own groups, which hold nothing yet.  One routine,
+      u's own group, which holds nothing yet.  One routine,
       _complete_holding, takes them: it gives each the highest free ids
       nobody holds, then completes the holding by augmenting paths over
       the groups, or finds the set of groups that violates the condition.
+      In the common case, where nobody holds w and u's group finds enough
+      free ids nobody holds, _hall gives it the highest of them in place,
+      which is the holding _complete_holding builds.
       Placing more vertices only shrinks the free neighborhoods, so a
       violation holds in every extension and the prune is exact.
       Backtracking to u clears u's groups from the holding.  What is left
@@ -232,43 +239,48 @@ class _Backtracker:
         root: int,
         host: SimpleGraph,
         symmetry: bool = True,
+        layout: Optional[BfsLayout] = None,
     ):
         self.tree = tree
         n_t = tree.n
-
-        layout = bfs_layout(tree, (root,))
-        self.parent = parent = layout.parent
-        self.children: list[list[int]] = [[] for _ in range(n_t)]
-        # the order starts at the root and reaches every other vertex
-        for v in layout.order[1:]:
-            self.children[parent[v]].append(v)
-        self.child_count = [len(c) for c in self.children]
+        if layout is None:
+            layout = bfs_layout(tree, (root,))
+        order, self.parent = layout.order, layout.parent
         self.tree_deg = tree.degrees
+        # every neighbor but the parent is a child
+        self.child_count = child_count = [d - 1 for d in self.tree_deg]
+        child_count[root] += 1
 
-        leaf = [not c for c in self.children] if symmetry else [False] * n_t
-        leaf[root] = False
-        self.order = [v for v in layout.order if not leaf[v]]
-        # children of the parent still unplaced once this vertex is placed,
-        # and the leaf groups, the leaves of one parent each, numbered in
-        # the search order of their parents
-        self.sib_rest = [0] * n_t
+        # one walk over the search order, which grows as it runs: the
+        # children of each vertex come in one run of the layout, after those
+        # of the vertices before it, and leaves have none.  sib_rest counts
+        # the children of the parent still unplaced once a vertex is placed,
+        # leaves included; the leaf groups, the leaves of one parent each,
+        # are numbered in the search order of their parents
+        plain = not symmetry
+        self.order = search = [root]
+        self.sib_rest = sib_rest = [0] * n_t
         self.group_leaves: list[list[int]] = []
-        self.group_start = [0] * n_t
-        self.group_end = [0] * n_t
-        for u in self.order:
-            left = self.child_count[u]
-            leaves = []
-            for c in self.children[u]:
-                if leaf[c]:
-                    leaves.append(c)
-                else:
-                    left -= 1
-                    self.sib_rest[c] = left
-            self.group_start[u] = len(self.group_leaves)
-            if leaves:
-                self.group_leaves.append(leaves)
-            self.group_end[u] = len(self.group_leaves)
-        self.demand = [len(leaves) for leaves in self.group_leaves]
+        self.group_start = group_start = [0] * n_t
+        self.group_end = group_end = [0] * n_t
+        self.demand: list[int] = []
+        # the searched children of each search vertex, in search order
+        inner_runs: list[list[int]] = []
+        at = 1
+        for u in search:  # grows while it runs
+            count = child_count[u]
+            kids = order[at:at + count]
+            at += count
+            inner = [c for c in kids if plain or child_count[c]]
+            inner_runs.append(inner)
+            for left, c in enumerate(reversed(inner), count - len(inner)):
+                sib_rest[c] = left
+            search += inner
+            group_start[u] = len(self.demand)
+            if len(inner) < count:
+                self.group_leaves.append([c for c in kids if not child_count[c]])
+                self.demand.append(count - len(inner))
+            group_end[u] = len(self.demand)
         # free neighborhood of each group, before masking out used vertices
         self.group_nbrs = [0] * len(self.demand)
 
@@ -293,46 +305,55 @@ class _Backtracker:
             self.class_of, self.twin_masks = q.class_of, q.twin_masks
             self.involutions = q.involutions
             self.pair_families, self.partner = q.pair_families
-            self._build_chains(leaf)
+            self._build_chains(inner_runs)
         else:
             # the plain search keeps every candidate, as if each were a class
             self.class_of, self.twin_masks, self.involutions, self.pair_families = [], [], [], []
             self.partner = {}
 
-    def _build_chains(self, leaf: list[bool]) -> None:
-        n_t = self.tree.n
-        # a childless vertex keeps code 0, the code of the empty key, so the
-        # leaves, left out of the search order, need no key
-        codes = [0] * n_t
-        table: dict[tuple[int, ...], int] = {(): 0}
-        for v in reversed(self.order):
-            if self.children[v]:
-                key = tuple(sorted(codes[c] for c in self.children[v]))
-                codes[v] = table.setdefault(key, len(table))
-        for v in self.order:
+    def _build_chains(self, inner_runs: list[list[int]]) -> None:
+        # one walk up the search order: a vertex's code keys its leaf count
+        # and its searched children's codes, sorted, so equal codes are equal
+        # rooted shapes; its children's codes are known by then, and chain
+        # each to the previous one of its code
+        codes = [0] * self.tree.n
+        table: dict[tuple[int, ...], int] = {}
+        chain_prev, chained, child_count = self.chain_prev, self.chained, self.child_count
+        # the classes of a chain serve the involutions only
+        keep = bool(self.involutions)
+        for v, inner in zip(reversed(self.order), reversed(inner_runs)):
             last: dict[int, int] = {}
-            for c in self.children[v]:
-                if leaf[c]:
-                    continue
-                if codes[c] in last:
-                    prev = self.chain_prev[c] = last[codes[c]]
-                    # the classes of a chain serve the involutions only
-                    self.chained[prev] = bool(self.involutions)
-                last[codes[c]] = c
+            for c in inner:
+                code = codes[c]
+                if code in last:
+                    prev = chain_prev[c] = last[code]
+                    chained[prev] = keep
+                last[code] = c
+            key = (child_count[v] - len(inner), *sorted(codes[c] for c in inner))
+            codes[v] = table.setdefault(key, len(table))
 
     def _hall(self, u: int, w: int, used: int, hold: list[int], taken: int) -> Optional[tuple]:
         """The leaf holding after placing u at w, as (holding per group,
         union of the holdings), or None when Hall's condition fails.  The
         holding passed in is complete for the groups before u's and holds
         nothing for the others; only the earlier group that held w, if
-        any, and u's own groups can be short."""
+        any, and u's own group can be short.  When nobody holds w and u's
+        group has enough free neighbors nobody holds, it takes the highest
+        of them in place: the holding _complete_holding would build,
+        without its copy."""
         start, end = self.group_start[u], self.group_end[u]
         nbrs = self.group_nbrs
+        mask = self.host_masks[w]
         for g in range(start, end):
-            nbrs[g] = self.host_masks[w]
+            nbrs[g] = mask
         short = range(start, end)
         if taken >> w & 1:
             short = [next(g for g in range(start) if hold[g] >> w & 1), *short]
+        elif start < end:
+            spare = mask & ~used & ~taken
+            if spare.bit_count() >= self.demand[start]:
+                hold[start] = got = _top_bits(spare, self.demand[start])
+                return hold, taken | got
         return _complete_holding(nbrs, ~used, self.demand, hold, taken, short, end)
 
     def _place_leaves(self, images: list[int], hold: list[int]) -> None:
@@ -502,11 +523,16 @@ def _one_per_class(cand: int, twin_masks: Sequence[int]) -> list[int]:
 
 def _top_bits(mask: int, count: int) -> int:
     """The count highest set bits of mask (all of them when it has fewer),
-    cut off in one shift: a binary search finds the largest s with at least
-    count bits at or above s."""
+    cut off in one shift at the largest s with at least count bits at or
+    above s.  s is at most the bit length less count, and is that when
+    those top count positions are all set, as in a block of a generated
+    host; otherwise a binary search finds it."""
     if mask.bit_count() <= count:
         return mask
-    lo, hi = 0, mask.bit_length()
+    top = mask.bit_length() - count
+    if (mask >> top).bit_count() == count:
+        return mask >> top << top
+    lo, hi = 0, top - 1
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if (mask >> mid).bit_count() >= count:
@@ -605,8 +631,10 @@ def exact_embed(
         return EmbedVerdict(
             Verdict.NOT_EMBEDDED, None, 0, f"tree has {g.n} vertices, host only {host.n}"
         )
-    root = centroid(tree) if g.n > 1 else 0
-    solver = _Backtracker(g, root, host, symmetry)
+    root, layout = _centroid_layout(g) if g.n > 1 else (0, None)
+    # the centroid walk lays the tree out from vertex 0; a search from
+    # there takes that layout
+    solver = _Backtracker(g, root, host, symmetry, layout if root == 0 else None)
     status, images, nodes = solver.run(budget)
     if status == "found":
         mapping = {v: images[v] for v in range(g.n)}

@@ -128,6 +128,49 @@ def keyed_chain_prev(g: SimpleGraph, root: int) -> list:
     return prev
 
 
+def multi_pass_search_tables(g: SimpleGraph, root: int, symmetry: bool) -> dict:
+    """_Backtracker's tree tables, one pass each as first built: a BFS from
+    root over ascending neighbors, the children from it, the leaves (with
+    symmetry, the childless vertices but the root), the search order of
+    the others, then per searched vertex the children of its parent still
+    unplaced after it, leaves included, and per searched vertex its leaves
+    as one group, numbered in search order."""
+    parent = [-1] * g.n
+    order, seen = [root], {root}
+    for u in order:  # grows while it runs
+        for w in sorted(g.adj[u]):
+            if w not in seen:
+                seen.add(w)
+                parent[w] = u
+                order.append(w)
+    children = [[] for _ in range(g.n)]
+    for v in order[1:]:
+        children[parent[v]].append(v)
+    leaf = [symmetry and v != root and not children[v] for v in range(g.n)]
+    search = [v for v in order if not leaf[v]]
+    sib_rest = {}
+    for u in search:
+        searched = [c for c in children[u] if not leaf[c]]
+        for i, c in enumerate(searched):
+            sib_rest[c] = len(children[u]) - i - 1
+    group_leaves, ranges = [], {}
+    for u in search:
+        leaves = [c for c in children[u] if leaf[c]]
+        start = len(group_leaves)
+        if leaves:
+            group_leaves.append(leaves)
+        ranges[u] = (start, len(group_leaves))
+    return {
+        "order": search,
+        "parent": {v: parent[v] for v in search},
+        "child_count": [len(c) for c in children],
+        "sib_rest": {v: sib_rest.get(v, 0) for v in search},
+        "ranges": ranges,
+        "demand": [len(leaves) for leaves in group_leaves],
+        "group_leaves": group_leaves,
+    }
+
+
 def capped_sequences(max_len: int, total: int):
     """All tuples of positive integers, length <= max_len, sum <= total,
     every entry <= ceil(total/2).  The partition lemma input space."""

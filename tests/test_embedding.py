@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treembed.decompose import centroid, find_separator
+from treembed.decompose import _centroid_layout, centroid, find_separator
 from treembed.embedding import (
     Budget,
     Verdict,
@@ -35,7 +35,7 @@ from treembed.families import (
     two_wing_host,
     wing_clique_host,
 )
-from treembed import embedding, graphs
+from treembed import decompose, embedding, graphs
 from treembed.graphs import TwinQuotient, build_graph, build_tree
 from treembed.randgen import random_tree
 
@@ -47,6 +47,7 @@ from oracles import (
     flow_hall_holds,
     has_edge_violations,
     keyed_chain_prev,
+    multi_pass_search_tables,
     naive_embed_exists,
     planted_pairs_host,
 )
@@ -836,30 +837,95 @@ class TestBacktrackerSetup:
         # degrees above the host's minimum, which drop vertices, occur
         assert filtered >= 5
 
-    def test_chain_prev_matches_keyed_oracle(self):
-        # leaves keep the code of the empty key and build none; the chains
-        # are those of keying every vertex, from the centroid and from a
-        # random root
-        rng = random.Random(2424)
+    @staticmethod
+    def shapes(rng):
+        """Random trees, brooms and caterpillars, each with the centroid and
+        a random root."""
         trees = [random_tree(rng.randrange(0, 60), rng) for _ in range(300)]
         trees += [broom_tree(ell, c * ell * (ell + 1)) for ell in (3, 5, 7, 9) for c in (1, 2, 3)]
         trees += [caterpillar(rng.randrange(0, 20)) for _ in range(10)]
         for _ in range(60):
             spine = rng.randrange(0, 15)
             trees.append(caterpillar(spine, [rng.randrange(0, 4) for _ in range(spine + 1)]))
-        host = complete_graph(3)
-        chained = 0
         for tree in trees:
             g = tree.graph
-            roots = {centroid(tree) if g.n > 1 else 0, rng.randrange(g.n)}
-            for root in roots:
-                solver = _Backtracker(g, root, host)
-                assert solver.chain_prev == keyed_chain_prev(g, root)
-                chained += any(p is not None for p in solver.chain_prev)
+            for root in {centroid(tree) if g.n > 1 else 0, rng.randrange(g.n)}:
+                yield g, root
+
+    def test_chain_prev_matches_keyed_oracle(self):
+        # leaves keep the code of the empty key and build none; the chains
+        # are those of keying every vertex, from the centroid and from a
+        # random root
+        host = complete_graph(3)
+        chained = 0
+        for g, root in self.shapes(random.Random(2424)):
+            solver = _Backtracker(g, root, host)
+            assert solver.chain_prev == keyed_chain_prev(g, root)
+            chained += any(p is not None for p in solver.chain_prev)
         assert chained >= 100
+
+    @pytest.mark.parametrize("symmetry", [True, False], ids=["reduced", "plain"])
+    def test_tables_match_multi_pass_oracle(self, symmetry):
+        # the one walk builds what one pass per table built; from vertex 0
+        # also with the layout the centroid walk hands over
+        host = complete_graph(3)
+        grouped = 0
+        for g, root in self.shapes(random.Random(3030)):
+            want = multi_pass_search_tables(g, root, symmetry)
+            layouts = [None]
+            if root == 0 and g.n > 1:
+                layouts.append(_centroid_layout(g)[1])
+            for layout in layouts:
+                solver = _Backtracker(g, root, host, symmetry, layout)
+                got = {
+                    "order": solver.order,
+                    "parent": {v: solver.parent[v] for v in solver.order},
+                    "child_count": solver.child_count,
+                    "sib_rest": {v: solver.sib_rest[v] for v in solver.order},
+                    "ranges": {v: (solver.group_start[v], solver.group_end[v]) for v in solver.order},
+                    "demand": solver.demand,
+                    "group_leaves": solver.group_leaves,
+                }
+                assert got == want
+            grouped += len(want["demand"]) >= 2
+        assert grouped >= (100 if symmetry else 0)
 
 
 class TestSeparatorRootChoice:
+    @staticmethod
+    def count_layouts(monkeypatch, tree, host):
+        calls = []
+        real = graphs.bfs_layout
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        for module in (embedding, decompose):
+            monkeypatch.setattr(module, "bfs_layout", counted)
+        verdict = exact_embed(tree, host)
+        return verdict, calls
+
+    def test_one_layout_when_the_centroid_is_vertex_0(self, monkeypatch):
+        # the search takes the layout the centroid walk built from vertex 0
+        tree, host = broom_tree(7, 168), two_wing_host(ExtremalParams(7, 3, 168)).graph
+        verdict, calls = self.count_layouts(monkeypatch, tree, host)
+        assert (verdict.kind, verdict.nodes_explored) == (Verdict.NOT_EMBEDDED, 30)
+        assert calls == [(0,)]
+
+    def test_other_centroids_lay_out_again(self, monkeypatch):
+        rng = random.Random(6969)
+        host = complete_graph(40)
+        relaid = 0
+        for _ in range(30):
+            tree = random_tree(rng.randrange(2, 40), rng)
+            root = centroid(tree)
+            verdict, calls = self.count_layouts(monkeypatch, tree, host)
+            assert verdict.kind is Verdict.EMBEDDED
+            assert calls == ([(0,)] if root == 0 else [(0,), (root,)])
+            relaid += root != 0
+        assert relaid >= 10
+
     def test_search_starts_at_centroid(self):
         # the centroid bound keeps the root subtree capacity prune honest
         tree = broom_tree(3, 12)
@@ -1539,6 +1605,46 @@ class TestLeafHolding:
         calls, displaced = self.run_checked(monkeypatch, pairs)
         assert calls >= 600 and displaced >= 5
 
+    def test_one_group_takes_the_general_routines_holding(self, monkeypatch):
+        # a placement of one group's parent at a vertex nobody holds, with
+        # enough spare free neighbors, skips _complete_holding and builds
+        # the holding it would build, so witnesses do not change
+        real, general = _Backtracker._hall, embedding._complete_holding
+        calls = routed = 0
+
+        def compared(solver, u, w, used, hold, taken):
+            nonlocal calls
+            calls += 1
+            start, end = solver.group_start[u], solver.group_end[u]
+            nbrs = list(solver.group_nbrs)
+            nbrs[start:end] = [solver.host_masks[w]] * (end - start)
+            short = [*(g for g in range(start) if hold[g] >> w & 1), *range(start, end)]
+            want = general(nbrs, ~used, solver.demand, hold, taken, short, end)
+            out = real(solver, u, w, used, hold, taken)
+            assert out == want and solver.group_nbrs[:end] == nbrs[:end]
+            return out
+
+        def counted(*args):
+            nonlocal routed
+            routed += 1
+            return general(*args)
+
+        monkeypatch.setattr(_Backtracker, "_hall", compared)
+        monkeypatch.setattr(embedding, "_complete_holding", counted)
+        pairs = [(broom_tree(ell, c * ell * (ell + 1)),
+                  build(ExtremalParams(ell, c, c * ell * (ell + 1))).graph)
+                 for build in (two_wing_host, wing_clique_host, matched_wing_host)
+                 for ell in (3, 5, 7) for c in (1, 2, 3)]
+        rng = random.Random(616)
+        pairs += [(random_tree(rng.randrange(1, h.n + 1), rng), h)
+                  for h in (small_random_host(rng) for _ in range(300))]
+        for tree, host in pairs:
+            verdict = exact_embed(tree, host)
+            if verdict.kind is Verdict.EMBEDDED:
+                assert validate_embedding(tree, host, verdict.embedding)
+        # both ways are taken, the shortcut mostly
+        assert calls - routed >= 500 and routed >= 100
+
     def test_symmetric_and_random_hosts(self, monkeypatch):
         rng = random.Random(515)
         hosts = [family(rng) for family in SYMMETRIC_HOSTS for _ in range(100)]
@@ -1561,6 +1667,23 @@ class TestHallCheck:
     )
     def test_top_bits_matches_bitwise(self, mask, count):
         assert _top_bits(mask, count) == bitwise_top_bits(mask, count)
+
+    def test_top_bits_matches_sorted_members(self):
+        # random masks, blocks with holes below their top run, and the
+        # edges: count 0, count at or above the popcount, mask 0
+        rng = random.Random(4545)
+        masks = [rng.getrandbits(rng.randrange(1, 300)) for _ in range(200)]
+        for _ in range(200):
+            low, run = rng.randrange(0, 200), rng.randrange(1, 80)
+            block = ((1 << run) - 1) << low
+            holes = sum(1 << rng.randrange(0, low + 1) for _ in range(rng.randrange(0, 4)))
+            masks.append(block & ~holes)
+            masks.append(block & ~holes | rng.getrandbits(low) if low else block)
+        masks.append(0)
+        for mask in masks:
+            members = sorted((b for b in range(mask.bit_length()) if mask >> b & 1), reverse=True)
+            for count in {0, 1, rng.randrange(0, 90), len(members), len(members) + 1}:
+                assert _top_bits(mask, count) == sum(1 << b for b in members[:count])
 
     def test_complete_holding_decides_hall(self):
         rng = random.Random(8)
