@@ -153,16 +153,20 @@ class SimpleGraph:
     @cached_property
     def component_sizes(self) -> tuple[int, ...]:
         """The order of each vertex's connected component, by a flood fill
-        over the masks."""
+        over the masks.  A mask that is the object or'd just before is
+        skipped, as in degrees: its bits are in the component already."""
         masks = self.adjacency_masks
         sizes = [0] * self.n
         left = (1 << self.n) - 1
+        last = None
         while left:
             comp = frontier = left & -left
             while frontier:
                 reach = 0
                 for v in _members(frontier):
-                    reach |= masks[v]
+                    if masks[v] is not last:
+                        last = masks[v]
+                        reach |= last
                 frontier = reach & ~comp
                 comp |= frontier
             size = comp.bit_count()
@@ -393,28 +397,36 @@ def components(g: SimpleGraph, exclude: Optional[int] = None) -> tuple[Component
     ascending order of their smallest vertex.
 
     Vertex ids stay those of g.  Each component carries its two-coloring
-    when one exists; an odd cycle leaves bipartition as None.
+    when one exists; an odd cycle leaves bipartition as None.  One BFS per
+    component reads each row once: every edge joins equal or adjacent BFS
+    layers, so the component is bipartite, its layers alternating sides,
+    exactly when no edge has both ends in one layer.
     """
     if exclude is not None and not (0 <= exclude < g.n):
         raise GraphError(f"excluded vertex {exclude} out of range for n={g.n}")
-    layout = bfs_layout(g, range(g.n), () if exclude is None else (exclude,))
-    depth = layout.depth
+    adj, depth = g.adj, [-1] * g.n
+    if exclude is not None:
+        depth[exclude] = -2
     out: list[Component] = []
-    for verts in layout.trees():
-        verts.sort()
-        bipartite = all(
-            (depth[u] ^ depth[w]) & 1
-            for u in verts
-            for w in g.adj[u]
-            if w != exclude
-        )
-        bip = None
-        if bipartite:
-            anchor = depth[verts[0]] & 1
-            side0 = tuple(v for v in verts if depth[v] & 1 == anchor)
-            side1 = tuple(v for v in verts if depth[v] & 1 != anchor)
-            bip = Bipartition(side0, side1)
-        out.append(Component(tuple(verts), bip))
+    for r in range(g.n):
+        if depth[r] != -1:
+            continue
+        depth[r] = 0
+        queue, odd = [r], False
+        for u in queue:  # grows while it runs
+            du = depth[u]
+            for w in adj[u]:
+                dw = depth[w]
+                if dw == -1:
+                    depth[w] = du + 1
+                    queue.append(w)
+                elif dw == du:
+                    odd = True
+        queue.sort()
+        # r, the smallest vertex, is at depth 0, so side0 is the even layers
+        bip = None if odd else Bipartition(tuple(v for v in queue if not depth[v] & 1),
+                                           tuple(v for v in queue if depth[v] & 1))
+        out.append(Component(tuple(queue), bip))
     return tuple(out)
 
 

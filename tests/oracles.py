@@ -14,7 +14,8 @@ from math import ceil
 
 from treembed.families import ExtremalParams
 from treembed.graphs import (
-    GraphError, SimpleGraph, TreeGraph, build_graph, build_tree, degree_stats,
+    Bipartition, Component, GraphError, SimpleGraph, TreeGraph, _members, bfs_layout,
+    build_graph, build_tree, degree_stats,
 )
 from treembed.rational import as_fraction
 
@@ -687,3 +688,51 @@ def per_draw_random_host(
         if stats.min_degree >= d_min and stats.max_degree >= d_plant:
             return g
     raise GraphError(f"no host met the degree bounds in {attempts} attempts")
+
+
+def two_pass_components(g: SimpleGraph, exclude: int | None = None) -> tuple[Component, ...]:
+    """graphs.components in two passes, as it first was: a BFS layout of
+    g minus exclude, then a second walk over every edge of each component
+    to test its 2-colouring."""
+    if exclude is not None and not (0 <= exclude < g.n):
+        raise GraphError(f"excluded vertex {exclude} out of range for n={g.n}")
+    layout = bfs_layout(g, range(g.n), () if exclude is None else (exclude,))
+    depth = layout.depth
+    out: list[Component] = []
+    for verts in layout.trees():
+        verts.sort()
+        bipartite = all(
+            (depth[u] ^ depth[w]) & 1
+            for u in verts
+            for w in g.adj[u]
+            if w != exclude
+        )
+        bip = None
+        if bipartite:
+            anchor = depth[verts[0]] & 1
+            side0 = tuple(v for v in verts if depth[v] & 1 == anchor)
+            side1 = tuple(v for v in verts if depth[v] & 1 != anchor)
+            bip = Bipartition(side0, side1)
+        out.append(Component(tuple(verts), bip))
+    return tuple(out)
+
+
+def flood_fill_component_sizes(g: SimpleGraph) -> tuple[int, ...]:
+    """SimpleGraph.component_sizes as it first was: a flood fill over the
+    masks that ors in every frontier vertex's mask."""
+    masks = g.adjacency_masks
+    sizes = [0] * g.n
+    left = (1 << g.n) - 1
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            reach = 0
+            for v in _members(frontier):
+                reach |= masks[v]
+            frontier = reach & ~comp
+            comp |= frontier
+        size = comp.bit_count()
+        for v in _members(comp):
+            sizes[v] = size
+        left ^= comp
+    return tuple(sizes)

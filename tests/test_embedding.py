@@ -716,6 +716,37 @@ class TestStrategyEmbed:
             "fe6082b26bcfe2e1727dd6935342b1c6df7fb382152f8c32ca813f9842075555"
         )
 
+    @pytest.mark.parametrize("seed, want", [
+        (1, "41dbc1c81f5a7b4ba85d30e0a23fc3eb1d63e7380ed58e494ca9c837170165ed"),
+        (31, "b14dea0b3a7bfde32346d13a16d068a90e676bb49c1bf6f2d34bdf80ea195fc3"),
+    ], ids=("seed-1", "seed-31"))
+    def test_routing_workload_outcomes_pinned(self, seed, want):
+        # the benchmark's strategy-routing pass at this seed: 16 trees of
+        # round(0.6k) edges per grid host, each outcome (kind, nodes,
+        # witness) hashed; what the two-pass components gave
+        rng = random.Random(seed)
+        digest = hashlib.sha256()
+        for broom, host in grid_brooms():
+            for _ in range(16):
+                tree = random_tree(round(0.6 * broom.edge_count), rng)
+                v = strategy_embed(tree, host, Budget(max_nodes=20_000))
+                witness = sorted(v.embedding.items()) if v.embedding else None
+                digest.update(repr((v.kind.value, v.nodes_explored, witness)).encode())
+        assert digest.hexdigest() == want
+
+    def test_misses_a_tree_auto_embed_places(self):
+        # a known gap, the benchmark's hprime(3,1,12)#2 at seed 31: G - x
+        # has no bipartite component that x sees only on its larger side,
+        # and greedy stalls, while the exact search embeds the tree
+        host = matched_wing_host(ExtremalParams(3, 1, 12)).graph
+        tree = build_tree(8, [(0, 1), (0, 4), (0, 5), (0, 7), (2, 6), (3, 6), (5, 6)])
+        verdict = strategy_embed(tree, host)
+        assert (verdict.kind, verdict.nodes_explored) == (Verdict.UNKNOWN, 7)
+        assert verdict.detail == "no two-component structure; greedy fallback failed"
+        verdict = auto_embed(tree, host)
+        assert (verdict.kind, verdict.nodes_explored) == (Verdict.EMBEDDED, 3)
+        assert validate_embedding(tree, host, verdict.embedding)
+
 
 class TestAutoEmbed:
     def test_grid_outputs_pinned(self):

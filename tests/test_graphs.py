@@ -1,6 +1,7 @@
 """Core graph primitives against brute-force references."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -35,11 +36,13 @@ from oracles import (
     brute_pair_families,
     brute_stabiliser_orbits,
     brute_vertex_connectivity,
+    flood_fill_component_sizes,
     induced_by_edges,
     is_automorphism,
     pair_swap_keeps_edges,
     planted_pairs_host,
     rank_and_prefixes,
+    two_pass_components,
     value_keyed_twins,
 )
 
@@ -202,6 +205,20 @@ class TestMaskForm:
         assert h.component_sizes == g.component_sizes == tuple(expected)
         assert "adj" not in h.__dict__
 
+    @settings(max_examples=150)
+    @given(small_graphs(max_n=9, min_n=0))
+    def test_component_sizes_match_flood_fill(self, g):
+        # masks below 257 are shared int objects, so equal rows share one
+        h = SimpleGraph.from_masks(g.n, g.adjacency_masks)
+        assert h.component_sizes == flood_fill_component_sizes(g)
+
+    @pytest.mark.parametrize("build", [two_wing_host, wing_clique_host, matched_wing_host])
+    def test_component_sizes_of_extremal_hosts(self, build):
+        # each block of a generated host shares one mask object
+        for ell, c in ((3, 1), (7, 3), (21, 2)):
+            g = build(ExtremalParams(ell, c, c * ell * (ell + 1))).graph
+            assert g.component_sizes == flood_fill_component_sizes(g)
+
 
 class TestMaskHelpers:
     """_members and _bitmask against plain bit loops, on both sides of the
@@ -361,6 +378,46 @@ class TestComponents:
     def test_exclude_apex_of_extremal_hosts(self, build):
         g = build(ExtremalParams(3, 2, 24)).graph
         assert_exclude_matches_induced(g, degree_stats(g).argmax)
+
+    @settings(max_examples=200)
+    @given(small_graphs(max_n=9, min_n=0), st.integers(min_value=-1, max_value=8))
+    def test_matches_two_pass(self, g, pick):
+        exclude = None if pick < 0 or g.n == 0 else pick % g.n
+        h = SimpleGraph.from_masks(g.n, g.adjacency_masks)
+        want = two_pass_components(g, exclude)
+        assert components(g, exclude) == components(h, exclude) == want
+
+    @pytest.mark.parametrize("build", [two_wing_host, wing_clique_host, matched_wing_host])
+    def test_matches_two_pass_on_grid_hosts(self, build):
+        for ell in (3, 5, 7):
+            for c in (1, 2, 3):
+                g = build(ExtremalParams(ell, c, c * ell * (ell + 1))).graph
+                x = degree_stats(g).argmax
+                assert components(g, exclude=x) == two_pass_components(g, x)
+
+    def test_each_row_walked_once(self):
+        walks = Counter()
+
+        class Row(tuple):
+            def __iter__(self):
+                walks[self.vertex] += 1
+                return super().__iter__()
+
+        # a triangle, a 4-cycle, a path and an isolated vertex, the first
+        # three joined through vertex 0, so that excluding it splits them
+        g = build_graph(12, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (6, 7), (4, 7),
+                             (8, 9), (9, 10), (0, 1), (0, 4), (0, 8)])
+        rows = []
+        for u, row in enumerate(g.adj):
+            rows.append(Row(row))
+            rows[-1].vertex = u
+        counted = SimpleGraph(g.n, tuple(rows))
+        for exclude in (None, 9, 0):
+            walks.clear()
+            got = components(counted, exclude)
+            assert walks == Counter(v for v in range(g.n) if v != exclude)
+            assert got == two_pass_components(g, exclude)
+        assert [c.bipartition is None for c in got] == [True, False, False, False]
 
 
 def assert_exclude_matches_induced(g, x):

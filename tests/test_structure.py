@@ -1,5 +1,6 @@
 """Apex classification and the counting certificate."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,11 @@ import pytest
 from treembed.families import (
     ExtremalParams,
     cliques_with_apex,
+    matched_wing_host,
     two_wing_host,
+    wing_clique_host,
 )
-from treembed.graphs import GraphError, build_graph
+from treembed.graphs import GraphError, build_graph, degree_stats
 from treembed.structure import (
     classify_apex_structure,
     verify_broom_obstruction,
@@ -123,6 +126,21 @@ class TestClassifyApexStructure:
         g = build_graph(2, [(0, 1)])
         with pytest.raises(GraphError):
             classify_apex_structure(g, 5, 3, Fraction(1, 10))
+
+    def test_grid_reports_pinned(self):
+        # the report at each grid host's largest-degree vertex, the apex
+        # strategy_embed classifies, hashed: the components of G - x, their
+        # sides and every fact read from them, as the two-pass components
+        # gave them
+        digest = hashlib.sha256()
+        for build in (two_wing_host, wing_clique_host, matched_wing_host):
+            for params in sweep_params():
+                g = build(params).graph
+                report = classify_apex_structure(g, degree_stats(g).argmax, params.k, Fraction(1, 10))
+                digest.update(repr(report).encode())
+        assert digest.hexdigest() == (
+            "f4c7a45bd13578a063dca080b58d497c3833cd88b2c614969f1ac1166d0768ab"
+        )
 
 
 class TestBroomObstruction:
