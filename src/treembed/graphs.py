@@ -143,12 +143,14 @@ class SimpleGraph:
     @cached_property
     def m(self) -> int:
         return sum(self.degrees) // 2
+
     @cached_property
     def neighbor_sets(self) -> tuple[frozenset[int], ...]:
-        """Neighborhoods as frozensets, for callers outside the library: on
-        the extremal hosts they take about 75 times the memory of
+        """Neighborhoods as frozensets, for callers outside the library,
+        decoded from the masks so that a graph stored as masks derives no
+        rows: on the extremal hosts they take about 75 times the memory of
         adjacency_masks, so no library routine builds them."""
-        return tuple(frozenset(nbrs) for nbrs in self.adj)
+        return tuple(frozenset(_members(mask)) for mask in self.adjacency_masks)
 
     @cached_property
     def component_sizes(self) -> tuple[int, ...]:
@@ -343,11 +345,16 @@ class BfsLayout(NamedTuple):
     order lists the reached vertices, each root's search finished before
     the next root starts; parent is -1 for roots and unreached vertices;
     depth is the distance from the vertex's own root, -1 when unreached.
+    odd_cycle holds one flag per root that started a search, in order:
+    whether that search met an edge with both ends in one layer.  Every
+    edge joins equal or adjacent layers, so what a search reached is
+    bipartite, its layers alternating sides, exactly when its flag is off.
     """
 
     order: list[int]
     parent: list[int]
     depth: list[int]
+    odd_cycle: list[bool]
 
     def trees(self) -> list[list[int]]:
         """order cut into one run per root that started a search."""
@@ -364,8 +371,8 @@ def bfs_layout(
 ) -> BfsLayout:
     """Breadth-first search from each root in turn, never entering blocked.
 
-    Neighbors are scanned in ascending order.  A root already reached, or
-    blocked, starts no search of its own.
+    Neighbors are scanned in ascending order, and each row is read once.
+    A root already reached, or blocked, starts no search of its own.
     """
     depth = [-1] * g.n
     blocked = tuple(blocked)
@@ -373,42 +380,9 @@ def bfs_layout(
         depth[b] = -2
     parent = [-1] * g.n
     order: list[int] = []
+    odd_cycle: list[bool] = []
     adj = g.adj
     for r in roots:
-        if depth[r] != -1:
-            continue
-        depth[r] = 0
-        queue = [r]
-        for u in queue:  # grows while it runs
-            d = depth[u] + 1
-            for w in adj[u]:
-                if depth[w] == -1:
-                    depth[w] = d
-                    parent[w] = u
-                    queue.append(w)
-        order += queue
-    for b in blocked:
-        depth[b] = -1
-    return BfsLayout(order, parent, depth)
-
-
-def components(g: SimpleGraph, exclude: Optional[int] = None) -> tuple[Component, ...]:
-    """Connected components of g, or of g minus the vertex exclude, in
-    ascending order of their smallest vertex.
-
-    Vertex ids stay those of g.  Each component carries its two-coloring
-    when one exists; an odd cycle leaves bipartition as None.  One BFS per
-    component reads each row once: every edge joins equal or adjacent BFS
-    layers, so the component is bipartite, its layers alternating sides,
-    exactly when no edge has both ends in one layer.
-    """
-    if exclude is not None and not (0 <= exclude < g.n):
-        raise GraphError(f"excluded vertex {exclude} out of range for n={g.n}")
-    adj, depth = g.adj, [-1] * g.n
-    if exclude is not None:
-        depth[exclude] = -2
-    out: list[Component] = []
-    for r in range(g.n):
         if depth[r] != -1:
             continue
         depth[r] = 0
@@ -419,14 +393,37 @@ def components(g: SimpleGraph, exclude: Optional[int] = None) -> tuple[Component
                 dw = depth[w]
                 if dw == -1:
                     depth[w] = du + 1
+                    parent[w] = u
                     queue.append(w)
                 elif dw == du:
                     odd = True
-        queue.sort()
-        # r, the smallest vertex, is at depth 0, so side0 is the even layers
-        bip = None if odd else Bipartition(tuple(v for v in queue if not depth[v] & 1),
-                                           tuple(v for v in queue if depth[v] & 1))
-        out.append(Component(tuple(queue), bip))
+        order += queue
+        odd_cycle.append(odd)
+    for b in blocked:
+        depth[b] = -1
+    return BfsLayout(order, parent, depth, odd_cycle)
+
+
+def components(g: SimpleGraph, exclude: Optional[int] = None) -> tuple[Component, ...]:
+    """Connected components of g, or of g minus the vertex exclude, in
+    ascending order of their smallest vertex.
+
+    Vertex ids stay those of g.  Each component carries its two-coloring
+    when one exists; an odd cycle leaves bipartition as None.  One
+    bfs_layout from every vertex in turn finds them all, reading each row
+    once.
+    """
+    if exclude is not None and not (0 <= exclude < g.n):
+        raise GraphError(f"excluded vertex {exclude} out of range for n={g.n}")
+    layout = bfs_layout(g, range(g.n), () if exclude is None else (exclude,))
+    depth = layout.depth
+    out: list[Component] = []
+    for verts, odd in zip(layout.trees(), layout.odd_cycle):
+        verts.sort()
+        # the smallest vertex rooted the search, so side0 is the even layers
+        bip = None if odd else Bipartition(tuple(v for v in verts if not depth[v] & 1),
+                                           tuple(v for v in verts if depth[v] & 1))
+        out.append(Component(tuple(verts), bip))
     return tuple(out)
 
 

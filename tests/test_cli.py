@@ -211,6 +211,21 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err.startswith("error: --timeout-ms")
 
+    def test_strategy_solver(self, tmp_path, capsys):
+        host = gen(tmp_path, "h.json", "--family", "h", "--ell", "3", "--c", "2", "--k", "24")
+        capsys.readouterr()
+        tree = write_graph(tmp_path / "p12.json", caterpillar(12).graph)
+        wit = tmp_path / "wit.txt"
+        code = main(["check", "--tree", tree, "--host", str(host),
+                     "--solver", "strategy", "--witness-out", str(wit)])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("Embedded")
+        # the route strategy_embed takes on this pair, which auto_embed's greedy does not
+        assert witness_from_text(wit.read_text()) == {
+            0: 30, 1: 43, 2: 29, 3: 42, 4: 28, 5: 0, 6: 1, 7: 15, 8: 2, 9: 16,
+            10: 3, 11: 17, 12: 4,
+        }
+
     def test_greedy_solver(self, tmp_path, capsys):
         tree = gen(tmp_path, "t.json", "--family", "broom", "--stars", "4,4,4")
         capsys.readouterr()
@@ -290,6 +305,25 @@ class TestVerifyExample:
         code = main(["verify-example", "--family", "hprime", "--ell", "3", "--c", "1"])
         assert code == 0
         assert capsys.readouterr().out.strip() == "oracle: NotEmbedded; CONFIRMED"
+
+    @pytest.mark.parametrize("family, out", [
+        ("h", "certificate holds; oracle: Timeout; INCONCLUSIVE (certificate-only confirmation)"),
+        ("g", "oracle: Timeout; INCONCLUSIVE"),
+    ])
+    def test_zero_timeout_is_inconclusive(self, capsys, family, out):
+        code = main(["verify-example", "--family", family, "--ell", "3", "--c", "1",
+                     "--timeout-ms", "0"])
+        assert code == 3
+        assert capsys.readouterr().out.strip() == out
+
+    def test_embedding_refutes(self, monkeypatch, capsys):
+        def embeds(tree, host, budget=None):
+            return EmbedVerdict(Verdict.EMBEDDED, {v: v for v in range(tree.n)})
+
+        monkeypatch.setattr(cli, "exact_embed", embeds)
+        code = main(["verify-example", "--family", "h", "--ell", "3", "--c", "1"])
+        assert code == 1
+        assert capsys.readouterr().out.strip() == "certificate holds; oracle: Embedded; REFUTED"
 
 
 class TestSweep:

@@ -166,6 +166,22 @@ class TestMaskForm:
         assert SimpleGraph.from_masks(3, (0b110, 0b001, 0b001)) != g
         assert SimpleGraph.from_masks(3, masks, {1: "hub"}) != g
         assert SimpleGraph.from_masks(4, masks + (0,)) != g
+        # two graphs held as rows are compared row by row
+        a, b = build_graph(3, [(0, 1), (1, 2)]), build_graph(3, [(1, 2), (0, 1)])
+        assert a == b and build_graph(3, [(0, 1), (0, 2)]) != a
+        assert "adjacency_masks" not in a.__dict__ | b.__dict__
+        assert g != "g"
+
+    @pytest.mark.parametrize("g", [
+        build_graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)]),
+        two_wing_host(ExtremalParams(3, 1, 12)).graph,
+    ])
+    def test_neighbor_sets_decode_the_masks(self, g):
+        held_rows = "adj" in g.__dict__
+        sets = g.neighbor_sets
+        # a graph stored as masks, as the generated host is, derives no rows
+        assert ("adj" in g.__dict__) == held_rows
+        assert sets == tuple(frozenset(row) for row in g.adj)
 
     def test_has_edge(self):
         # the cases of TestBuildGraph's has_edge tests, on the mask form
@@ -453,6 +469,19 @@ class TestBfsLayout:
         assert layout.parent == [-1, 0, -1, -1, -1, -1]
         assert layout.depth == [0, 1, -1, -1, -1, -1]
         assert bfs_layout(g, (2, 3), blocked=(2,)).order == [3]
+
+    def test_odd_cycle_flag_per_search(self):
+        # a triangle on 0..2 with a tail to 3, a 4-cycle on 4..7, vertex 8 alone
+        g = build_graph(9, [(0, 1), (1, 2), (0, 2), (2, 3),
+                            (4, 5), (5, 6), (6, 7), (4, 7)])
+        layout = bfs_layout(g, range(g.n))
+        assert layout.trees() == [[0, 1, 2, 3], [4, 5, 7, 6], [8]]
+        assert layout.odd_cycle == [True, False, False]
+        # blocking a triangle vertex leaves a path, which has no odd cycle
+        layout = bfs_layout(g, (3, 0, 5), blocked=(1,))
+        assert layout.trees() == [[3, 2, 0], [5, 4, 6, 7]]
+        assert layout.odd_cycle == [False, False]
+        assert bfs_layout(g, (2,)).odd_cycle == [True]
 
 
 class TestDistanceBfs:
