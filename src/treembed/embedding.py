@@ -125,7 +125,9 @@ class _Backtracker:
     included; the chains take one more walk, up the search order.
 
     symmetry=False is the plain search: every vertex is a search vertex
-    and only the prunes above apply.  With symmetry on, five reductions
+    and only the prunes above apply.  It builds the twin quotient too, as
+    the component sizes of the root's prune are read off it, but none of
+    the quotient's symmetry tables.  With symmetry on, five reductions
     apply.  Each but the leaves reads a table of the host by masks, and
     none tests for symmetry at a node.
 
@@ -357,6 +359,8 @@ class _Backtracker:
         return _complete_holding(nbrs, ~used, self.demand, hold, taken, short, end)
 
     def _place_leaves(self, images: list[int], hold: list[int]) -> None:
+        # peeled in place: most groups hold one leaf, and a _members call
+        # per group tripled this routine's time on the grid's witnesses
         for leaves, mask in zip(self.group_leaves, hold):
             for v in leaves:
                 low = mask & -mask
@@ -511,6 +515,7 @@ def _one_per_class(cand: int, twin_masks: Sequence[int]) -> list[int]:
             chosen.append((hit & -hit).bit_length() - 1)
             cand ^= hit
     # the singletons left: one scan of n bits, or one big-int step per bit
+    # peeled here, as a _members call per node cost 1-2% of the grid proofs
     if cand.bit_count() >= 64:
         chosen.extend(_members(cand))
     else:

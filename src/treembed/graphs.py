@@ -154,28 +154,22 @@ class SimpleGraph:
 
     @cached_property
     def component_sizes(self) -> tuple[int, ...]:
-        """The order of each vertex's connected component, by a flood fill
-        over the masks.  A mask that is the object or'd just before is
-        skipped, as in degrees: its bits are in the component already."""
-        masks = self.adjacency_masks
-        sizes = [0] * self.n
-        left = (1 << self.n) - 1
-        last = None
-        while left:
-            comp = frontier = left & -left
-            while frontier:
-                reach = 0
-                for v in _members(frontier):
-                    if masks[v] is not last:
-                        last = masks[v]
-                        reach |= last
-                frontier = reach & ~comp
-                comp |= frontier
-            size = comp.bit_count()
-            for v in _members(comp):
-                sizes[v] = size
-            left ^= comp
-        return tuple(sizes)
+        """The order of each vertex's connected component, read off the
+        twin quotient: classes are modules, so a component of the graph is
+        the union of the classes of a component of the quotient graph.  A
+        class with no neighbour class is the exception when open: its
+        members see nobody, so each is a component of one vertex."""
+        q = self.twin_quotient
+        size = [0] * len(q.adj)
+        for comp in components(SimpleGraph(len(q.adj), tuple(map(tuple, q.adj)))):
+            cs = comp.vertices
+            if len(cs) == 1 and not q.clique[cs[0]]:
+                total = 1
+            else:
+                total = sum(len(q.members[c]) for c in cs)
+            for c in cs:
+                size[c] = total
+        return tuple(map(size.__getitem__, q.class_of))
 
     @cached_property
     def rank(self) -> tuple[int, ...]:

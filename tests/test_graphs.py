@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from treembed import graphs
 from treembed.families import (
     ExtremalParams,
+    cliques_with_apex,
     complete_bipartite,
     matched_wing_host,
     two_wing_host,
@@ -234,6 +235,28 @@ class TestMaskForm:
         for ell, c in ((3, 1), (7, 3), (21, 2)):
             g = build(ExtremalParams(ell, c, c * ell * (ell + 1))).graph
             assert g.component_sizes == flood_fill_component_sizes(g)
+
+    def test_component_sizes_of_isolated_classes(self):
+        # a twin class with no neighbour class: an open one is a vertex
+        # per member, a clique one a single component of all of them
+        k4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+        apex = cliques_with_apex(3, 2).graph.adjacency_masks
+        cases = [
+            (build_graph(5, []), (1, 1, 1, 1, 1)),
+            (build_graph(8, [*k4, (5, 6), (6, 7)]), (4, 4, 4, 4, 1, 3, 3, 3)),
+            (SimpleGraph.from_masks(7, (0, *(m & ~1 for m in apex[1:]))), (1, 3, 3, 3, 3, 3, 3)),
+        ]
+        for g, sizes in cases:
+            rows = build_graph(g.n, g.edges())
+            masks = SimpleGraph.from_masks(g.n, rows.adjacency_masks)
+            expected = [0] * g.n
+            for comp in components(rows):
+                for v in comp.vertices:
+                    expected[v] = comp.order
+            assert tuple(expected) == sizes
+            for h in (rows, masks, g):
+                assert h.component_sizes == flood_fill_component_sizes(h) == sizes
+            assert "adj" not in masks.__dict__
 
 
 class TestMaskHelpers:
