@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from typing import Mapping, Optional, Sequence
 
 from .decompose import _centroid_layout, find_separator, partition_two, split_family_by_cap
@@ -133,29 +134,29 @@ class _Backtracker:
 
     * Leaves by matching.  Non-root childless vertices (leaves) are not
       searched.  The leaves of one parent form a group, whose free
-      neighborhood is the set of unused vertices next to the parent's
-      image.  Every node checks Hall's condition for the groups of the
-      placed parents: each set of groups has at least as many free
-      neighbors as leaves.  The search keeps one holding, a b-matching
-      of the placed groups into free neighbors.  Placing u at w leaves at
-      most these groups short: the earlier group that held w, if any, and
-      u's own group, which holds nothing yet.  One routine,
+      neighborhood is the set of unused vertices next to the parent's image;
+      group i belongs to the vertex at search position i, and is empty when
+      that vertex has no leaf children.  Every node checks Hall's condition
+      for the groups of the placed parents: each set of groups has at least
+      as many free neighbors as leaves.  The search keeps one holding, a
+      b-matching of the placed groups into free neighbors.  Placing u at w
+      leaves at most these groups short: the earlier group that held w, if
+      any, and u's own group, which holds nothing yet.  One routine,
       _complete_holding, takes them: it gives each the highest free ids
-      nobody holds, then completes the holding by augmenting paths over
-      the groups, or finds the set of groups that violates the condition.
-      In the common case, where nobody holds w and u's group finds enough
-      free ids nobody holds, _hall gives it the highest of them in place,
-      which is the holding _complete_holding builds.
-      Placing more vertices only shrinks the free neighborhoods, so a
-      violation holds in every extension and the prune is exact.
-      Backtracking to u clears u's groups from the holding.  What is left
-      is complete for the groups before u's: their parents keep their
-      images, and the used vertices have only shrunk, so every held
-      vertex is still a free neighbor.  Hall's condition does not depend
-      on which complete holding is kept, so neither do the verdicts or
-      the node counts; only the leaves' images in a witness may differ.
-      Once every other vertex is placed, the holding gives the leaves
-      their images.
+      nobody holds, then completes the holding by augmenting paths over the
+      groups, or finds the set of groups that violates the condition.  In
+      the common case, where nobody holds w and u's group finds enough free
+      ids nobody holds, _hall gives it the highest of them in place, which
+      is the holding _complete_holding builds.  Placing more vertices only
+      shrinks the free neighborhoods, so a violation holds in every
+      extension and the prune is exact.  Backtracking to u clears u's group
+      from the holding.  What is left is complete for the groups before u's:
+      their parents keep their images, and the used vertices have only
+      shrunk, so every held vertex is still a free neighbor.  Hall's
+      condition does not depend on which complete holding is kept, so
+      neither do the verdicts or the node counts; only the leaves' images in
+      a witness may differ.  Once every other vertex is placed, the holding
+      gives the leaves their images.
     * Chain order.  Interchangeable sibling vertices (equal rooted shape)
       take images of ascending class: once the twin classes are read, a
       chain sibling keeps the candidates of classes no smaller than its
@@ -257,14 +258,12 @@ class _Backtracker:
         # children of each vertex come in one run of the layout, after those
         # of the vertices before it, and leaves have none.  sib_rest counts
         # the children of the parent still unplaced once a vertex is placed,
-        # leaves included; the leaf groups, the leaves of one parent each,
-        # are numbered in the search order of their parents
+        # leaves included; the leaf group of each search position holds the
+        # leaves of its vertex, and demand counts them
         plain = not symmetry
         self.order = search = [root]
         self.sib_rest = sib_rest = [0] * n_t
         self.group_leaves: list[list[int]] = []
-        self.group_start = group_start = [0] * n_t
-        self.group_end = group_end = [0] * n_t
         self.demand: list[int] = []
         # the searched children of each search vertex, in search order
         inner_runs: list[list[int]] = []
@@ -278,13 +277,11 @@ class _Backtracker:
             for left, c in enumerate(reversed(inner), count - len(inner)):
                 sib_rest[c] = left
             search += inner
-            group_start[u] = len(self.demand)
-            if len(inner) < count:
-                self.group_leaves.append([c for c in kids if not child_count[c]])
-                self.demand.append(count - len(inner))
-            group_end[u] = len(self.demand)
+            leaves = [c for c in kids if not child_count[c]] if len(inner) < count else []
+            self.group_leaves.append(leaves)
+            self.demand.append(len(leaves))
         # free neighborhood of each group, before masking out used vertices
-        self.group_nbrs = [0] * len(self.demand)
+        self.group_nbrs = [0] * len(search)
 
         self.host_masks = host.adjacency_masks
         self.rank = host.rank
@@ -334,38 +331,34 @@ class _Backtracker:
             key = (child_count[v] - len(inner), *sorted(codes[c] for c in inner))
             codes[v] = table.setdefault(key, len(table))
 
-    def _hall(self, u: int, w: int, used: int, hold: list[int], taken: int) -> Optional[tuple]:
-        """The leaf holding after placing u at w, as (holding per group,
-        union of the holdings), or None when Hall's condition fails.  The
-        holding passed in is complete for the groups before u's and holds
-        nothing for the others; only the earlier group that held w, if
-        any, and u's own group can be short.  When nobody holds w and u's
-        group has enough free neighbors nobody holds, it takes the highest
-        of them in place: the holding _complete_holding would build,
-        without its copy."""
-        start, end = self.group_start[u], self.group_end[u]
-        nbrs = self.group_nbrs
-        mask = self.host_masks[w]
-        for g in range(start, end):
-            nbrs[g] = mask
-        short = range(start, end)
+    def _hall(self, g: int, w: int, used: int, hold: list[int], taken: int) -> Optional[tuple]:
+        """The leaf holding after placing the vertex at search position g
+        at w, as (holding per group, union of the holdings), or None when
+        Hall's condition fails.  The holding passed in is complete for the
+        groups before g and holds nothing for the others; only the earlier
+        group that held w, if any, and group g can be short.  When nobody
+        holds w and group g has enough free neighbors nobody holds, it
+        takes the highest of them in place: the holding _complete_holding
+        would build, without its copy."""
+        demand = self.demand
+        mask = self.group_nbrs[g] = self.host_masks[w]
         if taken >> w & 1:
-            short = [next(g for g in range(start) if hold[g] >> w & 1), *short]
-        elif start < end:
+            short = (next(h for h in range(g) if hold[h] >> w & 1), g)
+        else:
             spare = mask & ~used & ~taken
-            if spare.bit_count() >= self.demand[start]:
-                hold[start] = got = _top_bits(spare, self.demand[start])
+            if spare.bit_count() >= demand[g]:
+                hold[g] = got = _top_bits(spare, demand[g])
                 return hold, taken | got
-        return _complete_holding(nbrs, ~used, self.demand, hold, taken, short, end)
+            short = (g,)
+        return _complete_holding(self.group_nbrs, ~used, demand, hold, taken, short, g + 1)
 
     def _place_leaves(self, images: list[int], hold: list[int]) -> None:
-        # peeled in place: most groups hold one leaf, and a _members call
-        # per group tripled this routine's time on the grid's witnesses
-        for leaves, mask in zip(self.group_leaves, hold):
-            for v in leaves:
-                low = mask & -mask
-                images[v] = low.bit_length() - 1
-                mask ^= low
+        # the holding is complete, so each group holds as many vertices as
+        # it has leaves, and only an empty group holds none: the leaves in
+        # group order line up with each group's held vertices, ascending
+        spots = chain.from_iterable(map(_members, filter(None, hold)))
+        for v, w in zip(chain.from_iterable(self.group_leaves), spots):
+            images[v] = w
 
     def run(self, budget: Optional[Budget]) -> tuple[str, Optional[list[int]], int]:
         limit = float("inf")
@@ -391,14 +384,14 @@ class _Backtracker:
         involutions = self.involutions
         pair_families, partner = self.pair_families, self.partner
         rank = self.rank
-        group_start, group_end = self.group_start, self.group_end
+        demand = self.demand
         n_s = len(order)
         images = [-1] * self.tree.n
         # the choice point of each depth: candidates in rank order and the
         # next one to try; the rest of the state is kept once
         frame_chosen: list[list[int]] = [[]] * n_s
         frame_next = [0] * n_s
-        hold, taken = [0] * len(self.demand), 0
+        hold, taken = [0] * n_s, 0
         # used vertices, and the partners of used pair ends
         used = blocked = 0
         # the classes of the images of a chain's siblings up to each one
@@ -453,12 +446,11 @@ class _Backtracker:
                 images[u] = -1
                 # the deeper groups hold nothing by now; with u's cleared,
                 # the holding is complete again for the groups before u's
-                for g in range(group_start[u], group_end[u]):
-                    taken &= ~hold[g]
-                    hold[g] = 0
+                taken &= ~hold[pos]
+                hold[pos] = 0
             pend = child_count[u]
             rest = sib_rest[u]
-            grouped = group_start[u] != group_end[u]
+            grouped = demand[pos]
             descend = False
             while i < len(chosen):
                 if nodes >= limit:
@@ -475,7 +467,7 @@ class _Backtracker:
                 if rest and (pmask & ~nxt).bit_count() < rest:
                     continue
                 if grouped or taken >> w & 1:
-                    after = self._hall(u, w, nxt, hold, taken)
+                    after = self._hall(pos, w, nxt, hold, taken)
                     if after is None:
                         continue
                     hold, taken = after
@@ -514,15 +506,7 @@ def _one_per_class(cand: int, twin_masks: Sequence[int]) -> list[int]:
         if hit:
             chosen.append((hit & -hit).bit_length() - 1)
             cand ^= hit
-    # the singletons left: one scan of n bits, or one big-int step per bit
-    # peeled here, as a _members call per node cost 1-2% of the grid proofs
-    if cand.bit_count() >= 64:
-        chosen.extend(_members(cand))
-    else:
-        while cand:
-            w = cand.bit_length() - 1
-            chosen.append(w)
-            cand ^= 1 << w
+    chosen.extend(_members(cand))
     return chosen
 
 

@@ -158,14 +158,11 @@ def matched_wing_host(params: ExtremalParams) -> TaggedGraph:
     """Two-wing host with thinner A parts and a perfect matching across the
     B parts, which makes the graph connected without the hub.
 
-    |A_i| shrinks to (ell-1)(k/ell - 2), so k/ell >= 3 is required.  The
-    matching joins B1[j] to B2[j] by block position; every B vertex then has
-    degree |A|+1 and the hub keeps the max degree 2|A|.
+    |A_i| shrinks to (ell-1)(k/ell - 2), which is positive because
+    ExtremalParams requires c*ell*(ell+1) <= k, so k/ell >= ell + 1 >= 4.
+    The matching joins B1[j] to B2[j] by block position; every B vertex
+    then has degree |A|+1 and the hub keeps the max degree 2|A|.
     """
-    if params.star_order < 3:
-        raise GraphError(
-            f"matched wings need k/ell >= 3, got k/ell = {params.star_order}"
-        )
     a, b = params.matched_wing_a_order, params.wing_b_order
     blocks = _block_layout(("A1", a), ("B1", b), ("A2", a), ("B2", b))
     masks = _block_masks(blocks, ("hub", "A1"), ("A1", "B1"), ("hub", "A2"), ("A2", "B2"))

@@ -32,10 +32,10 @@ _IDS: list[int] = []
 
 def _members(mask: int) -> Iterable[int]:
     """The vertices whose bits are set in mask, ascending.  Fewer than 64
-    are peeled off one at a time; more are read in one scan of the binary
-    string, as on masks of thousands of bits each peel is a big-int
-    operation.  The scan goes through a list, since a range would make an
-    int object for every bit scanned."""
+    are peeled off one at a time from the low end; more are read in one
+    scan of the binary string, as on masks of thousands of bits each peel
+    is a big-int operation.  The scan goes through a list, since a range
+    would make an int object for every bit scanned."""
     size = mask.bit_length()
     if size > len(_IDS):
         _IDS.extend(range(len(_IDS), size))
@@ -43,9 +43,10 @@ def _members(mask: int) -> Iterable[int]:
         return compress(_IDS, bin(mask)[:1:-1].encode().translate(_BITS))
     ws = []
     while mask:
-        ws.append(_IDS[mask.bit_length() - 1])
-        mask ^= 1 << ws[-1]
-    return ws[::-1]
+        low = mask & -mask
+        ws.append(_IDS[low.bit_length() - 1])
+        mask ^= low
+    return ws
 
 
 def _bitmask(vertices: Iterable[int]) -> int:

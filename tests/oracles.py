@@ -134,8 +134,8 @@ def multi_pass_search_tables(g: SimpleGraph, root: int, symmetry: bool) -> dict:
     root over ascending neighbors, the children from it, the leaves (with
     symmetry, the childless vertices but the root), the search order of
     the others, then per searched vertex the children of its parent still
-    unplaced after it, leaves included, and per searched vertex its leaves
-    as one group, numbered in search order."""
+    unplaced after it, leaves included, and per search position the
+    leaves of its vertex as one group, empty when it has none."""
     parent = [-1] * g.n
     order, seen = [root], {root}
     for u in order:  # grows while it runs
@@ -154,19 +154,12 @@ def multi_pass_search_tables(g: SimpleGraph, root: int, symmetry: bool) -> dict:
         searched = [c for c in children[u] if not leaf[c]]
         for i, c in enumerate(searched):
             sib_rest[c] = len(children[u]) - i - 1
-    group_leaves, ranges = [], {}
-    for u in search:
-        leaves = [c for c in children[u] if leaf[c]]
-        start = len(group_leaves)
-        if leaves:
-            group_leaves.append(leaves)
-        ranges[u] = (start, len(group_leaves))
+    group_leaves = [[c for c in children[u] if leaf[c]] for u in search]
     return {
         "order": search,
         "parent": {v: parent[v] for v in search},
         "child_count": [len(c) for c in children],
         "sib_rest": {v: sib_rest.get(v, 0) for v in search},
-        "ranges": ranges,
         "demand": [len(leaves) for leaves in group_leaves],
         "group_leaves": group_leaves,
     }

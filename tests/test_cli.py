@@ -129,6 +129,20 @@ def test_flag_the_subcommand_does_not_read_is_usage_error(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--family", "broom", "--stars", "0,0"], "star orders must be positive"),
+    (["sweep", "--ell-list", ",", "--c-list", "1"], "--ell-list must be nonempty"),
+    (["stress", "--k", "0", "--n", "5"], "k must be positive"),
+    # 2(1-alpha)k = 10 exceeds the n - 1 = 5 neighbors a vertex can have
+    (["stress", "--k", "5", "--n", "6"], "maximum degree bound"),
+], ids=["broom-empty-stars", "sweep-empty-list", "stress-k-0", "stress-degree-over-n"])
+def test_rejected_input_is_usage_error(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
 class TestCheck:
     def test_embedded_with_witness(self, tmp_path, capsys):
         tree = gen(tmp_path, "t.json", "--family", "broom", "--stars", "12")

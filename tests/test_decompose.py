@@ -19,6 +19,7 @@ from treembed.decompose import (
 from treembed.families import broom_tree, caterpillar
 from treembed.graphs import GraphError, build_tree, distance_bfs
 from treembed.randgen import random_tree
+from treembed.rational import as_fraction
 
 from oracles import brute_max_component_orders, capped_sequences
 
@@ -137,6 +138,21 @@ class TestCentroid:
                 edges += [(ids[i % 2], ids[i]) for i in range(2, n)]
                 tree = build_tree(n, edges)
                 assert centroid(tree) == min(ids[0], ids[1]) == smallest_argmin(tree)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: centroid(build_tree(1, [])), GraphError, "at least one edge"),
+    (lambda: split_family_by_cap([1], 0, Fraction(1, 2)), GraphError, "k must be positive"),
+    (lambda: split_family_by_cap([1], 4, Fraction(-1, 2)), GraphError, "alpha must be nonnegative"),
+    (lambda: split_family_by_cap([-1], 4, Fraction(1, 2)), GraphError, "weights must be nonnegative"),
+    (lambda: partition_three([1], 0), GraphError, "t must be positive"),
+    # the thresholds above are read through as_fraction
+    (lambda: as_fraction(None), TypeError, "cannot interpret None"),
+], ids=["centroid-one-vertex", "split-k-0", "split-alpha-negative", "split-weight-negative",
+        "three-t-0", "fraction-of-none"])
+def test_invalid_input_is_rejected(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 class TestPartitionTwo:

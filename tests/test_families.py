@@ -201,6 +201,19 @@ class TestBroomTree:
         assert t.graph.m == ell * star
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: broom_tree(0, 4), "at least one star"),
+    (lambda: cliques_with_apex(0, 1), "positive clique order and count"),
+    (lambda: caterpillar(-1), "path_edges must be nonnegative"),
+    (lambda: caterpillar(2, [1]), "one count per spine vertex"),
+    (lambda: caterpillar(1, [0, -1]), "leaf counts must be nonnegative"),
+], ids=["broom-no-stars", "cliques-order-0", "caterpillar-negative-path",
+        "caterpillar-short-counts", "caterpillar-negative-count"])
+def test_invalid_parameters_are_graph_error(call, message):
+    with pytest.raises(GraphError, match=message):
+        call()
+
+
 class TestSmallFamilies:
     def test_complete_bipartite(self):
         tagged = complete_bipartite(3, 5)

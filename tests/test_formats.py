@@ -191,6 +191,24 @@ class TestDimacs:
             graph_from_dimacs("c head\np edge 3 1\ne 2 2\n")
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (graph_from_json, json.dumps({"format": FORMAT_TAG, "n": 2, "edges": {}}),
+     "edges must be a list of pairs"),
+    (graph_from_json, json.dumps({"format": FORMAT_TAG, "n": 2, "edges": [], "tags": []}),
+     "tags must be an object"),
+    (graph_from_json, json.dumps({"format": FORMAT_TAG, "n": 2, "edges": [], "meta": []}),
+     "meta must be an object"),
+    (graph_from_dimacs, "p edge x 1\n", "non-integer problem line"),
+    (graph_from_dimacs, "p edge 2 1\ne 1\n", "malformed edge line"),
+    # build_graph's own check, reported as a parse error
+    (graph_from_dimacs, "p edge -1 0\n", "vertex count must be nonnegative"),
+], ids=["json-edges-object", "json-tags-list", "json-meta-list", "dimacs-count-not-int",
+        "dimacs-edge-one-end", "dimacs-negative-count"])
+def test_malformed_payload_is_parse_error(parse, text, message):
+    with pytest.raises(ParseError, match=message):
+        parse(text)
+
+
 class TestSniffAndFiles:
     def test_sniff(self):
         assert sniff_format('  {"format": "x"}') == "json"

@@ -351,6 +351,17 @@ class TestBuildTree:
             build_tree(0, [])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_graph(3, [(1,)]), r"malformed edge \(1,\)"),
+    (lambda: degree_stats(build_graph(0, [])), "empty graph"),
+    (lambda: distance_bfs(build_graph(2, [(0, 1)]), 2), "source 2 out of range"),
+    (lambda: distance_bfs(build_graph(2, [(0, 1)]), -1), "source -1 out of range"),
+], ids=["one-ended-edge", "degree-stats-empty", "bfs-source-past-n", "bfs-source-negative"])
+def test_invalid_input_is_graph_error(call, message):
+    with pytest.raises(GraphError, match=message):
+        call()
+
+
 class TestDegreeStats:
     def test_argmax_smallest_id(self):
         g = build_graph(4, [(0, 1), (0, 2), (3, 1), (3, 2)])

@@ -127,6 +127,14 @@ class TestClassifyApexStructure:
         with pytest.raises(GraphError):
             classify_apex_structure(g, 5, 3, Fraction(1, 10))
 
+    @pytest.mark.parametrize("g, k, message", [
+        (build_graph(1, []), 3, "at least one non-apex vertex"),
+        (build_graph(2, [(0, 1)]), 0, "k must be positive"),
+    ], ids=["apex-alone", "k-0"])
+    def test_invalid_input_is_graph_error(self, g, k, message):
+        with pytest.raises(GraphError, match=message):
+            classify_apex_structure(g, 0, k, Fraction(1, 10))
+
     def test_grid_reports_pinned(self):
         # the report at each grid host's largest-degree vertex, the apex
         # strategy_embed classifies, hashed: the components of G - x, their
